@@ -204,6 +204,32 @@ mod tests {
     }
 
     #[test]
+    fn golden_frame_is_byte_identical() {
+        // A format-1 frame as the table-loop CRC-32 stamps it: page 42,
+        // epoch 0x0123456789ABCDEF, a 100-byte payload padded to 128. Any
+        // change to the layout or the checksum would break every existing
+        // page file, and shows here first.
+        const GOLDEN: &str = concat!(
+            "48595447010100002a00000064000000efcdab8967452301572c3888264e9113",
+            "0726456483a2c1e0ff1e3d5c7b9ab9d8f71635547392b1d0ef0e2d4c6b8aa9c8",
+            "e70625446382a1c0dffe1d3c5b7a99b8d7f61534537291b0cfee0d2c4b6a89a8",
+            "c7e60524436281a0bfdefd1c3b5a7998b7d6f51433527190afceed0c2b4a6988",
+            "a7c6e50400000000000000000000000000000000000000000000000000000000",
+        );
+        let payload: Vec<u8> = (0..100u32).map(|i| (i * 31 + 7) as u8).collect();
+        let buf = framed(PageId(42), 0x0123_4567_89AB_CDEF, &payload);
+        let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
+        assert_eq!(
+            inspect_frame(PageId(42), &buf),
+            FrameStatus::Live {
+                epoch: 0x0123_4567_89AB_CDEF,
+                payload_len: 100
+            }
+        );
+    }
+
+    #[test]
     fn zeroed_slot_is_free() {
         let buf = vec![0u8; HEADER_BYTES + 128];
         assert_eq!(inspect_frame(PageId(0), &buf), FrameStatus::Free);

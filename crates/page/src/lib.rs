@@ -22,6 +22,8 @@
 //! injects scripted crashes, transient I/O errors, and bit flips below the
 //! checksum layer for crash-matrix testing.
 
+#![deny(unsafe_code)]
+
 mod cache;
 mod checksum;
 mod codec;

@@ -10,14 +10,18 @@ cargo fmt --check
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo clippy hyt-page (read paths must be panic-free: unwrap/expect denied)"
-cargo clippy -p hyt-page --lib -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
+echo "== cargo clippy hyt-page (read paths must be panic-free: unwrap/expect denied; every unsafe block documented)"
+cargo clippy -p hyt-page --lib -- -D warnings -D clippy::unwrap_used -D clippy::expect_used \
+    -D clippy::undocumented_unsafe_blocks
 
 echo "== cargo clippy hyt-exec (the shared traversal kernel: warnings are errors)"
 cargo clippy -p hyt-exec --all-targets -- -D warnings
 
 echo "== cargo test"
 cargo test --workspace -q
+
+echo "== cargo test --release hyt-page (the CRC-32 kernel is unsafe code: test it optimized too)"
+cargo test --release -q -p hyt-page
 
 echo "== crash matrix (fault injection: kill at every write site, reopen)"
 cargo test -q --test crash_matrix
