@@ -6,7 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hybrid_tree::{bipartition_1d, HybridTree, HybridTreeConfig};
 use hyt_data::{colhist, uniform, BoxWorkload};
-use hyt_eval::{run_batch_parallel, BatchQuery};
+use hyt_eval::{run_batch, BatchPolicy, BatchQuery};
 use hyt_geom::{Metric, Point, Rect, L1, L2};
 use hyt_index::{MultidimIndex, QueryContext};
 use rand::prelude::*;
@@ -122,7 +122,14 @@ fn bench_batch(c: &mut Criterion) {
             BenchmarkId::new("knn10_16d_20k", threads),
             &threads,
             |b, &t| {
-                b.iter(|| black_box(run_batch_parallel(&tree, &L2, &queries, t).unwrap().len()))
+                let policy = BatchPolicy::default();
+                b.iter(|| {
+                    black_box(
+                        run_batch(&tree, &L2, &queries, t, &policy, None)
+                            .unwrap()
+                            .len(),
+                    )
+                })
             },
         );
     }

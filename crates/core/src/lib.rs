@@ -54,7 +54,6 @@
 mod bulk;
 mod config;
 mod els;
-mod iter;
 mod kdtree;
 mod node;
 mod persist;
@@ -67,7 +66,6 @@ mod view;
 
 pub use config::{HybridTreeConfig, QuerySizeDist, SplitPolicy};
 pub use els::ElsTable;
-pub use iter::NearestIter;
 pub use kdtree::KdTree;
 pub use node::{DataEntry, Node};
 pub use scrub::{scrub_index, scrub_pages, CatalogScrub, PageDamage, ScrubReport};

@@ -180,17 +180,48 @@ impl<S: Storage> HybridTree<S> {
         let mut io = IoStats::default();
         while let Some(pid) = stack.pop() {
             kids.clear();
-            self.pool
-                .read_tracked_with(pid, &mut io, |buf| -> PageResult<()> {
+            self.pool.read_with(
+                pid,
+                false,
+                &mut io,
+                QueryContext::unlimited(),
+                |buf| -> PageResult<()> {
                     match NodeView::parse(buf, self.dim)? {
                         NodeView::Data(view) => view.filter_point(p, &mut out),
                         NodeView::Index(view) => view.children_containing_point(p, &mut kids)?,
                     }
                     Ok(())
-                })??;
+                },
+            )??;
             stack.extend(kids.iter().filter(|c| self.els.may_contain(**c, p)));
         }
         Ok(out)
+    }
+
+    /// `(1 + epsilon)`-approximate k-nearest-neighbor search (the paper's
+    /// conclusion names approximate NN as future work): every returned
+    /// neighbor's distance is at most `1 + epsilon` times the distance of
+    /// the true neighbor of the same rank. `epsilon == 0` is exact kNN;
+    /// larger values prune more aggressively and read fewer pages. Runs
+    /// the shared best-first kernel ([`hyt_exec::run_knn`]) ungoverned.
+    pub fn knn_approximate(
+        &self,
+        q: &Point,
+        k: usize,
+        epsilon: f64,
+        metric: &dyn Metric,
+    ) -> IndexResult<Vec<(u64, f64)>> {
+        check_dim(self.dim, q.dim())?;
+        assert!(epsilon >= 0.0, "epsilon must be non-negative");
+        let (outcome, _) = hyt_exec::run_knn(
+            &HyExpand { tree: self },
+            q,
+            k,
+            epsilon,
+            metric,
+            QueryContext::unlimited(),
+        )?;
+        Ok(outcome.into_results())
     }
 
     /// Runs the full structural invariant checker (containment,
@@ -238,7 +269,9 @@ impl<S: Storage> HybridTree<S> {
         let mut io = IoStats::default();
         Ok(self
             .pool
-            .read_tracked_with(pid, &mut io, |buf| Node::decode(buf, self.dim))??)
+            .read_with(pid, false, &mut io, QueryContext::unlimited(), |buf| {
+                Node::decode(buf, self.dim)
+            })??)
     }
 
     /// Governed node read: `ctx` must admit the fetch (cancel, deadline,
@@ -253,7 +286,7 @@ impl<S: Storage> HybridTree<S> {
         ctx: &QueryContext,
     ) -> IndexResult<Arc<Node>> {
         self.pool
-            .read_decoded_ctx(pid, io, ctx, |buf| Ok(Node::decode(buf, self.dim)?))
+            .read_decoded(pid, false, io, ctx, |buf| Ok(Node::decode(buf, self.dim)?))
     }
 
     /// Resident and pinned frame counts of the tree's buffer pool
@@ -607,7 +640,7 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
         // the resident frame instead of copying the page out first.
         let is_leaf = t
             .pool
-            .read_tracked_ctx_with(r.pid, io, ctx, |buf| -> PageResult<bool> {
+            .read_with(r.pid, false, io, ctx, |buf| -> PageResult<bool> {
                 match NodeView::parse(buf, t.dim)? {
                     NodeView::Data(view) => {
                         view.filter_box(rect, out);
@@ -669,7 +702,7 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
             }
             let mut kids: Vec<PageId> = Vec::new();
             t.pool
-                .read_tracked_ctx_with(r.pid, io, ctx, |buf| -> PageResult<()> {
+                .read_with(r.pid, false, io, ctx, |buf| -> PageResult<()> {
                     match NodeView::parse(buf, t.dim)? {
                         NodeView::Index(view) => view.child_ids(&mut kids),
                         NodeView::Data(_) => Err(PageError::Corrupt(format!(
@@ -854,7 +887,7 @@ impl<S: Storage> MultidimIndex for HybridTree<S> {
         ctx: &QueryContext,
     ) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
         check_dim(self.dim, q.dim())?;
-        hyt_exec::run_knn(&HyExpand { tree: self }, q, k, metric, ctx)
+        hyt_exec::run_knn(&HyExpand { tree: self }, q, k, 0.0, metric, ctx)
     }
 
     fn knn_stream<'a>(
@@ -1068,6 +1101,83 @@ mod tests {
         let t = build(&pts, small_cfg());
         let got = t.knn(&Point::new(vec![0.5, 0.5]), 50, &L2).unwrap();
         assert_eq!(got.len(), 10);
+    }
+
+    #[test]
+    fn approximate_with_zero_epsilon_is_exact() {
+        let t = build(&rand_points(600, 3, 3), small_cfg());
+        let q = Point::new(vec![0.7, 0.1, 0.5]);
+        let exact = t.knn(&q, 10, &L2).unwrap();
+        let approx = t.knn_approximate(&q, 10, 0.0, &L2).unwrap();
+        for (a, e) in approx.iter().zip(&exact) {
+            assert!((a.1 - e.1).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn approximate_at_zero_epsilon_equals_knn_exactly() {
+        let pts = rand_points(800, 4, 24);
+        let mut rng = StdRng::seed_from_u64(25);
+        for els_bits in [0, 4] {
+            let t = build(
+                &pts,
+                HybridTreeConfig {
+                    els_bits,
+                    ..small_cfg()
+                },
+            );
+            for _ in 0..10 {
+                let q = Point::new((0..4).map(|_| rng.gen::<f32>()).collect());
+                for metric in [&L1 as &dyn Metric, &L2] {
+                    t.reset_io_stats();
+                    let exact = t.knn(&q, 8, metric).unwrap();
+                    let exact_reads = t.io_stats().logical_reads;
+                    t.reset_io_stats();
+                    let approx = t.knn_approximate(&q, 8, 0.0, metric).unwrap();
+                    // Same oids, same order, same distances, same pages.
+                    assert_eq!(approx, exact, "els_bits={els_bits}");
+                    assert_eq!(t.io_stats().logical_reads, exact_reads);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn approximate_respects_the_epsilon_guarantee() {
+        let t = build(&rand_points(800, 4, 4), small_cfg());
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..10 {
+            let q = Point::new((0..4).map(|_| rng.gen::<f32>()).collect());
+            let exact = t.knn(&q, 8, &L2).unwrap();
+            for eps in [0.1, 0.5, 2.0] {
+                let approx = t.knn_approximate(&q, 8, eps, &L2).unwrap();
+                assert_eq!(approx.len(), 8);
+                for (rank, (_, d)) in approx.iter().enumerate() {
+                    let bound = exact[rank].1 * (1.0 + eps) + 1e-9;
+                    assert!(
+                        *d <= bound,
+                        "eps={eps} rank={rank}: {d} > (1+eps)*{}",
+                        exact[rank].1
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn larger_epsilon_reads_fewer_pages() {
+        let t = build(&rand_points(3000, 6, 6), small_cfg());
+        let q = Point::new(vec![0.5; 6]);
+        let mut accesses = Vec::new();
+        for eps in [0.0, 0.5, 2.0] {
+            t.reset_io_stats();
+            t.knn_approximate(&q, 10, eps, &L2).unwrap();
+            accesses.push(t.io_stats().logical_reads);
+        }
+        assert!(
+            accesses[2] <= accesses[0],
+            "eps=2 must not read more pages than exact: {accesses:?}"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! the numbers. `scripts/bench.sh` serializes the report to
 //! `BENCH_pr4.json`.
 
-use crate::runner::{build_engine_cached, run_batch, BatchQuery, Engine};
+use crate::runner::{build_engine_cached, run_batch, BatchPolicy, BatchQuery, Engine};
 use hyt_data::{uniform, BoxWorkload};
 use hyt_geom::{Point, L2};
 use hyt_index::IndexResult;
@@ -166,14 +166,16 @@ pub fn run_decode_bench(
             let (idx, _) = build_engine_cached(engine, &data, entries)?;
             // Warm-up pass: populates the byte pool and (when enabled)
             // the decoded-node cache.
-            let answers = run_batch(idx.as_ref(), &L2, &batch)?;
+            let answers = run_batch(idx.as_ref(), &L2, &batch, 1, &BatchPolicy::default(), None)?;
             // Bit-identity covers results and the *logical* read counters;
             // physical reads legitimately drop when a decoded-cache hit
             // skips the byte pool, so they are excluded here.
             let key: Vec<_> = answers
                 .iter()
-                .map(|a| {
+                .map(|g| {
+                    let a = &g.answer;
                     (
+                        g.status.clone(),
                         a.oids.clone(),
                         a.distances.clone(),
                         a.io.logical_reads,
@@ -196,7 +198,14 @@ pub fn run_decode_bench(
             for _ in 0..repeats {
                 for q in &batch {
                     let t = Instant::now();
-                    let a = run_batch(idx.as_ref(), &L2, std::slice::from_ref(q))?;
+                    let a = run_batch(
+                        idx.as_ref(),
+                        &L2,
+                        std::slice::from_ref(q),
+                        1,
+                        &BatchPolicy::default(),
+                        None,
+                    )?;
                     lat_us.push(t.elapsed().as_secs_f64() * 1e6);
                     std::hint::black_box(a);
                 }

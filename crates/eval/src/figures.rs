@@ -10,13 +10,13 @@
 
 use crate::report::{fnum, FigureReport};
 use crate::runner::{
-    build_engine, compare_box_ctx, compare_distance_ctx, run_box_queries, CompareRow, Engine,
+    build_engine, compare_box, compare_distance, run_box_queries, CompareRow, Engine,
 };
 use crate::scale::Scale;
 use hybrid_tree::{HybridTree, HybridTreeConfig, SplitPolicy};
 use hyt_data::{clustered, colhist, fourier, BoxWorkload, DistanceWorkload};
 use hyt_geom::Point;
-use hyt_index::{DegradeReason, IndexResult, MultidimIndex, QueryContext, QueryOutcome};
+use hyt_index::{IndexResult, MultidimIndex};
 use hyt_kdbtree::{KdbTree, KdbTreeConfig};
 use std::time::Instant;
 
@@ -60,28 +60,6 @@ fn comparison_columns() -> Vec<&'static str> {
         "norm-cpu",
         "results/q",
     ]
-}
-
-/// Folds one configuration's governed comparison into the report.
-/// Returns the degrade reason if the run was cut short — the driver
-/// then records what was skipped and stops instead of starting the next
-/// (potentially slower) configuration.
-fn push_rows_ctx(
-    report: &mut FigureReport,
-    prefix: &str,
-    outcome: QueryOutcome<Vec<CompareRow>>,
-) -> Option<DegradeReason> {
-    let reason = outcome.degrade_reason();
-    push_rows(report, prefix, outcome.results());
-    reason
-}
-
-/// Records that a governed figure run stopped early and which
-/// configuration it stopped at.
-fn note_aborted(report: &mut FigureReport, reason: DegradeReason, config: &str) {
-    report.note(format!(
-        "run aborted ({reason}) at config {config}; remaining configurations skipped"
-    ));
 }
 
 /// Figure 5(a,b): EDA-optimal vs VAMSplit node splitting — average disk
@@ -150,14 +128,6 @@ pub fn fig5c(scale: &Scale) -> IndexResult<FigureReport> {
 /// Figure 6(a,b): normalized I/O and CPU cost vs dimensionality on
 /// FOURIER — hybrid vs hB-tree vs SR-tree vs linear scan.
 pub fn fig6ab(scale: &Scale) -> IndexResult<FigureReport> {
-    fig6ab_ctx(scale, QueryContext::unlimited())
-}
-
-/// Governed [`fig6ab`]: the deadline/cancel in `ctx` is checked between
-/// engines and at page-fetch granularity inside each workload, so a run
-/// stuck on one slow engine aborts cleanly with the rows measured so
-/// far (plus a note recording the abort).
-pub fn fig6ab_ctx(scale: &Scale, ctx: &QueryContext) -> IndexResult<FigureReport> {
     let mut rep = FigureReport::new(
         "Figure 6(a,b): scalability with dimensionality (FOURIER box queries)",
         comparison_columns(),
@@ -170,16 +140,12 @@ pub fn fig6ab_ctx(scale: &Scale, ctx: &QueryContext) -> IndexResult<FigureReport
             Scale::FOURIER_SELECTIVITY,
             scale.seed ^ 0xf00,
         );
-        let outcome = compare_box_ctx(
+        let rows = compare_box(
             &[Engine::Hybrid, Engine::Hb, Engine::Sr],
             &data,
             &wl.queries,
-            ctx,
         )?;
-        if let Some(reason) = push_rows_ctx(&mut rep, &format!("{dim}-d"), outcome) {
-            note_aborted(&mut rep, reason, &format!("{dim}-d"));
-            return Ok(rep);
-        }
+        push_rows(&mut rep, &format!("{dim}-d"), &rows);
     }
     rep.note("paper shape: hybrid < hB < 0.1 (scan) < SR in I/O at higher dims; hybrid lowest CPU");
     Ok(rep)
@@ -188,27 +154,18 @@ pub fn fig6ab_ctx(scale: &Scale, ctx: &QueryContext) -> IndexResult<FigureReport
 /// Figure 6(c,d): normalized I/O and CPU cost vs dimensionality on
 /// COLHIST.
 pub fn fig6cd(scale: &Scale) -> IndexResult<FigureReport> {
-    fig6cd_ctx(scale, QueryContext::unlimited())
-}
-
-/// Governed [`fig6cd`]; see [`fig6ab_ctx`].
-pub fn fig6cd_ctx(scale: &Scale, ctx: &QueryContext) -> IndexResult<FigureReport> {
     let mut rep = FigureReport::new(
         "Figure 6(c,d): scalability with dimensionality (COLHIST box queries)",
         comparison_columns(),
     );
     for dim in COLHIST_DIMS {
         let (data, wl) = colhist_workload(scale, dim, scale.colhist_n);
-        let outcome = compare_box_ctx(
+        let rows = compare_box(
             &[Engine::Hybrid, Engine::HybridBulk, Engine::Hb, Engine::Sr],
             &data,
             &wl.queries,
-            ctx,
         )?;
-        if let Some(reason) = push_rows_ctx(&mut rep, &format!("{dim}-d"), outcome) {
-            note_aborted(&mut rep, reason, &format!("{dim}-d"));
-            return Ok(rep);
-        }
+        push_rows(&mut rep, &format!("{dim}-d"), &rows);
     }
     rep.note("paper shape: hybrid wins at all dims; SR-tree degrades fastest with dimensionality");
     rep.note(
@@ -220,27 +177,18 @@ pub fn fig6cd_ctx(scale: &Scale, ctx: &QueryContext) -> IndexResult<FigureReport
 /// Figure 7(a,b): normalized I/O and CPU cost vs database size
 /// (64-d COLHIST).
 pub fn fig7ab(scale: &Scale) -> IndexResult<FigureReport> {
-    fig7ab_ctx(scale, QueryContext::unlimited())
-}
-
-/// Governed [`fig7ab`]; see [`fig6ab_ctx`].
-pub fn fig7ab_ctx(scale: &Scale, ctx: &QueryContext) -> IndexResult<FigureReport> {
     let mut rep = FigureReport::new(
         "Figure 7(a,b): scalability with database size (64-d COLHIST box queries)",
         comparison_columns(),
     );
     for n in scale.size_sweep {
         let (data, wl) = colhist_workload(scale, 64, n);
-        let outcome = compare_box_ctx(
+        let rows = compare_box(
             &[Engine::Hybrid, Engine::Hb, Engine::Sr],
             &data,
             &wl.queries,
-            ctx,
         )?;
-        if let Some(reason) = push_rows_ctx(&mut rep, &format!("n={n}"), outcome) {
-            note_aborted(&mut rep, reason, &format!("n={n}"));
-            return Ok(rep);
-        }
+        push_rows(&mut rep, &format!("n={n}"), &rows);
     }
     rep.note("paper shape: hybrid an order of magnitude below others; its normalized cost falls as n grows (sublinear absolute cost)");
     Ok(rep)
@@ -249,11 +197,6 @@ pub fn fig7ab_ctx(scale: &Scale, ctx: &QueryContext) -> IndexResult<FigureReport
 /// Figure 7(c,d): distance-based queries (L1 / Manhattan, as in MARS) —
 /// hybrid vs SR-tree vs scan (hB-tree unsupported, paper §4 footnote 2).
 pub fn fig7cd(scale: &Scale) -> IndexResult<FigureReport> {
-    fig7cd_ctx(scale, QueryContext::unlimited())
-}
-
-/// Governed [`fig7cd`]; see [`fig6ab_ctx`].
-pub fn fig7cd_ctx(scale: &Scale, ctx: &QueryContext) -> IndexResult<FigureReport> {
     let mut rep = FigureReport::new(
         "Figure 7(c,d): distance-based queries, L1 metric (COLHIST)",
         comparison_columns(),
@@ -269,18 +212,14 @@ pub fn fig7cd_ctx(scale: &Scale, ctx: &QueryContext) -> IndexResult<FigureReport
             &hyt_geom::L1,
             scale.seed ^ 0xd15,
         );
-        let outcome = compare_distance_ctx(
+        let rows = compare_distance(
             &[Engine::Hybrid, Engine::Sr],
             &data,
             &wl.centers,
             wl.radius,
             &hyt_geom::L1,
-            ctx,
         )?;
-        if let Some(reason) = push_rows_ctx(&mut rep, &format!("{dim}-d"), outcome) {
-            note_aborted(&mut rep, reason, &format!("{dim}-d"));
-            return Ok(rep);
-        }
+        push_rows(&mut rep, &format!("{dim}-d"), &rows);
     }
     rep.note("paper shape: hybrid outperforms SR-tree and scan for L1 range queries at every dim");
     Ok(rep)

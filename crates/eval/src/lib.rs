@@ -29,10 +29,8 @@ pub use admission::{AdmissionGate, AdmissionPermit, Overloaded};
 pub use bench::{run_decode_bench, BenchReport, BenchRow};
 pub use report::FigureReport;
 pub use runner::{
-    build_engine, build_engine_cached, compare_box, compare_box_ctx, compare_distance,
-    compare_distance_ctx, run_batch, run_batch_governed, run_batch_parallel, run_box_queries,
-    run_box_queries_ctx, run_distance_queries, run_distance_queries_ctx, run_knn_stream, total_io,
-    BatchAnswer, BatchPolicy, BatchQuery, CompareRow, Engine, GovernedAnswer, QueryCost,
-    QueryStatus,
+    build_engine, build_engine_cached, compare_box, compare_distance, run_batch, run_box_queries,
+    run_distance_queries, run_knn_stream, total_io, BatchAnswer, BatchPolicy, BatchQuery,
+    CompareRow, Engine, GovernedAnswer, QueryCost, QueryStatus,
 };
 pub use scale::Scale;

@@ -4,10 +4,7 @@ use crate::admission::{AdmissionGate, Overloaded};
 use hybrid_tree::{HybridTree, HybridTreeConfig, SplitPolicy};
 use hyt_geom::{Metric, Point, Rect};
 use hyt_hbtree::{HbTree, HbTreeConfig};
-use hyt_index::{
-    CancelToken, DegradeReason, IndexError, IndexResult, Interrupt, MultidimIndex, QueryContext,
-    QueryOutcome,
-};
+use hyt_index::{CancelToken, DegradeReason, IndexError, IndexResult, MultidimIndex, QueryContext};
 
 use hyt_kdbtree::{KdbTree, KdbTreeConfig};
 use hyt_page::{IoStats, PageError, DEFAULT_PAGE_SIZE};
@@ -164,53 +161,41 @@ pub struct QueryCost {
     pub avg_results: f64,
 }
 
-/// Maps an engine's degrade reason back to the interrupt that caused it,
-/// so a per-query degradation inside a measurement loop can be re-raised
-/// and settled once at the workload level. `RetriesExhausted` never
-/// reaches here (only the governed batch runner produces it).
-fn reraise_degrade(reason: DegradeReason) -> IndexError {
-    let interrupt = match reason {
-        DegradeReason::Cancelled => Interrupt::Cancelled,
-        DegradeReason::DeadlineExceeded => Interrupt::DeadlineExceeded,
-        DegradeReason::BudgetExhausted | DegradeReason::RetriesExhausted => {
-            Interrupt::BudgetExhausted
+impl QueryCost {
+    /// Runs `run` on every query (it returns the query's result count)
+    /// from freshly reset I/O counters, and averages the cost per query.
+    /// An empty workload costs nothing.
+    fn measure<Q>(
+        idx: &dyn MultidimIndex,
+        queries: &[Q],
+        mut run: impl FnMut(&Q) -> IndexResult<usize>,
+    ) -> IndexResult<QueryCost> {
+        idx.reset_io_stats();
+        let mut results = 0usize;
+        let start = Instant::now();
+        for q in queries {
+            results += run(q)?;
         }
-    };
-    IndexError::Storage(PageError::Interrupted(interrupt))
+        let elapsed = start.elapsed();
+        let n = queries.len();
+        if n == 0 {
+            return Ok(QueryCost {
+                avg_accesses: 0.0,
+                avg_cpu: Duration::ZERO,
+                avg_results: 0.0,
+            });
+        }
+        Ok(QueryCost {
+            avg_accesses: idx.io_stats().weighted_accesses() / n as f64,
+            avg_cpu: elapsed / n as u32,
+            avg_results: results as f64 / n as f64,
+        })
+    }
 }
 
 /// Runs box queries, returning per-query averages.
 pub fn run_box_queries(idx: &dyn MultidimIndex, queries: &[Rect]) -> IndexResult<QueryCost> {
-    run_box_queries_ctx(idx, queries, QueryContext::unlimited())
-}
-
-/// Governed [`run_box_queries`]: every page fetch is checked against
-/// `ctx`, so a deadline or cancel aborts the workload mid-query. The
-/// interrupt surfaces as [`PageError::Interrupted`] — measurement loops
-/// have no meaningful partial answer, so they re-raise instead of
-/// degrading.
-pub fn run_box_queries_ctx(
-    idx: &dyn MultidimIndex,
-    queries: &[Rect],
-    ctx: &QueryContext,
-) -> IndexResult<QueryCost> {
-    idx.reset_io_stats();
-    let mut results = 0usize;
-    let start = Instant::now();
-    for q in queries {
-        let (outcome, _) = idx.box_query_ctx(q, ctx)?;
-        match outcome.degrade_reason() {
-            None => results += outcome.into_results().len(),
-            Some(reason) => return Err(reraise_degrade(reason)),
-        }
-    }
-    let elapsed = start.elapsed();
-    let stats = idx.io_stats();
-    Ok(QueryCost {
-        avg_accesses: stats.weighted_accesses() / queries.len() as f64,
-        avg_cpu: elapsed / queries.len() as u32,
-        avg_results: results as f64 / queries.len() as f64,
-    })
+    QueryCost::measure(idx, queries, |q| Ok(idx.box_query(q)?.len()))
 }
 
 /// Runs distance-range queries, returning per-query averages.
@@ -220,33 +205,8 @@ pub fn run_distance_queries(
     radius: f64,
     metric: &dyn Metric,
 ) -> IndexResult<QueryCost> {
-    run_distance_queries_ctx(idx, centers, radius, metric, QueryContext::unlimited())
-}
-
-/// Governed [`run_distance_queries`]; see [`run_box_queries_ctx`].
-pub fn run_distance_queries_ctx(
-    idx: &dyn MultidimIndex,
-    centers: &[Point],
-    radius: f64,
-    metric: &dyn Metric,
-    ctx: &QueryContext,
-) -> IndexResult<QueryCost> {
-    idx.reset_io_stats();
-    let mut results = 0usize;
-    let start = Instant::now();
-    for c in centers {
-        let (outcome, _) = idx.distance_range_ctx(c, radius, metric, ctx)?;
-        match outcome.degrade_reason() {
-            None => results += outcome.into_results().len(),
-            Some(reason) => return Err(reraise_degrade(reason)),
-        }
-    }
-    let elapsed = start.elapsed();
-    let stats = idx.io_stats();
-    Ok(QueryCost {
-        avg_accesses: stats.weighted_accesses() / centers.len() as f64,
-        avg_cpu: elapsed / centers.len() as u32,
-        avg_results: results as f64 / centers.len() as f64,
+    QueryCost::measure(idx, centers, |c| {
+        Ok(idx.distance_range(c, radius, metric)?.len())
     })
 }
 
@@ -277,7 +237,7 @@ pub fn compare_box(
     data: &[Point],
     queries: &[Rect],
 ) -> IndexResult<Vec<CompareRow>> {
-    Ok(compare_box_ctx(engines, data, queries, QueryContext::unlimited())?.into_results())
+    compare_inner(engines, data, |idx| run_box_queries(idx, queries))
 }
 
 /// Distance-query variant of [`compare_box`]. Engines that do not
@@ -289,77 +249,12 @@ pub fn compare_distance(
     radius: f64,
     metric: &dyn Metric,
 ) -> IndexResult<Vec<CompareRow>> {
-    Ok(compare_distance_ctx(
-        engines,
-        data,
-        centers,
-        radius,
-        metric,
-        QueryContext::unlimited(),
-    )?
-    .into_results())
-}
-
-/// Governed [`compare_box`]: `ctx` is checked before each engine is
-/// built *and* at page-fetch granularity inside each engine's workload,
-/// so a figure driver stuck on one slow engine aborts cleanly. Returns
-/// `Degraded` carrying the rows measured so far.
-pub fn compare_box_ctx(
-    engines: &[Engine],
-    data: &[Point],
-    queries: &[Rect],
-    ctx: &QueryContext,
-) -> IndexResult<QueryOutcome<Vec<CompareRow>>> {
-    compare_inner_ctx(engines, data, ctx, |idx| {
-        run_box_queries_ctx(idx, queries, ctx)
+    compare_inner(engines, data, |idx| {
+        run_distance_queries(idx, centers, radius, metric)
     })
 }
 
-/// Governed [`compare_distance`]; see [`compare_box_ctx`].
-pub fn compare_distance_ctx(
-    engines: &[Engine],
-    data: &[Point],
-    centers: &[Point],
-    radius: f64,
-    metric: &dyn Metric,
-    ctx: &QueryContext,
-) -> IndexResult<QueryOutcome<Vec<CompareRow>>> {
-    compare_inner_ctx(engines, data, ctx, |idx| {
-        run_distance_queries_ctx(idx, centers, radius, metric, ctx)
-    })
-}
-
-/// Normalizes measured rows against the scan. On a degraded run the
-/// scan may not have been measured; its absence leaves the normalized
-/// columns `NaN` rather than inventing a baseline.
-fn normalize_rows(raw: Vec<(Engine, QueryCost, Duration)>, scan_pages: usize) -> Vec<CompareRow> {
-    let scan_cpu = raw
-        .iter()
-        .find(|(e, ..)| *e == Engine::Scan)
-        .map(|(_, c, _)| c.avg_cpu.as_secs_f64().max(1e-12));
-    raw.into_iter()
-        .map(|(e, c, build)| CompareRow {
-            engine: e.name(),
-            avg_accesses: c.avg_accesses,
-            avg_cpu: c.avg_cpu,
-            normalized_io: if scan_cpu.is_some() {
-                c.avg_accesses / scan_pages.max(1) as f64
-            } else {
-                f64::NAN
-            },
-            normalized_cpu: scan_cpu.map_or(f64::NAN, |s| c.avg_cpu.as_secs_f64() / s),
-            avg_results: c.avg_results,
-            build_time: build,
-        })
-        .collect()
-}
-
-fn compare_inner_ctx<F>(
-    engines: &[Engine],
-    data: &[Point],
-    ctx: &QueryContext,
-    mut run: F,
-) -> IndexResult<QueryOutcome<Vec<CompareRow>>>
+fn compare_inner<F>(engines: &[Engine], data: &[Point], mut run: F) -> IndexResult<Vec<CompareRow>>
 where
     F: FnMut(&dyn MultidimIndex) -> IndexResult<QueryCost>,
 {
@@ -370,41 +265,42 @@ where
     let mut raw: Vec<(Engine, QueryCost, Duration)> = Vec::new();
     let mut scan_pages = 0usize;
     for &e in &list {
-        if let Err(i) = ctx.check_interrupt() {
-            return Ok(QueryOutcome::degraded(
-                normalize_rows(raw, scan_pages),
-                i.into(),
-            ));
-        }
         let (idx, build) = build_engine(e, data)?;
         if e == Engine::Scan {
             // Recover the page count for normalization.
-            let st = idx.structure_stats()?;
-            scan_pages = st.total_nodes;
+            scan_pages = idx.structure_stats()?.total_nodes;
         }
         match run(idx.as_ref()) {
             Ok(cost) => raw.push((e, cost, build)),
             Err(IndexError::Unsupported(_)) => continue,
-            Err(err) => match err.interrupt() {
-                Some(i) => {
-                    return Ok(QueryOutcome::degraded(
-                        normalize_rows(raw, scan_pages),
-                        i.into(),
-                    ))
-                }
-                None => return Err(err),
-            },
+            Err(err) => return Err(err),
         }
     }
-    Ok(QueryOutcome::Complete(normalize_rows(raw, scan_pages)))
+    let scan_cpu = raw
+        .iter()
+        .find(|(e, ..)| *e == Engine::Scan)
+        .map_or(1e-12, |(_, c, _)| c.avg_cpu.as_secs_f64().max(1e-12));
+    Ok(raw
+        .into_iter()
+        .map(|(e, c, build)| CompareRow {
+            engine: e.name(),
+            avg_accesses: c.avg_accesses,
+            avg_cpu: c.avg_cpu,
+            normalized_io: c.avg_accesses / scan_pages.max(1) as f64,
+            normalized_cpu: c.avg_cpu.as_secs_f64() / scan_cpu,
+            avg_results: c.avg_results,
+            build_time: build,
+        })
+        .collect())
 }
 
 // ---------------------------------------------------------------------
-// Batch runner: the same mixed workload executed serially or across a
-// worker pool. Queries only need `&dyn MultidimIndex`, so the workers
-// share one index (and one buffer pool) without any cloning; per-query
-// I/O comes from the `*_counted` trait methods and is therefore
-// identical however the batch is scheduled.
+// Batch runner: a mixed workload executed serially or across a worker
+// pool, under resource limits, admission control, and bounded retry of
+// transient storage faults. Queries only need `&dyn MultidimIndex`, so
+// the workers share one index (and one buffer pool) without any
+// cloning; per-query I/O comes from the `*_ctx` trait methods and is
+// therefore identical however the batch is scheduled.
 // ---------------------------------------------------------------------
 
 /// One query of a mixed batch workload.
@@ -432,102 +328,17 @@ pub struct BatchAnswer {
     pub io: IoStats,
 }
 
-fn run_one(
-    idx: &dyn MultidimIndex,
-    metric: &dyn Metric,
-    q: &BatchQuery,
-) -> IndexResult<BatchAnswer> {
-    match q {
-        BatchQuery::Box(rect) => {
-            let (mut oids, io) = idx.box_query_counted(rect)?;
-            oids.sort_unstable();
-            Ok(BatchAnswer {
-                oids,
-                distances: Vec::new(),
-                io,
-            })
-        }
-        BatchQuery::Distance(center, radius) => {
-            let (mut oids, io) = idx.distance_range_counted(center, *radius, metric)?;
-            oids.sort_unstable();
-            Ok(BatchAnswer {
-                oids,
-                distances: Vec::new(),
-                io,
-            })
-        }
-        BatchQuery::Knn(center, k) => {
-            let (hits, io) = idx.knn_counted(center, *k, metric)?;
-            let (oids, distances) = hits.into_iter().unzip();
-            Ok(BatchAnswer {
-                oids,
-                distances,
-                io,
-            })
-        }
-    }
-}
-
-/// Runs a batch serially, returning one answer per query in order.
-pub fn run_batch(
-    idx: &dyn MultidimIndex,
-    metric: &dyn Metric,
-    queries: &[BatchQuery],
-) -> IndexResult<Vec<BatchAnswer>> {
-    queries.iter().map(|q| run_one(idx, metric, q)).collect()
-}
-
-/// Runs a batch across `threads` workers over one shared index.
-///
-/// The batch is split into contiguous chunks, one per worker, and the
-/// answers are stitched back in submission order — so the output is
-/// exactly [`run_batch`]'s, including each answer's `io`, only the
-/// wall-clock time differs. Errors from any worker surface after all
-/// workers finish (the first, in submission order, wins).
-pub fn run_batch_parallel(
-    idx: &dyn MultidimIndex,
-    metric: &dyn Metric,
-    queries: &[BatchQuery],
-    threads: usize,
-) -> IndexResult<Vec<BatchAnswer>> {
-    let threads = threads.max(1);
-    if threads == 1 || queries.len() < 2 {
-        return run_batch(idx, metric, queries);
-    }
-    let chunk = queries.len().div_ceil(threads);
-    let per_chunk: Vec<IndexResult<Vec<BatchAnswer>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = queries
-            .chunks(chunk)
-            .map(|c| s.spawn(move || c.iter().map(|q| run_one(idx, metric, q)).collect()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("batch worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(queries.len());
-    for chunk_answers in per_chunk {
-        out.extend(chunk_answers?);
-    }
-    Ok(out)
-}
-
 /// Sums the per-query I/O of a batch (e.g. to compare scheduling modes:
 /// `logical_reads`/`seq_reads` totals are schedule-independent).
-pub fn total_io(answers: &[BatchAnswer]) -> IoStats {
+pub fn total_io(answers: &[GovernedAnswer]) -> IoStats {
     let mut total = IoStats::default();
     for a in answers {
-        total.merge(&a.io);
+        total.merge(&a.answer.io);
     }
     total
 }
 
-// ---------------------------------------------------------------------
-// Governed batch runner: the parallel runner plus resource limits,
-// admission control, and bounded retry of transient storage faults.
-// ---------------------------------------------------------------------
-
-/// Resource limits applied to a governed batch run.
+/// Resource limits applied to a batch run ([`run_batch`]).
 #[derive(Clone, Debug, Default)]
 pub struct BatchPolicy {
     /// Wall-clock budget for the *whole batch*. The deadline is computed
@@ -598,7 +409,7 @@ pub struct GovernedAnswer {
 /// Runs one query under `ctx`, folding the typed outcome into a
 /// [`GovernedAnswer`] (with `retries` left at 0 for the caller to fix
 /// up).
-fn run_one_ctx(
+fn run_one(
     idx: &dyn MultidimIndex,
     metric: &dyn Metric,
     q: &BatchQuery,
@@ -647,7 +458,7 @@ fn is_transient(err: &IndexError) -> bool {
 /// loop. Retries re-run the whole query (traversal state cannot survive
 /// a failed page read); backoff doubles per attempt and never sleeps
 /// past the batch deadline.
-fn run_one_governed(
+fn run_one_retrying(
     idx: &dyn MultidimIndex,
     metric: &dyn Metric,
     q: &BatchQuery,
@@ -658,7 +469,7 @@ fn run_one_governed(
     let mut io = IoStats::default();
     let mut attempt = 0u32;
     loop {
-        match run_one_ctx(idx, metric, q, &ctx) {
+        match run_one(idx, metric, q, &ctx) {
             Ok(mut got) => {
                 io.merge(&got.answer.io);
                 got.answer.io = io;
@@ -694,16 +505,22 @@ fn run_one_governed(
     }
 }
 
-/// [`run_batch_parallel`] with resource governance: a shared batch
-/// deadline, cooperative cancellation, per-query read budgets and
-/// result caps, bounded retry of transient storage faults, and
-/// (optionally) an [`AdmissionGate`] ahead of every query.
+/// Runs a batch of queries across `threads` workers over one shared
+/// index, under `policy`: a shared batch deadline, cooperative
+/// cancellation, per-query read budgets and result caps, and bounded
+/// retry of transient storage faults, with (optionally) an
+/// [`AdmissionGate`] ahead of every query. `BatchPolicy::default()` and
+/// no gate run every query exactly.
 ///
-/// Degraded and shed queries are *results*, not errors: the returned
-/// vector always has one [`GovernedAnswer`] per input query, in
-/// submission order. Only hard failures — corruption, misuse — abort
-/// the batch with `Err`.
-pub fn run_batch_governed(
+/// The batch is split into contiguous chunks, one per worker, and the
+/// answers are stitched back in submission order, so the output —
+/// including each answer's `io` — does not depend on `threads`; only
+/// the wall-clock time does. Degraded and shed queries are *results*,
+/// not errors: the returned vector always has one [`GovernedAnswer`] per
+/// input query. Only hard failures — corruption, unsupported queries,
+/// misuse — abort the batch with `Err` (the first, in submission order,
+/// wins, after every worker finishes).
+pub fn run_batch(
     idx: &dyn MultidimIndex,
     metric: &dyn Metric,
     queries: &[BatchQuery],
@@ -730,7 +547,7 @@ pub fn run_batch_governed(
             },
             None => None,
         };
-        run_one_governed(idx, metric, q, policy, deadline)
+        run_one_retrying(idx, metric, q, policy, deadline)
     };
     let threads = threads.max(1);
     if threads == 1 || queries.len() < 2 {
@@ -851,16 +668,27 @@ mod tests {
             .collect()
     }
 
+    /// Runs `batch` with no limits and no gate on `threads` workers.
+    fn unlimited(
+        idx: &dyn MultidimIndex,
+        batch: &[BatchQuery],
+        threads: usize,
+    ) -> IndexResult<Vec<GovernedAnswer>> {
+        run_batch(idx, &L1, batch, threads, &BatchPolicy::default(), None)
+    }
+
     #[test]
     fn parallel_batch_matches_serial_bit_for_bit() {
         let data = uniform(3000, 4, 11);
         let (idx, _) = build_engine(Engine::Hybrid, &data).unwrap();
         let batch = mixed_batch(&data, 30);
-        let serial = run_batch(idx.as_ref(), &L1, &batch).unwrap();
+        let serial = unlimited(idx.as_ref(), &batch, 1).unwrap();
+        assert!(serial.iter().all(|a| a.status.is_complete()));
         for threads in [2, 4, 7] {
-            let parallel = run_batch_parallel(idx.as_ref(), &L1, &batch, threads).unwrap();
+            let parallel = unlimited(idx.as_ref(), &batch, threads).unwrap();
             assert_eq!(serial.len(), parallel.len());
             for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
+                let (s, p) = (&s.answer, &p.answer);
                 assert_eq!(
                     s.oids, p.oids,
                     "query {i} answers differ at {threads} threads"
@@ -885,8 +713,8 @@ mod tests {
         for e in [Engine::Hybrid, Engine::Sr, Engine::Kdb, Engine::Scan] {
             let (idx, _) = build_engine(e, &data).unwrap();
             let batch = mixed_batch(&data, 9);
-            let serial = run_batch(idx.as_ref(), &L1, &batch).unwrap();
-            let parallel = run_batch_parallel(idx.as_ref(), &L1, &batch, 3).unwrap();
+            let serial = unlimited(idx.as_ref(), &batch, 1).unwrap();
+            let parallel = unlimited(idx.as_ref(), &batch, 3).unwrap();
             assert_eq!(serial, parallel, "{} batch differs", e.name());
         }
     }
@@ -898,8 +726,22 @@ mod tests {
         // of the worker pool, not panic it.
         let (idx, _) = build_engine(Engine::Hb, &data).unwrap();
         let batch = vec![BatchQuery::Distance(data[0].clone(), 0.3); 6];
-        let err = run_batch_parallel(idx.as_ref(), &L1, &batch, 3).unwrap_err();
+        let err = unlimited(idx.as_ref(), &batch, 3).unwrap_err();
         assert!(matches!(err, hyt_index::IndexError::Unsupported(_)));
+    }
+
+    #[test]
+    fn empty_workloads_cost_nothing() {
+        let data = uniform(300, 3, 19);
+        let (idx, _) = build_engine(Engine::Hybrid, &data).unwrap();
+        for cost in [
+            run_box_queries(idx.as_ref(), &[]).unwrap(),
+            run_distance_queries(idx.as_ref(), &[], 0.3, &L1).unwrap(),
+        ] {
+            assert_eq!(cost.avg_accesses, 0.0);
+            assert_eq!(cost.avg_cpu, Duration::ZERO);
+            assert_eq!(cost.avg_results, 0.0);
+        }
     }
 
     #[test]
@@ -923,23 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn governed_batch_unlimited_policy_matches_plain_runner() {
-        let data = uniform(2000, 4, 23);
-        let (idx, _) = build_engine(Engine::Hybrid, &data).unwrap();
-        let batch = mixed_batch(&data, 18);
-        let plain = run_batch(idx.as_ref(), &L1, &batch).unwrap();
-        let governed =
-            run_batch_governed(idx.as_ref(), &L1, &batch, 3, &BatchPolicy::default(), None)
-                .unwrap();
-        assert_eq!(plain.len(), governed.len());
-        for (p, g) in plain.iter().zip(&governed) {
-            assert!(g.status.is_complete(), "unlimited policy degraded: {g:?}");
-            assert_eq!(g.retries, 0);
-            assert_eq!(p, &g.answer);
-        }
-    }
-
-    #[test]
     fn governed_batch_expired_deadline_degrades_everything() {
         let data = uniform(2000, 4, 29);
         let (idx, _) = build_engine(Engine::Hybrid, &data).unwrap();
@@ -948,7 +773,7 @@ mod tests {
             timeout: Some(Duration::ZERO),
             ..BatchPolicy::default()
         };
-        let answers = run_batch_governed(idx.as_ref(), &L1, &batch, 4, &policy, None).unwrap();
+        let answers = run_batch(idx.as_ref(), &L1, &batch, 4, &policy, None).unwrap();
         assert_eq!(answers.len(), batch.len());
         for a in &answers {
             assert_eq!(
@@ -970,7 +795,7 @@ mod tests {
             cancel: Some(token),
             ..BatchPolicy::default()
         };
-        let answers = run_batch_governed(idx.as_ref(), &L1, &batch, 3, &policy, None).unwrap();
+        let answers = run_batch(idx.as_ref(), &L1, &batch, 3, &policy, None).unwrap();
         for a in &answers {
             assert_eq!(a.status, QueryStatus::Degraded(DegradeReason::Cancelled));
         }
@@ -982,16 +807,17 @@ mod tests {
         let (idx, _) = build_engine(Engine::Hybrid, &data).unwrap();
         let wl = BoxWorkload::calibrated(&data, 6, 0.2, 41);
         let batch: Vec<BatchQuery> = wl.queries.iter().cloned().map(BatchQuery::Box).collect();
-        let full = run_batch(idx.as_ref(), &L1, &batch).unwrap();
+        let full = unlimited(idx.as_ref(), &batch, 1).unwrap();
         let policy = BatchPolicy {
             max_reads: Some(2),
             ..BatchPolicy::default()
         };
-        let governed = run_batch_governed(idx.as_ref(), &L1, &batch, 2, &policy, None).unwrap();
+        let governed = run_batch(idx.as_ref(), &L1, &batch, 2, &policy, None).unwrap();
         let mut saw_degraded = false;
         for (f, g) in full.iter().zip(&governed) {
+            assert!(f.status.is_complete());
             // Partial box answers are true subsets of the full answer.
-            assert!(g.answer.oids.iter().all(|o| f.oids.contains(o)));
+            assert!(g.answer.oids.iter().all(|o| f.answer.oids.contains(o)));
             assert!(g.answer.io.logical_reads + g.answer.io.seq_reads <= 2);
             if let QueryStatus::Degraded(r) = &g.status {
                 assert_eq!(*r, DegradeReason::BudgetExhausted);
@@ -1011,7 +837,7 @@ mod tests {
             max_results: Some(3),
             ..BatchPolicy::default()
         };
-        let governed = run_batch_governed(idx.as_ref(), &L1, &batch, 1, &policy, None).unwrap();
+        let governed = run_batch(idx.as_ref(), &L1, &batch, 1, &policy, None).unwrap();
         for g in &governed {
             assert!(g.answer.oids.len() <= 3, "{:?}", g.answer.oids);
         }
@@ -1025,7 +851,7 @@ mod tests {
         // One slot, zero queue patience, many workers: with the slot
         // contended, some queries must be shed rather than queued forever.
         let gate = AdmissionGate::new(1, Duration::ZERO);
-        let answers = run_batch_governed(
+        let answers = run_batch(
             idx.as_ref(),
             &L1,
             &batch,

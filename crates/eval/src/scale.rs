@@ -22,25 +22,29 @@ pub struct Scale {
 
 impl Scale {
     /// Reads `HYT_SCALE` / `HYT_QUERIES` / `HYT_SEED` from the
-    /// environment.
+    /// environment. Unknown scales and a zero query count are reported on
+    /// stderr and ignored.
     pub fn from_env() -> Self {
-        let mut s = match std::env::var("HYT_SCALE").as_deref() {
-            Ok("paper") => Self::paper(),
-            Ok("quick") | Err(_) => Self::quick(),
-            Ok(other) => {
+        Self::from_vars(|key| std::env::var(key).ok())
+    }
+
+    /// [`from_env`](Self::from_env) over an arbitrary variable lookup.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
+        let mut s = match var("HYT_SCALE").as_deref() {
+            Some("paper") => Self::paper(),
+            Some("quick") | None => Self::quick(),
+            Some(other) => {
                 eprintln!("unknown HYT_SCALE={other}, using quick");
                 Self::quick()
             }
         };
-        if let Ok(q) = std::env::var("HYT_QUERIES") {
-            if let Ok(q) = q.parse() {
-                s.queries = q;
-            }
+        match var("HYT_QUERIES").map(|q| q.parse::<usize>()) {
+            Some(Ok(0)) => eprintln!("HYT_QUERIES=0 leaves no queries, using {}", s.queries),
+            Some(Ok(q)) => s.queries = q,
+            _ => {}
         }
-        if let Ok(seed) = std::env::var("HYT_SEED") {
-            if let Ok(seed) = seed.parse() {
-                s.seed = seed;
-            }
+        if let Some(Ok(seed)) = var("HYT_SEED").map(|v| v.parse()) {
+            s.seed = seed;
         }
         s
     }
@@ -84,6 +88,14 @@ mod tests {
         assert!(q.fourier_n < p.fourier_n);
         assert!(q.colhist_n <= p.colhist_n);
         assert!(q.queries <= p.queries);
+    }
+
+    #[test]
+    fn zero_queries_is_ignored() {
+        let s = Scale::from_vars(|key| (key == "HYT_QUERIES").then(|| "0".to_string()));
+        assert_eq!(s.queries, Scale::quick().queries);
+        let s = Scale::from_vars(|key| (key == "HYT_QUERIES").then(|| "7".to_string()));
+        assert_eq!(s.queries, 7);
     }
 
     #[test]

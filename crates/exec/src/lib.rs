@@ -399,10 +399,19 @@ impl<'a> KnnAcc<'a> {
         }
     }
 
-    /// Whether a node with squared lower bound `b` could still contribute
-    /// (ties admitted, matching the former per-engine push filters).
-    fn admits(&self, b: f64) -> bool {
-        self.best.len() < self.k || self.best.peek().is_some_and(|h| b <= h.dist)
+    /// The comparator-space bound a node must not exceed to be expanded
+    /// (ties admitted): the k-th best distance `d_k`, or for
+    /// `(1 + ε)`-approximate search the image of `d_k / (1 + ε)`. Exact
+    /// search (`epsilon == 0.0`) compares against [`worst`](Self::worst)
+    /// directly, with no extra metric call.
+    fn prune_bound(&self, epsilon: f64) -> f64 {
+        let worst = self.worst();
+        if epsilon == 0.0 {
+            worst
+        } else {
+            self.metric
+                .distance_to_sq(self.metric.distance_from_sq(worst) / (1.0 + epsilon))
+        }
     }
 
     /// Drains into `(oid, distance)` sorted ascending (ties by oid),
@@ -445,11 +454,18 @@ impl EntrySink for KnnAcc<'_> {
 /// then finds the true cap-nearest neighbors, reported as
 /// budget-degraded. A denied read settles into the best candidates found
 /// so far, sorted.
+///
+/// `epsilon > 0` asks for `(1 + ε)`-approximate neighbors: a node is
+/// pruned once its bound exceeds the k-th best distance divided by
+/// `1 + ε`, so every reported neighbor is within a factor `1 + ε` of the
+/// true neighbor of the same rank while fewer pages are read. `0.0` is
+/// exact search.
 #[allow(clippy::type_complexity)]
 pub fn run_knn<E: NodeExpand>(
     ex: &E,
     q: &Point,
     k: usize,
+    epsilon: f64,
     metric: &dyn Metric,
     ctx: &QueryContext,
 ) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
@@ -476,7 +492,7 @@ pub fn run_knn<E: NodeExpand>(
     let mut acc = KnnAcc::new(q, metric, k);
     let mut children: Vec<Child<E::Ref>> = Vec::new();
     while let Some(item) = pq.pop() {
-        if acc.full() && item.bound > acc.worst() {
+        if acc.full() && item.bound > acc.prune_bound(epsilon) {
             break;
         }
         if dedup && !visited.insert(item.id) {
@@ -493,8 +509,9 @@ pub fn run_knn<E: NodeExpand>(
         ) {
             return settle_interrupt(e, acc.into_sorted_hits(), io);
         }
+        let bound = acc.prune_bound(epsilon);
         for c in children.drain(..) {
-            if acc.admits(c.bound) {
+            if !acc.full() || c.bound <= bound {
                 pq.push(PqNode {
                     bound: c.bound,
                     id: ex.node_id(&c.node),
@@ -857,7 +874,7 @@ mod tests {
     fn knn_prunes_far_nodes_and_sorts_hits() {
         let m = mock();
         let q = Point::new(vec![0.0, 0.0]);
-        let (outcome, io) = run_knn(&m, &q, 3, &L2, QueryContext::unlimited()).unwrap();
+        let (outcome, io) = run_knn(&m, &q, 3, 0.0, &L2, QueryContext::unlimited()).unwrap();
         let hits = outcome.into_results();
         assert_eq!(
             hits.iter().map(|(o, _)| *o).collect::<Vec<_>>(),
@@ -873,7 +890,7 @@ mod tests {
         let mut m = mock();
         m.fail_at = Some(3); // root, leaf 1 ok; leaf 2 denied
         let q = Point::new(vec![0.0, 0.0]);
-        let (outcome, io) = run_knn(&m, &q, 3, &L2, QueryContext::unlimited()).unwrap();
+        let (outcome, io) = run_knn(&m, &q, 3, 0.0, &L2, QueryContext::unlimited()).unwrap();
         assert_eq!(
             outcome.degrade_reason(),
             Some(DegradeReason::BudgetExhausted)
@@ -915,7 +932,7 @@ mod tests {
     fn cursor_yields_batch_prefix_in_order() {
         let m = mock();
         let q = Point::new(vec![0.0, 0.0]);
-        let (batch, _) = run_knn(&m, &q, 5, &L2, QueryContext::unlimited()).unwrap();
+        let (batch, _) = run_knn(&m, &q, 5, 0.0, &L2, QueryContext::unlimited()).unwrap();
         let batch = batch.into_results();
         let mut cur = KnnCursor::new(mock(), q, &L2, QueryContext::unlimited().clone());
         let mut streamed = Vec::new();
@@ -945,7 +962,7 @@ mod tests {
             visits: std::cell::Cell::new(0),
         };
         let q = Point::new(vec![0.0, 0.0]);
-        let (outcome, io) = run_knn(&m, &q, 3, &L2, QueryContext::unlimited()).unwrap();
+        let (outcome, io) = run_knn(&m, &q, 3, 0.0, &L2, QueryContext::unlimited()).unwrap();
         assert!(outcome.is_complete());
         assert!(outcome.into_results().is_empty());
         assert_eq!(io.logical_reads, 0);

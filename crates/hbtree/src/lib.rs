@@ -514,7 +514,9 @@ impl<S: Storage> HbTree<S> {
         let mut io = IoStats::default();
         Ok(self
             .pool
-            .read_tracked_with(pid, &mut io, |buf| HbNode::decode(buf, self.dim))??)
+            .read_with(pid, false, &mut io, QueryContext::unlimited(), |buf| {
+                HbNode::decode(buf, self.dim)
+            })??)
     }
 
     fn read_node_ctx(
@@ -523,8 +525,9 @@ impl<S: Storage> HbTree<S> {
         io: &mut IoStats,
         ctx: &QueryContext,
     ) -> IndexResult<std::sync::Arc<HbNode>> {
-        self.pool
-            .read_decoded_ctx(pid, io, ctx, |buf| Ok(HbNode::decode(buf, self.dim)?))
+        self.pool.read_decoded(pid, false, io, ctx, |buf| {
+            Ok(HbNode::decode(buf, self.dim)?)
+        })
     }
 
     fn write_node(&mut self, pid: PageId, node: &HbNode) -> IndexResult<()> {

@@ -361,7 +361,9 @@ impl<S: Storage> KdbTree<S> {
         let mut io = IoStats::default();
         Ok(self
             .pool
-            .read_tracked_with(pid, &mut io, |buf| KdbNode::decode(buf, self.dim))??)
+            .read_with(pid, false, &mut io, QueryContext::unlimited(), |buf| {
+                KdbNode::decode(buf, self.dim)
+            })??)
     }
 
     fn read_node_ctx(
@@ -370,8 +372,9 @@ impl<S: Storage> KdbTree<S> {
         io: &mut IoStats,
         ctx: &QueryContext,
     ) -> IndexResult<Arc<KdbNode>> {
-        self.pool
-            .read_decoded_ctx(pid, io, ctx, |buf| Ok(KdbNode::decode(buf, self.dim)?))
+        self.pool.read_decoded(pid, false, io, ctx, |buf| {
+            Ok(KdbNode::decode(buf, self.dim)?)
+        })
     }
 
     fn write_node(&mut self, pid: PageId, node: &KdbNode) -> IndexResult<()> {
@@ -898,7 +901,7 @@ impl<S: Storage> MultidimIndex for KdbTree<S> {
         ctx: &QueryContext,
     ) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
         check_dim(self.dim, q.dim())?;
-        hyt_exec::run_knn(&KdbExpand { tree: self }, q, k, metric, ctx)
+        hyt_exec::run_knn(&KdbExpand { tree: self }, q, k, 0.0, metric, ctx)
     }
 
     fn knn_stream<'a>(

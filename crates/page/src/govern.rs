@@ -5,10 +5,10 @@
 //! range query on a high-overlap tree, a kNN scan over a degraded index)
 //! hold a worker thread and the buffer pool hostage. [`QueryContext`]
 //! carries the limits a caller imposes on one query; the
-//! [`BufferPool`](crate::BufferPool)'s `*_ctx` read methods consult it
-//! before every page fetch, so a cancel, an expired deadline, or an
-//! exhausted budget is observed within **one pool read** — the unit the
-//! paper's cost model charges for anyway.
+//! [`BufferPool`](crate::BufferPool)'s two read methods (`read_with`,
+//! `read_decoded`) consult it before every page fetch, so a cancel, an
+//! expired deadline, or an exhausted budget is observed within **one
+//! pool read** — the unit the paper's cost model charges for anyway.
 //!
 //! A denied fetch surfaces as [`PageError::Interrupted`] carrying the
 //! typed [`Interrupt`]; index engines catch it and return their partial
@@ -23,10 +23,10 @@
 //!
 //! let ctx = QueryContext::default().with_max_reads(1);
 //! let mut io = IoStats::default();
-//! assert!(pool.read_tracked_ctx(a, &mut io, &ctx).is_ok());
+//! assert!(pool.read_with(a, false, &mut io, &ctx, <[u8]>::to_vec).is_ok());
 //! // The second fetch exceeds the budget and is denied, typed.
 //! assert!(matches!(
-//!     pool.read_tracked_ctx(a, &mut io, &ctx),
+//!     pool.read_with(a, false, &mut io, &ctx, <[u8]>::to_vec),
 //!     Err(PageError::Interrupted(i)) if i == hyt_page::Interrupt::BudgetExhausted
 //! ));
 //! ```

@@ -44,9 +44,10 @@ const RETRY_BASE_DELAY_US: u64 = 50;
 /// what actually hit the backing store given the pool's capacity.
 ///
 /// Two sets of these counters exist: the pool-global set (read with
-/// [`BufferPool::stats`]) and per-caller accumulators filled by the
-/// `*_tracked` methods, which attribute I/O to the query that incurred
-/// it. `logical_reads` and `seq_reads` of a query depend only on the
+/// [`BufferPool::stats`]) and per-caller accumulators passed to
+/// [`BufferPool::read_with`] and [`BufferPool::read_decoded`], which
+/// attribute I/O to the query that incurred it. `logical_reads` and
+/// `seq_reads` of a query depend only on the
 /// pages its traversal requests, so they are identical whether queries
 /// run serially or interleaved on many threads; `hits`/`physical_reads`
 /// depend on what the shared cache happens to hold at the time.
@@ -329,11 +330,11 @@ impl<S: Storage> BufferPool<S> {
         }
     }
 
-    /// Core read path: accounts the access, locates the page bytes
-    /// (frame hit, or physical read + frame insert), and runs `f` on
-    /// them *in place*. On a frame hit `f` sees the resident frame's
-    /// bytes borrowed under the shard lock — no payload copy — so `f`
-    /// must be cheap-ish and must not re-enter this pool.
+    /// Core read path, after admission: accounts the access, locates the
+    /// page bytes (frame hit, or physical read + frame insert), and runs
+    /// `f` on them *in place*. On a frame hit `f` sees the resident
+    /// frame's bytes borrowed under the shard lock — no payload copy — so
+    /// `f` must be cheap-ish and must not re-enter this pool.
     fn read_with_impl<R>(
         &self,
         id: PageId,
@@ -385,87 +386,33 @@ impl<S: Storage> BufferPool<S> {
         Ok(out)
     }
 
-    fn read_impl(&self, id: PageId, seq: bool, io: &mut IoStats) -> PageResult<Vec<u8>> {
-        self.read_with_impl(id, seq, io, <[u8]>::to_vec)
-    }
-
-    /// Reads a page (counted as one random access).
-    pub fn read(&self, id: PageId) -> PageResult<Vec<u8>> {
-        self.read_tracked(id, &mut IoStats::default())
-    }
-
     /// Reads a page and runs `f` on its bytes in place, attributing the
-    /// access to `io`. On a pool hit `f` borrows the resident frame
-    /// under the shard lock instead of copying the payload out first —
-    /// this is the decode-from-the-guard path node reads use. `f` must
-    /// not call back into this pool (the shard lock is held).
-    pub fn read_tracked_with<R>(
+    /// access to `io` (the query's own accumulator) as well as to the
+    /// pool-global counters.
+    ///
+    /// * `seq` selects the sequential path: the access counts as a
+    ///   `seq_reads` (the linear-scan baseline, 10x cheaper in the
+    ///   paper's cost model) instead of a `logical_reads`.
+    /// * `ctx` must first admit the fetch (cancel, deadline, read budget
+    ///   against `io`); a denied fetch returns [`PageError::Interrupted`]
+    ///   without touching the pool, so every limit is observed at
+    ///   page-fetch granularity. Ungoverned callers pass
+    ///   [`QueryContext::unlimited`].
+    ///
+    /// On a pool hit `f` borrows the resident frame under the shard lock
+    /// instead of copying the payload out first; callers that need owned
+    /// bytes pass `<[u8]>::to_vec`. `f` must not call back into this
+    /// pool (the shard lock is held).
+    pub fn read_with<R>(
         &self,
         id: PageId,
+        seq: bool,
         io: &mut IoStats,
+        ctx: &QueryContext,
         f: impl FnOnce(&[u8]) -> R,
     ) -> PageResult<R> {
-        self.read_with_impl(id, false, io, f)
-    }
-
-    /// Governed variant of [`read_tracked_with`](Self::read_tracked_with)
-    /// (admission as in [`read_tracked_ctx`](Self::read_tracked_ctx)).
-    pub fn read_tracked_ctx_with<R>(
-        &self,
-        id: PageId,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> PageResult<R> {
         ctx.admit_read(io).map_err(PageError::Interrupted)?;
-        self.read_with_impl(id, false, io, f)
-    }
-
-    /// Reads a page, attributing the access to `io` as well as to the
-    /// pool-global counters. Queries pass their own accumulator so batch
-    /// runners can report per-query costs even when many queries share
-    /// the pool.
-    pub fn read_tracked(&self, id: PageId, io: &mut IoStats) -> PageResult<Vec<u8>> {
-        self.read_impl(id, false, io)
-    }
-
-    /// Reads a page through the sequential path (counted as one sequential
-    /// access; used by the linear-scan baseline).
-    pub fn read_sequential(&self, id: PageId) -> PageResult<Vec<u8>> {
-        self.read_sequential_tracked(id, &mut IoStats::default())
-    }
-
-    /// Sequential-path read attributed to `io` (see
-    /// [`read_tracked`](Self::read_tracked)).
-    pub fn read_sequential_tracked(&self, id: PageId, io: &mut IoStats) -> PageResult<Vec<u8>> {
-        self.read_impl(id, true, io)
-    }
-
-    /// Governed random read: asks `ctx` to admit one more fetch (cancel,
-    /// deadline, read budget against this query's own `io`) before going
-    /// to [`read_tracked`](Self::read_tracked). A denied fetch returns
-    /// [`PageError::Interrupted`] without touching the pool, so every
-    /// limit is observed at page-fetch granularity.
-    pub fn read_tracked_ctx(
-        &self,
-        id: PageId,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-    ) -> PageResult<Vec<u8>> {
-        ctx.admit_read(io).map_err(PageError::Interrupted)?;
-        self.read_impl(id, false, io)
-    }
-
-    /// Governed sequential read (see
-    /// [`read_tracked_ctx`](Self::read_tracked_ctx)).
-    pub fn read_sequential_tracked_ctx(
-        &self,
-        id: PageId,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-    ) -> PageResult<Vec<u8>> {
-        ctx.admit_read(io).map_err(PageError::Interrupted)?;
-        self.read_impl(id, true, io)
+        self.read_with_impl(id, seq, io, f)
     }
 
     /// The decoded-node cache attached to this pool (disabled unless the
@@ -496,11 +443,22 @@ impl<S: Storage> BufferPool<S> {
         self.stats.hits.fetch_add(1, Relaxed);
     }
 
-    fn read_decoded_impl<T, E, F>(
+    /// Reads a page and returns its *decoded* form, shared behind an
+    /// `Arc`. `seq`, `io` and `ctx` are as for
+    /// [`read_with`](Self::read_with); admission is charged even when the
+    /// decoded node is served from cache, so a read budget bounds
+    /// cache-hit traversals exactly like cold ones.
+    ///
+    /// With the decoded-node cache enabled a repeat visit skips `decode`
+    /// entirely (while still accounting the read); otherwise this is
+    /// `read_with` + `decode` with no payload copy. `decode` must not
+    /// call back into this pool.
+    pub fn read_decoded<T, E, F>(
         &self,
         id: PageId,
         seq: bool,
         io: &mut IoStats,
+        ctx: &QueryContext,
         decode: F,
     ) -> Result<Arc<T>, E>
     where
@@ -508,6 +466,8 @@ impl<S: Storage> BufferPool<S> {
         E: From<PageError>,
         F: FnOnce(&[u8]) -> Result<T, E>,
     {
+        ctx.admit_read(io)
+            .map_err(|i| E::from(PageError::Interrupted(i)))?;
         // With the cache disabled all three cache calls below are cheap
         // no-ops, except that the lookup still ticks the miss counter —
         // keeping `misses` == decode count in both cache modes.
@@ -525,65 +485,6 @@ impl<S: Storage> BufferPool<S> {
         let node = Arc::new(node);
         self.node_cache.insert(id, epoch, node.clone());
         Ok(node)
-    }
-
-    /// Reads a page and returns its *decoded* form, shared behind an
-    /// `Arc`. With the decoded-node cache enabled a repeat visit skips
-    /// `decode` entirely (while still accounting the logical read);
-    /// otherwise this is `read_tracked_with` + `decode` with no payload
-    /// copy. `decode` must not call back into this pool.
-    pub fn read_decoded_tracked<T, E, F>(
-        &self,
-        id: PageId,
-        io: &mut IoStats,
-        decode: F,
-    ) -> Result<Arc<T>, E>
-    where
-        T: Send + Sync + 'static,
-        E: From<PageError>,
-        F: FnOnce(&[u8]) -> Result<T, E>,
-    {
-        self.read_decoded_impl(id, false, io, decode)
-    }
-
-    /// Governed variant of
-    /// [`read_decoded_tracked`](Self::read_decoded_tracked); admission
-    /// is charged even when the decoded node is served from cache, so a
-    /// read budget bounds cache-hit traversals exactly like cold ones.
-    pub fn read_decoded_ctx<T, E, F>(
-        &self,
-        id: PageId,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-        decode: F,
-    ) -> Result<Arc<T>, E>
-    where
-        T: Send + Sync + 'static,
-        E: From<PageError>,
-        F: FnOnce(&[u8]) -> Result<T, E>,
-    {
-        ctx.admit_read(io)
-            .map_err(|i| E::from(PageError::Interrupted(i)))?;
-        self.read_decoded_impl(id, false, io, decode)
-    }
-
-    /// Governed sequential-path decoded read (the linear-scan baseline's
-    /// analogue of [`read_decoded_ctx`](Self::read_decoded_ctx)).
-    pub fn read_decoded_sequential_ctx<T, E, F>(
-        &self,
-        id: PageId,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-        decode: F,
-    ) -> Result<Arc<T>, E>
-    where
-        T: Send + Sync + 'static,
-        E: From<PageError>,
-        F: FnOnce(&[u8]) -> Result<T, E>,
-    {
-        ctx.admit_read(io)
-            .map_err(|i| E::from(PageError::Interrupted(i)))?;
-        self.read_decoded_impl(id, true, io, decode)
     }
 
     /// Writes page contents (write-back; flushed on eviction or
@@ -749,12 +650,22 @@ mod tests {
         BufferPool::new(MemStorage::with_page_size(128), capacity)
     }
 
+    /// Ungoverned owned-bytes random read attributed to `io`.
+    fn read_io<S: Storage>(p: &BufferPool<S>, id: PageId, io: &mut IoStats) -> PageResult<Vec<u8>> {
+        p.read_with(id, false, io, QueryContext::unlimited(), <[u8]>::to_vec)
+    }
+
+    /// Ungoverned owned-bytes random read.
+    fn read<S: Storage>(p: &BufferPool<S>, id: PageId) -> PageResult<Vec<u8>> {
+        read_io(p, id, &mut IoStats::default())
+    }
+
     #[test]
     fn read_write_roundtrip_cached() {
         let p = pool(4);
         let a = p.allocate().unwrap();
         p.write(a, b"cached").unwrap();
-        let got = p.read(a).unwrap();
+        let got = read(&p, a).unwrap();
         assert_eq!(&got[..6], b"cached");
         let s = p.stats();
         assert_eq!(s.logical_reads, 1);
@@ -767,8 +678,8 @@ mod tests {
         let p = pool(0);
         let a = p.allocate().unwrap();
         p.write(a, b"x").unwrap();
-        p.read(a).unwrap();
-        p.read(a).unwrap();
+        read(&p, a).unwrap();
+        read(&p, a).unwrap();
         let s = p.stats();
         assert_eq!(s.logical_reads, 2);
         assert_eq!(s.physical_reads, 2);
@@ -784,13 +695,13 @@ mod tests {
             p.write(*id, &[i as u8]).unwrap();
         }
         // Pool holds at most 2; ids[0] was least recently used and evicted.
-        p.read(ids[1]).unwrap();
-        p.read(ids[2]).unwrap();
+        read(&p, ids[1]).unwrap();
+        read(&p, ids[2]).unwrap();
         let before = p.stats().physical_reads;
-        p.read(ids[0]).unwrap();
+        read(&p, ids[0]).unwrap();
         assert_eq!(p.stats().physical_reads, before + 1, "ids[0] was evicted");
         // Its content survived the eviction (write-back).
-        assert_eq!(p.read(ids[0]).unwrap()[0], 0);
+        assert_eq!(read(&p, ids[0]).unwrap()[0], 0);
     }
 
     #[test]
@@ -801,10 +712,10 @@ mod tests {
         p.write(a, b"pinned").unwrap();
         p.pin(a).unwrap();
         p.write(b, b"other").unwrap();
-        p.read(b).unwrap();
+        read(&p, b).unwrap();
         // `a` is pinned; reading it again must be a hit.
         let hits_before = p.stats().hits;
-        p.read(a).unwrap();
+        read(&p, a).unwrap();
         assert_eq!(p.stats().hits, hits_before + 1);
         p.unpin(a);
     }
@@ -838,7 +749,7 @@ mod tests {
             p.write(id, b"x").unwrap();
         }
         let before = p.stats().physical_reads;
-        assert_eq!(p.read(a).unwrap()[0], b'a');
+        assert_eq!(read(&p, a).unwrap()[0], b'a');
         assert_eq!(p.stats().physical_reads, before + 1, "`a` was evicted");
     }
 
@@ -859,7 +770,14 @@ mod tests {
         let p = pool(0);
         let a = p.allocate().unwrap();
         p.write(a, b"s").unwrap();
-        p.read_sequential(a).unwrap();
+        p.read_with(
+            a,
+            true,
+            &mut IoStats::default(),
+            QueryContext::unlimited(),
+            |_| (),
+        )
+        .unwrap();
         let s = p.stats();
         assert_eq!(s.seq_reads, 1);
         assert_eq!(s.logical_reads, 0);
@@ -871,7 +789,7 @@ mod tests {
         let p = pool(2);
         let a = p.allocate().unwrap();
         p.write(a, b"x").unwrap();
-        p.read(a).unwrap();
+        read(&p, a).unwrap();
         p.reset_stats();
         assert_eq!(p.stats(), IoStats::default());
     }
@@ -882,7 +800,7 @@ mod tests {
         let a = p.allocate().unwrap();
         p.write(a, b"gone").unwrap();
         p.free(a).unwrap();
-        assert!(p.read(a).is_err());
+        assert!(read(&p, a).is_err());
     }
 
     #[test]
@@ -893,10 +811,10 @@ mod tests {
         p.pin(a).unwrap();
         assert!(matches!(p.free(a), Err(PageError::Pinned(id)) if id == a));
         // The page and its contents are untouched by the failed free.
-        assert_eq!(&p.read(a).unwrap()[..4], b"held");
+        assert_eq!(&read(&p, a).unwrap()[..4], b"held");
         p.unpin(a);
         p.free(a).unwrap();
-        assert!(p.read(a).is_err());
+        assert!(read(&p, a).is_err());
     }
 
     #[test]
@@ -919,7 +837,7 @@ mod tests {
         // Fault ids[0] back in: every other frame is pinned, so the pool
         // must go over capacity instead of evicting the new frame.
         let before = p.stats();
-        assert_eq!(&p.read(ids[0]).unwrap()[..2], b"d0");
+        assert_eq!(&read(&p, ids[0]).unwrap()[..2], b"d0");
         assert_eq!(p.resident_frames(), 3, "over capacity while all pinned");
         let after = p.stats();
         assert_eq!(after.physical_reads, before.physical_reads + 1);
@@ -927,7 +845,7 @@ mod tests {
         // The just-inserted frame is genuinely resident: reading it again
         // is a hit, not another physical read.
         let s0 = p.stats();
-        p.read(ids[0]).unwrap();
+        read(&p, ids[0]).unwrap();
         let s1 = p.stats();
         assert_eq!(s1.hits, s0.hits + 1, "new frame was not self-evicted");
         assert_eq!(s1.physical_reads, s0.physical_reads);
@@ -938,7 +856,7 @@ mod tests {
         p.unpin(ids[1]);
         assert_eq!(p.resident_frames(), 2, "shrinks back on unpin");
         assert_eq!(
-            &p.read(ids[0]).unwrap()[..2],
+            &read(&p, ids[0]).unwrap()[..2],
             b"D0",
             "write-back preserved data"
         );
@@ -955,15 +873,15 @@ mod tests {
         // Two transient failures: absorbed by the retry loop.
         script.fail_next_reads(2);
         let mut io = IoStats::default();
-        let got = p.read_tracked(a, &mut io).unwrap();
+        let got = read_io(&p, a, &mut io).unwrap();
         assert_eq!(&got[..6], b"wobbly");
         assert_eq!(io.retried_reads, 2);
         assert_eq!(p.stats().retried_reads, 2);
         // More failures than the retry budget: the error surfaces.
         script.fail_next_reads(u64::MAX);
-        assert!(matches!(p.read(a), Err(PageError::Io(_))));
+        assert!(matches!(read(&p, a), Err(PageError::Io(_))));
         script.disarm();
-        assert_eq!(&p.read(a).unwrap()[..6], b"wobbly");
+        assert_eq!(&read(&p, a).unwrap()[..6], b"wobbly");
     }
 
     #[test]
@@ -979,14 +897,14 @@ mod tests {
         // reports Corrupt, which must surface immediately, not retry.
         script.flip_on_read(script.reads_seen(), HEADER_BYTES + 2, 0x80);
         let before = p.stats().retried_reads;
-        assert!(matches!(p.read(a), Err(PageError::Corrupt(_))));
+        assert!(matches!(read(&p, a), Err(PageError::Corrupt(_))));
         assert_eq!(
             p.stats().retried_reads,
             before,
             "no retry burned on corruption"
         );
         // The flip was scripted for one read only; service resumes.
-        assert_eq!(&p.read(a).unwrap()[..7], b"checked");
+        assert_eq!(&read(&p, a).unwrap()[..7], b"checked");
     }
 
     #[test]
@@ -998,9 +916,9 @@ mod tests {
         p.write(b, b"b").unwrap();
         let mut q1 = IoStats::default();
         let mut q2 = IoStats::default();
-        p.read_tracked(a, &mut q1).unwrap();
-        p.read_tracked(a, &mut q1).unwrap();
-        p.read_tracked(b, &mut q2).unwrap();
+        read_io(&p, a, &mut q1).unwrap();
+        read_io(&p, a, &mut q1).unwrap();
+        read_io(&p, b, &mut q2).unwrap();
         assert_eq!(q1.logical_reads, 2);
         assert_eq!(q2.logical_reads, 1);
         assert_eq!(q1.hits, 2, "writes populated the pool");
@@ -1022,7 +940,7 @@ mod tests {
             p.write(*id, &[i as u8]).unwrap();
         }
         for (i, id) in ids.iter().enumerate() {
-            assert_eq!(p.read(*id).unwrap()[0], i as u8);
+            assert_eq!(read(&p, *id).unwrap()[0], i as u8);
         }
         let s = p.stats();
         assert_eq!(s.logical_reads, 64);
@@ -1041,8 +959,12 @@ mod tests {
         let a = p.allocate().unwrap();
         p.write(a, &[7]).unwrap();
         let mut io = IoStats::default();
-        let n1: Arc<u8> = p.read_decoded_tracked(a, &mut io, decode_first).unwrap();
-        let n2: Arc<u8> = p.read_decoded_tracked(a, &mut io, decode_first).unwrap();
+        let n1: Arc<u8> = p
+            .read_decoded(a, false, &mut io, QueryContext::unlimited(), decode_first)
+            .unwrap();
+        let n2: Arc<u8> = p
+            .read_decoded(a, false, &mut io, QueryContext::unlimited(), decode_first)
+            .unwrap();
         assert_eq!((*n1, *n2), (7, 7));
         assert!(Arc::ptr_eq(&n1, &n2), "second visit shares the decode");
         let c = p.node_cache_stats();
@@ -1059,10 +981,14 @@ mod tests {
         let a = p.allocate().unwrap();
         p.write(a, &[1]).unwrap();
         let mut io = IoStats::default();
-        let n: Arc<u8> = p.read_decoded_tracked(a, &mut io, decode_first).unwrap();
+        let n: Arc<u8> = p
+            .read_decoded(a, false, &mut io, QueryContext::unlimited(), decode_first)
+            .unwrap();
         assert_eq!(*n, 1);
         p.write(a, &[2]).unwrap();
-        let n: Arc<u8> = p.read_decoded_tracked(a, &mut io, decode_first).unwrap();
+        let n: Arc<u8> = p
+            .read_decoded(a, false, &mut io, QueryContext::unlimited(), decode_first)
+            .unwrap();
         assert_eq!(*n, 2, "rewrite evicts the decoded form");
         p.free(a).unwrap();
         assert!(!p.node_cache().contains(a), "free evicts the decoded form");
@@ -1076,11 +1002,13 @@ mod tests {
         let ctx = QueryContext::default().with_max_reads(2);
         let mut io = IoStats::default();
         for _ in 0..2 {
-            let n: Result<Arc<u8>, PageError> = p.read_decoded_ctx(a, &mut io, &ctx, decode_first);
+            let n: Result<Arc<u8>, PageError> =
+                p.read_decoded(a, false, &mut io, &ctx, decode_first);
             assert_eq!(*n.unwrap(), 9);
         }
         // Third visit would be a cache hit, but the budget still governs.
-        let denied: Result<Arc<u8>, PageError> = p.read_decoded_ctx(a, &mut io, &ctx, decode_first);
+        let denied: Result<Arc<u8>, PageError> =
+            p.read_decoded(a, false, &mut io, &ctx, decode_first);
         assert!(matches!(
             denied,
             Err(PageError::Interrupted(crate::Interrupt::BudgetExhausted))
@@ -1094,7 +1022,7 @@ mod tests {
         p.write(a, b"guard").unwrap();
         let mut io = IoStats::default();
         let len = p
-            .read_tracked_with(a, &mut io, |bytes| {
+            .read_with(a, false, &mut io, QueryContext::unlimited(), |bytes| {
                 bytes.iter().filter(|&&b| b != 0).count()
             })
             .unwrap();
@@ -1121,7 +1049,7 @@ mod tests {
                     for round in 0..50 {
                         for (i, id) in ids.iter().enumerate() {
                             if (i + round + t) % 3 == 0 {
-                                let page = p.read_tracked(*id, &mut io).unwrap();
+                                let page = read_io(p, *id, &mut io).unwrap();
                                 assert!(page[..16].iter().all(|&x| x == i as u8));
                             }
                         }

@@ -138,7 +138,7 @@ impl<S: Storage> SeqScan<S> {
         ctx: &QueryContext,
     ) -> IndexResult<std::sync::Arc<Vec<(Point, u64)>>> {
         self.pool
-            .read_decoded_sequential_ctx(pid, io, ctx, |buf| self.decode_page(buf))
+            .read_decoded(pid, true, io, ctx, |buf| self.decode_page(buf))
     }
 }
 
@@ -230,8 +230,13 @@ impl<S: Storage> MultidimIndex for SeqScan<S> {
         let need_new_page = match self.pages.last() {
             None => true,
             Some(&last) => {
-                let buf = self.pool.read(last)?;
-                let mut entries = self.decode_page(&buf)?;
+                let mut entries = self.pool.read_with(
+                    last,
+                    false,
+                    &mut IoStats::default(),
+                    QueryContext::unlimited(),
+                    |buf| self.decode_page(buf),
+                )??;
                 if entries.len() >= self.cap {
                     true
                 } else {
@@ -256,8 +261,13 @@ impl<S: Storage> MultidimIndex for SeqScan<S> {
         check_dim(self.dim, point.dim())?;
         for i in 0..self.pages.len() {
             let pid = self.pages[i];
-            let buf = self.pool.read_sequential(pid)?;
-            let mut entries = self.decode_page(&buf)?;
+            let mut entries = self.pool.read_with(
+                pid,
+                true,
+                &mut IoStats::default(),
+                QueryContext::unlimited(),
+                |buf| self.decode_page(buf),
+            )??;
             if let Some(j) = entries
                 .iter()
                 .position(|(p, o)| *o == oid && p.same_coords(point))
@@ -300,7 +310,7 @@ impl<S: Storage> MultidimIndex for SeqScan<S> {
         ctx: &QueryContext,
     ) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
         check_dim(self.dim, q.dim())?;
-        hyt_exec::run_knn(&ScanExpand { tree: self }, q, k, metric, ctx)
+        hyt_exec::run_knn(&ScanExpand { tree: self }, q, k, 0.0, metric, ctx)
     }
 
     fn knn_stream<'a>(

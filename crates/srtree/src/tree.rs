@@ -123,7 +123,9 @@ impl<S: Storage> SrTree<S> {
         let mut io = IoStats::default();
         Ok(self
             .pool
-            .read_tracked_with(pid, &mut io, |buf| SrNode::decode(buf, self.dim))??)
+            .read_with(pid, false, &mut io, QueryContext::unlimited(), |buf| {
+                SrNode::decode(buf, self.dim)
+            })??)
     }
 
     fn read_node_ctx(
@@ -132,8 +134,9 @@ impl<S: Storage> SrTree<S> {
         io: &mut IoStats,
         ctx: &QueryContext,
     ) -> IndexResult<Arc<SrNode>> {
-        self.pool
-            .read_decoded_ctx(pid, io, ctx, |buf| Ok(SrNode::decode(buf, self.dim)?))
+        self.pool.read_decoded(pid, false, io, ctx, |buf| {
+            Ok(SrNode::decode(buf, self.dim)?)
+        })
     }
 
     fn write_node(&mut self, pid: PageId, node: &SrNode) -> IndexResult<()> {
@@ -676,7 +679,7 @@ impl<S: Storage> MultidimIndex for SrTree<S> {
         ctx: &QueryContext,
     ) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
         check_dim(self.dim, q.dim())?;
-        hyt_exec::run_knn(&SrExpand { tree: self }, q, k, metric, ctx)
+        hyt_exec::run_knn(&SrExpand { tree: self }, q, k, 0.0, metric, ctx)
     }
 
     fn knn_stream<'a>(

@@ -49,18 +49,19 @@ fn main() -> Result<(), IndexError> {
 
     // Incremental ranked retrieval: pull results one at a time, stop
     // whenever the user is satisfied — no k fixed up front.
-    tree.reset_io_stats();
-    let mut cursor = tree.nearest_iter(&q, &L1)?;
+    let mut cursor = tree.knn_stream(&q, &L1, QueryContext::unlimited())?;
     println!("\nstreaming the 5 nearest under L1 (pulled lazily):");
     for rank in 1..=5 {
-        if let Some((oid, d)) = cursor.next()? {
+        if let Some((oid, d)) = cursor.next() {
             println!("  #{rank}: image {oid:>6} at distance {d:.5}");
         }
     }
-    drop(cursor);
+    if let Some(e) = cursor.take_error() {
+        return Err(e);
+    }
     println!(
         "cursor cost so far: {} page reads (of {} total pages)",
-        tree.io_stats().logical_reads,
+        cursor.io().logical_reads,
         tree.structure_stats()?.total_nodes
     );
     Ok(())

@@ -23,6 +23,9 @@ cargo test --workspace -q
 echo "== cargo test --release hyt-page (the CRC-32 kernel is unsafe code: test it optimized too)"
 cargo test --release -q -p hyt-page
 
+echo "== perfbench tests (a separate workspace: build it against the changed crates and check its answers against the brute-force oracle)"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== crash matrix (fault injection: kill at every write site, reopen)"
 cargo test -q --test crash_matrix
 

@@ -17,9 +17,7 @@
 
 use hybridtree_repro::core::{scrub_index, scrub_pages, HybridTree, HybridTreeConfig};
 use hybridtree_repro::data::{colhist, fourier, uniform};
-use hybridtree_repro::eval::{
-    run_batch_governed, AdmissionGate, BatchPolicy, BatchQuery, QueryStatus,
-};
+use hybridtree_repro::eval::{run_batch, AdmissionGate, BatchPolicy, BatchQuery, QueryStatus};
 use hybridtree_repro::geom::{Chebyshev, Lp, Metric, Point, Rect, L1, L2};
 use hybridtree_repro::index::{MultidimIndex, QueryContext, QueryOutcome};
 use hybridtree_repro::page::DurableStorage;
@@ -529,7 +527,7 @@ fn batch(opts: &HashMap<String, String>) -> Result<(), String> {
         None => None,
     };
     let start = std::time::Instant::now();
-    let answers = run_batch_governed(
+    let answers = run_batch(
         &tree,
         metric.as_ref(),
         &queries,

@@ -14,7 +14,7 @@
 
 use hybridtree_repro::core::{HybridTree, HybridTreeConfig};
 use hybridtree_repro::eval::{
-    run_batch, run_batch_governed, AdmissionGate, BatchPolicy, BatchQuery, QueryStatus,
+    run_batch, AdmissionGate, BatchPolicy, BatchQuery, GovernedAnswer, QueryStatus,
 };
 use hybridtree_repro::geom::{Point, Rect, L2};
 use hybridtree_repro::index::{CancelToken, MultidimIndex};
@@ -80,7 +80,7 @@ fn chaos_concurrent_governed_batches_survive_fault_load() {
     let batch = mixed_batch(&pts, 48, 0x5EED);
 
     // Reference answers: unfaulted, serial, ungoverned.
-    let reference = run_batch(tree.as_ref(), &L2, &batch).unwrap();
+    let reference = unlimited(tree.as_ref(), &batch);
 
     // The chaos phase runs in its own thread so the test thread can act
     // as a watchdog: a hang anywhere fails the test instead of wedging
@@ -104,11 +104,22 @@ fn chaos_concurrent_governed_batches_survive_fault_load() {
     // re-run reproduces the reference answers bit for bit.
     script.disarm();
     tree.check_invariants().unwrap();
-    let after = run_batch(tree.as_ref(), &L2, &batch).unwrap();
+    let after = unlimited(tree.as_ref(), &batch);
     for (i, (a, r)) in after.iter().zip(&reference).enumerate() {
+        let (a, r) = (&a.answer, &r.answer);
         assert_eq!(a.oids, r.oids, "query {i} answers drifted after chaos");
         assert_eq!(a.distances, r.distances, "query {i} distances drifted");
     }
+}
+
+/// Runs `batch` serially with no limits and no gate; every query must
+/// complete.
+fn unlimited(tree: &HybridTree<ChaosStack>, batch: &[BatchQuery]) -> Vec<GovernedAnswer> {
+    let answers = run_batch(tree, &L2, batch, 1, &BatchPolicy::default(), None).unwrap();
+    for (i, a) in answers.iter().enumerate() {
+        assert_eq!(a.status, QueryStatus::Complete, "query {i}");
+    }
+    answers
 }
 
 /// One full chaos campaign: `ROUNDS` governed parallel batches, each
@@ -118,7 +129,7 @@ fn chaos_rounds(
     tree: &HybridTree<ChaosStack>,
     script: &Arc<FaultScript>,
     batch: &[BatchQuery],
-    reference: &[hybridtree_repro::eval::BatchAnswer],
+    reference: &[GovernedAnswer],
 ) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(0xC4A05);
     let mut complete = 0usize;
@@ -160,7 +171,7 @@ fn chaos_rounds(
             })
         };
 
-        let got = run_batch_governed(tree, &L2, batch, 4, &policy, gate.as_ref());
+        let got = run_batch(tree, &L2, batch, 4, &policy, gate.as_ref());
         stop_chaos.cancel();
         injector
             .join()
@@ -181,7 +192,7 @@ fn chaos_rounds(
                     complete += 1;
                     // Complete outcomes must be bit-identical to the
                     // unfaulted serial answers, whatever chaos ran.
-                    if g.answer.oids != r.oids || g.answer.distances != r.distances {
+                    if g.answer.oids != r.answer.oids || g.answer.distances != r.answer.distances {
                         return Err(format!(
                             "round {round} query {i}: Complete answer differs from reference"
                         ));

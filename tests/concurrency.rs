@@ -3,7 +3,7 @@
 //! attribution must be schedule-independent.
 
 use hybridtree_repro::eval::{
-    build_engine, run_batch, run_batch_parallel, total_io, BatchQuery, Engine,
+    build_engine, run_batch, total_io, BatchPolicy, BatchQuery, Engine, GovernedAnswer,
 };
 use hybridtree_repro::prelude::*;
 use std::sync::Arc;
@@ -33,6 +33,15 @@ fn mixed_queries(data: &[Point], n: usize) -> Vec<BatchQuery> {
         .collect()
 }
 
+/// Runs `queries` with no limits and no gate on `threads` workers.
+fn unlimited(
+    idx: &dyn MultidimIndex,
+    queries: &[BatchQuery],
+    threads: usize,
+) -> Vec<GovernedAnswer> {
+    run_batch(idx, &L1, queries, threads, &BatchPolicy::default(), None).unwrap()
+}
+
 /// N worker threads × M queries each over one shared tree: every answer
 /// and every per-query logical-read count must equal the serial run's,
 /// and the summed per-query I/O must match on the schedule-independent
@@ -43,9 +52,10 @@ fn parallel_batches_match_serial_across_engines() {
     for engine in [Engine::Hybrid, Engine::Sr, Engine::Kdb, Engine::Scan] {
         let (idx, _) = build_engine(engine, &data).unwrap();
         let queries = mixed_queries(&data, 24);
-        let serial = run_batch(idx.as_ref(), &L1, &queries).unwrap();
+        let serial = unlimited(idx.as_ref(), &queries, 1);
+        assert!(serial.iter().all(|a| a.status.is_complete()));
         for threads in [2, 4, 8] {
-            let parallel = run_batch_parallel(idx.as_ref(), &L1, &queries, threads).unwrap();
+            let parallel = unlimited(idx.as_ref(), &queries, threads);
             assert_eq!(
                 serial, parallel,
                 "{engine:?} parallel batch at {threads} threads differs from serial"
@@ -91,8 +101,10 @@ fn hybrid_tree_is_shareable_across_threads() {
                 answers.push(tree.knn(c, 5, &L2).unwrap());
             }
             // A streaming cursor shares the tree with the other threads.
-            let mut iter = tree.nearest_iter(&centers[0], &L2).unwrap();
-            let first = iter.next().unwrap().unwrap();
+            let mut cursor = tree
+                .knn_stream(&centers[0], &L2, QueryContext::unlimited())
+                .unwrap();
+            let first = cursor.next().unwrap();
             (answers, first)
         }));
     }
@@ -115,7 +127,7 @@ fn per_query_io_sums_to_global_counters() {
     }
     let queries = mixed_queries(&data, 32);
     tree.reset_io_stats();
-    let answers = run_batch_parallel(&tree, &L1, &queries, 4).unwrap();
+    let answers = unlimited(&tree, &queries, 4);
     let per_query = total_io(&answers);
     let global = tree.io_stats();
     assert_eq!(per_query.logical_reads, global.logical_reads);

@@ -8,9 +8,7 @@
 //! contract, plus the invalidation rules (rewrite bumps the epoch, free
 //! evicts, stale-epoch inserts are discarded).
 
-use hybridtree_repro::eval::{
-    build_engine_cached, run_batch_governed, BatchPolicy, BatchQuery, Engine,
-};
+use hybridtree_repro::eval::{build_engine_cached, run_batch, BatchPolicy, BatchQuery, Engine};
 use hybridtree_repro::page::{BufferPool, IoStats, MemStorage, NodeCache, PageId};
 use hybridtree_repro::prelude::*;
 use proptest::prelude::*;
@@ -32,7 +30,7 @@ const ENGINES: [Engine; 5] = [
 fn decoded_first_byte(pool: &BufferPool<MemStorage>, id: PageId) -> u8 {
     let mut io = IoStats::default();
     let node: std::sync::Arc<u8> = pool
-        .read_decoded_tracked(id, &mut io, |buf| {
+        .read_decoded(id, false, &mut io, QueryContext::unlimited(), |buf| {
             Ok::<_, hybridtree_repro::page::PageError>(buf[0])
         })
         .unwrap();
@@ -193,11 +191,11 @@ fn assert_cache_transparent(data: &[Point], seed: u64, max_reads: Option<u64>) -
         let queries = mixed_queries(data, seed, engine == Engine::Hb);
         let (off, _) = build_engine_cached(engine, data, 0).unwrap();
         let (on, _) = build_engine_cached(engine, data, 512).unwrap();
-        let base = run_batch_governed(off.as_ref(), &L2, &queries, 1, &policy, None).unwrap();
+        let base = run_batch(off.as_ref(), &L2, &queries, 1, &policy, None).unwrap();
         // Two passes over the cached build: the second runs against a
         // warm cache, where hits actually happen.
         for pass in 0..2 {
-            let got = run_batch_governed(on.as_ref(), &L2, &queries, 1, &policy, None).unwrap();
+            let got = run_batch(on.as_ref(), &L2, &queries, 1, &policy, None).unwrap();
             assert_eq!(base.len(), got.len());
             for (i, (b, g)) in base.iter().zip(&got).enumerate() {
                 assert_eq!(

@@ -48,15 +48,17 @@ fn cursor_prefixes_equal_batch_knn_on_all_engines() {
         let queries = query_points(&data, 8, 81);
         for engine in STREAMING_ENGINES {
             let (idx, _) = build_engine(engine, &data).unwrap();
-            for metric in [&L1 as &dyn Metric, &L2] {
+            // k = the whole index: the cursor browses every entry once,
+            // in ascending distance.
+            for (metric, k) in [(&L1 as &dyn Metric, 10), (&L2, 10), (&L2, data.len())] {
                 for q in &queries {
                     let (outcome, _) = idx
-                        .knn_ctx(q, 10, metric, QueryContext::unlimited())
+                        .knn_ctx(q, k, metric, QueryContext::unlimited())
                         .unwrap();
                     let batch = outcome.into_results();
                     // Full drain reproduces the batch answer bit for bit:
                     // same oids, same order (ties broken identically).
-                    let (stream, reason) = drain(&*idx, q, 10, metric, QueryContext::unlimited());
+                    let (stream, reason) = drain(&*idx, q, k, metric, QueryContext::unlimited());
                     assert_eq!(reason, None, "{} on {name}", engine.name());
                     assert_eq!(stream, batch, "{} on {name}", engine.name());
                     // Every shorter drain is a strict prefix — the cursor
@@ -160,5 +162,34 @@ fn cursor_result_cap_degrades_stream() {
         // The capped stream agrees with the clamped batch answer.
         let (outcome, _) = idx.knn_ctx(&q, 10, &L2, &ctx).unwrap();
         assert_eq!(hits, outcome.into_results(), "{}", engine.name());
+    }
+}
+
+/// The cursor is lazy: pulling the 3 nearest reads fewer than half the
+/// pages (the scan must read its whole file before it can yield, so it
+/// is exempt), and an index emptied by deletes yields nothing.
+#[test]
+fn cursor_reads_lazily_and_ends_on_empty_index() {
+    let data = uniform(10_000, 4, 103);
+    let q = Point::new(vec![0.5; 4]);
+    for engine in STREAMING_ENGINES {
+        if engine != Engine::Scan {
+            let (idx, _) = build_engine(engine, &data).unwrap();
+            let (first, io, _) =
+                run_knn_stream(&*idx, &q, 3, &L2, QueryContext::unlimited()).unwrap();
+            assert_eq!(first.len(), 3);
+            let pulled = io.logical_reads;
+            let total_pages = idx.structure_stats().unwrap().total_nodes as u64;
+            assert!(
+                pulled < total_pages / 2,
+                "{}: 3-NN pull read {pulled} of {total_pages} pages",
+                engine.name()
+            );
+        }
+        let (mut one, _) = build_engine(engine, &data[..1]).unwrap();
+        assert!(one.delete(&data[0], 0).unwrap());
+        let mut cursor = one.knn_stream(&q, &L2, QueryContext::unlimited()).unwrap();
+        assert_eq!(cursor.next(), None, "{}", engine.name());
+        assert_eq!(cursor.degrade_reason(), None, "{}", engine.name());
     }
 }
