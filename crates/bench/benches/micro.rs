@@ -137,9 +137,10 @@ fn bench_batch(c: &mut Criterion) {
 }
 
 /// Decoded-node cache effect on the kNN hot path: the same warm query
-/// stream with the cache off (decode per visit) and on (decode per page
-/// epoch). Wall-clock deltas are modest on small trees; the decode-count
-/// trajectory lives in the `pr4` bench target.
+/// stream with the cache off (each data page decoded per visit) and on
+/// (once per page epoch); directory pages are walked in place either
+/// way. Wall-clock deltas are modest on small trees; end-to-end latency
+/// is measured by `perfbench`.
 fn bench_decoded_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("decoded_cache");
     let dim = 16usize;

@@ -2,8 +2,8 @@
 
 use crate::node::Node;
 use crate::tree::HybridTree;
-use hyt_index::{IndexResult, QueryContext, StructureStats};
-use hyt_page::{IoStats, Storage};
+use hyt_index::{IndexResult, StructureStats};
+use hyt_page::Storage;
 
 /// Walks the whole tree and aggregates the properties compared in the
 /// paper's Tables 1–2: fanout, utilization, overlap, split-dimension use.
@@ -23,11 +23,10 @@ pub(crate) fn compute<S: Storage>(tree: &HybridTree<S>) -> IndexResult<Structure
     let mut overlap_n = 0usize;
     let mut dims = std::collections::HashSet::new();
 
-    let mut io = IoStats::default();
     let mut stack = vec![(tree.root, tree.root_region())];
     while let Some((pid, region)) = stack.pop() {
-        let node = tree.read_node_ctx(pid, &mut io, QueryContext::unlimited())?;
-        match &*node {
+        let node = tree.read_node_owned(pid)?;
+        match &node {
             Node::Data(_) => {
                 st.data_nodes += 1;
                 let used = node.encoded_size(tree.dim);

@@ -274,26 +274,27 @@ impl<S: Storage> HybridTree<S> {
             })??)
     }
 
-    /// Governed node read: `ctx` must admit the fetch (cancel, deadline,
-    /// read budget) or this fails with an interrupt before touching the
-    /// pool. Returns the shared decoded form: with the decoded-node
-    /// cache enabled a repeat visit skips `Node::decode` entirely while
-    /// still counting one logical read.
+    /// Governed data-page read: `ctx` must admit the fetch (cancel,
+    /// deadline, read budget) or this fails with an interrupt before
+    /// touching the pool. Returns the shared decoded entries: with the
+    /// decoded-node cache enabled a repeat visit skips `Node::decode`
+    /// entirely while still counting one logical read. Directory pages
+    /// are walked in place ([`NodeView`]) and never come through here;
+    /// an index page is reported as corrupt.
     pub(crate) fn read_node_ctx(
         &self,
         pid: PageId,
         io: &mut IoStats,
         ctx: &QueryContext,
-    ) -> IndexResult<Arc<Node>> {
-        self.pool
-            .read_decoded(pid, false, io, ctx, |buf| Ok(Node::decode(buf, self.dim)?))
-    }
-
-    /// Resident and pinned frame counts of the tree's buffer pool
-    /// (`(resident, pinned)`), exposed for resource-governance tests:
-    /// an interrupted traversal must leave no pins behind.
-    pub fn pool_residency(&self) -> (usize, usize) {
-        (self.pool.resident_frames(), self.pool.pinned_frames())
+    ) -> IndexResult<Arc<Vec<DataEntry>>> {
+        self.pool.read_decoded(pid, false, io, ctx, |buf| {
+            match Node::decode(buf, self.dim)? {
+                Node::Data(entries) => Ok(entries),
+                Node::Index { .. } => Err(IndexError::Storage(PageError::Corrupt(format!(
+                    "{pid}: expected a data node at the leaf level"
+                )))),
+            }
+        })
     }
 
     fn write_node(&mut self, pid: PageId, node: &Node) -> IndexResult<()> {
@@ -582,22 +583,22 @@ impl<S: Storage> HybridTree<S> {
 }
 
 /// [`NodeExpand`] node reference for the hybrid tree. Box queries need
-/// only the page id; distance-bounded traversal tracks either the node's
-/// depth (ELS enabled: quantized live-space boxes bound children in
-/// absolute coordinates, and depth alone tells data and index pages
-/// apart in the balanced tree) or the kd-region handed down from the
-/// parent (ELS disabled).
+/// only the page id. Distance-bounded traversal tracks the node's depth
+/// (in the balanced tree depth alone tells data and index pages apart)
+/// and, with ELS disabled, the kd-region handed down from the parent;
+/// with ELS enabled, quantized live-space boxes bound children in
+/// absolute coordinates and no region is needed.
 struct HyRef {
     pid: PageId,
     depth: usize,
     region: Option<Rect>,
 }
 
-/// [`NodeExpand`] adapter for the hybrid tree. Each query kind keeps the
-/// exact read path of the former engine-local loop: box queries and
-/// ELS-mode range directory levels navigate the serialized node in place
-/// (paper §3.1: kd-based intra-node search, zero-copy), while kNN and
-/// data pages go through the governed decoded-node path.
+/// [`NodeExpand`] adapter for the hybrid tree. Every query navigates
+/// directory pages in place (paper §3.1: kd-based intra-node search,
+/// zero-copy). Box queries filter data pages in place too; distance
+/// queries read data pages through the governed decoded-node path,
+/// because the metric takes each entry as a `&Point`.
 struct HyExpand<'t, S: Storage> {
     tree: &'t HybridTree<S>,
 }
@@ -672,65 +673,6 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
         Ok(NodeKind::Index)
     }
 
-    fn expand_range(
-        &self,
-        r: HyRef,
-        nq: NearQuery<'_>,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-        sink: &mut dyn EntrySink,
-        children: &mut Vec<Child<HyRef>>,
-    ) -> IndexResult<NodeKind> {
-        let t = self.tree;
-        if t.els.enabled() {
-            // Region-free traversal: index pages are walked in serialized
-            // form, data pages go through the decoded-node path (shared,
-            // cacheable — this is the scan-heavy side of the query).
-            let leaf_depth = t.height - 1;
-            if r.depth == leaf_depth {
-                let node = t.read_node_ctx(r.pid, io, ctx)?;
-                let Node::Data(entries) = &*node else {
-                    return Err(IndexError::Storage(PageError::Corrupt(format!(
-                        "{}: expected a data node at the leaf level",
-                        r.pid
-                    ))));
-                };
-                for e in entries {
-                    sink.offer(e.oid, &e.point);
-                }
-                return Ok(NodeKind::Leaf);
-            }
-            let mut kids: Vec<PageId> = Vec::new();
-            t.pool
-                .read_with(r.pid, false, io, ctx, |buf| -> PageResult<()> {
-                    match NodeView::parse(buf, t.dim)? {
-                        NodeView::Index(view) => view.child_ids(&mut kids),
-                        NodeView::Data(_) => Err(PageError::Corrupt(format!(
-                            "{}: expected an index node above the leaf level",
-                            r.pid
-                        ))),
-                    }
-                })
-                .and_then(|x| x)?;
-            children.extend(kids.into_iter().map(|pid| {
-                Child {
-                    bound: t
-                        .els
-                        .quant_rect(pid)
-                        .map_or(0.0, |b| nq.metric.min_dist_rect_sq(nq.q, b)),
-                    node: HyRef {
-                        pid,
-                        depth: r.depth + 1,
-                        region: None,
-                    },
-                }
-            }));
-            return Ok(NodeKind::Index);
-        }
-        // ELS disabled: prune with kd-regions tracked down the tree.
-        self.expand_regioned(r, nq, io, ctx, sink, children)
-    }
-
     fn expand_near(
         &self,
         r: HyRef,
@@ -741,79 +683,57 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
         children: &mut Vec<Child<HyRef>>,
     ) -> IndexResult<NodeKind> {
         let t = self.tree;
-        if !t.els.enabled() {
-            return self.expand_regioned(r, nq, io, ctx, sink, children);
+        if r.depth == t.height - 1 {
+            // Data pages are decoded (shared, cacheable): the metric
+            // reads every entry as a `&Point`.
+            let entries = t.read_node_ctx(r.pid, io, ctx)?;
+            for e in entries.iter() {
+                sink.offer(e.oid, &e.point);
+            }
+            return Ok(NodeKind::Leaf);
         }
-        // Quantized live boxes bound every child; regions are not needed.
-        // Unlike box/range, every page goes through the decoded-node path:
-        // best-first search revisits levels out of order, which is where
-        // the cache pays.
-        let node = t.read_node_ctx(r.pid, io, ctx)?;
-        match &*node {
-            Node::Data(entries) => {
-                for e in entries {
-                    sink.offer(e.oid, &e.point);
+        // Directory pages are walked in place. With ELS on, each child is
+        // bounded by its quantized live box; with ELS off, by its
+        // kd-region, handed down the tree.
+        let mut ids = Vec::new();
+        let mut regioned = Vec::new();
+        t.pool
+            .read_with(r.pid, false, io, ctx, |buf| -> PageResult<()> {
+                let NodeView::Index(view) = NodeView::parse(buf, t.dim)? else {
+                    return Err(PageError::Corrupt(format!(
+                        "{}: expected an index node above the leaf level",
+                        r.pid
+                    )));
+                };
+                match &r.region {
+                    None => view.child_ids(&mut ids),
+                    Some(region) => view.children_with_regions(region, &mut regioned),
                 }
-                Ok(NodeKind::Leaf)
+            })
+            .and_then(|x| x)?;
+        let depth = r.depth + 1;
+        children.extend(ids.into_iter().map(|pid| {
+            Child {
+                bound: t
+                    .els
+                    .quant_rect(pid)
+                    .map_or(0.0, |b| nq.metric.min_dist_rect_sq(nq.q, b)),
+                node: HyRef {
+                    pid,
+                    depth,
+                    region: None,
+                },
             }
-            Node::Index { kd, .. } => {
-                children.extend(kd.child_ids().into_iter().map(|pid| {
-                    Child {
-                        bound: t
-                            .els
-                            .quant_rect(pid)
-                            .map_or(0.0, |b| nq.metric.min_dist_rect_sq(nq.q, b)),
-                        node: HyRef {
-                            pid,
-                            depth: r.depth + 1,
-                            region: None,
-                        },
-                    }
-                }));
-                Ok(NodeKind::Index)
-            }
-        }
-    }
-}
-
-impl<S: Storage> HyExpand<'_, S> {
-    /// Shared ELS-disabled expansion: decoded reads with kd-regions
-    /// handed down the tree bounding every child.
-    fn expand_regioned(
-        &self,
-        r: HyRef,
-        nq: NearQuery<'_>,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-        sink: &mut dyn EntrySink,
-        children: &mut Vec<Child<HyRef>>,
-    ) -> IndexResult<NodeKind> {
-        let t = self.tree;
-        let node = t.read_node_ctx(r.pid, io, ctx)?;
-        match &*node {
-            Node::Data(entries) => {
-                for e in entries {
-                    sink.offer(e.oid, &e.point);
-                }
-                Ok(NodeKind::Leaf)
-            }
-            Node::Index { kd, .. } => {
-                let region = r.region.as_ref().ok_or_else(|| {
-                    IndexError::Internal("kd-region missing in region-tracked traversal".into())
-                })?;
-                children.extend(kd.children_with_regions(region).into_iter().map(
-                    |(pid, child_region)| Child {
-                        bound: nq.metric.min_dist_rect_sq(nq.q, &child_region),
-                        node: HyRef {
-                            pid,
-                            depth: r.depth + 1,
-                            region: Some(child_region),
-                        },
-                    },
-                ));
-                Ok(NodeKind::Index)
-            }
-        }
+        }));
+        children.extend(regioned.into_iter().map(|(pid, region)| Child {
+            bound: nq.metric.min_dist_rect_sq(nq.q, &region),
+            node: HyRef {
+                pid,
+                depth,
+                region: Some(region),
+            },
+        }));
+        Ok(NodeKind::Index)
     }
 }
 
@@ -1300,6 +1220,21 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, brute_box(&pts, &rect));
         assert_eq!(t.els_overhead_bytes(), 0);
+    }
+
+    #[test]
+    fn invariant_check_catches_an_els_entry_below_its_data() {
+        let mut t = build(&rand_points(1500, 2, 17), small_cfg());
+        t.check_invariants().unwrap();
+        let Node::Index { kd, .. } = t.read_node_owned(t.root).unwrap() else {
+            panic!("expected an index root");
+        };
+        let (child, region) = kd.children_with_regions(&t.root_region()).remove(0);
+        // Shrink the child's live box to its region's lower corner.
+        let corner = Rect::from_point(&region.lo_point());
+        t.els.set_from_rects(child, [&corner], &region);
+        let err = t.check_invariants().unwrap_err().to_string();
+        assert!(err.contains("ELS region"), "{err}");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use crate::node::{Node, INDEX_HEADER_BYTES};
 use crate::tree::HybridTree;
 use hyt_geom::Rect;
-use hyt_index::{IndexError, IndexResult, QueryContext};
-use hyt_page::{IoStats, PageId, Storage};
+use hyt_index::{IndexError, IndexResult};
+use hyt_page::{PageId, Storage};
 
 /// Verifies every documented structural invariant of the tree:
 ///
@@ -22,7 +22,7 @@ pub(crate) fn check<S: Storage>(tree: &HybridTree<S>) -> IndexResult<()> {
     let root_region = tree.root_region();
     let expected_level = (tree.height - 1) as u16;
     let mut seen = std::collections::HashSet::new();
-    let total = check_rec(
+    let (total, _) = check_rec(
         tree,
         tree.root,
         &root_region,
@@ -43,6 +43,8 @@ fn err(pid: PageId, msg: String) -> IndexError {
     IndexError::Internal(format!("{pid}: {msg}"))
 }
 
+/// Checks the subtree at `pid` in one pass and returns its entry count
+/// and live bounding box (`None` when it holds no entries).
 fn check_rec<S: Storage>(
     tree: &HybridTree<S>,
     pid: PageId,
@@ -50,17 +52,16 @@ fn check_rec<S: Storage>(
     expected_level: u16,
     is_root: bool,
     seen: &mut std::collections::HashSet<PageId>,
-) -> IndexResult<usize> {
+) -> IndexResult<(usize, Option<Rect>)> {
     if !seen.insert(pid) {
         return Err(err(pid, "page referenced more than once".into()));
     }
-    let mut io = IoStats::default();
-    let node = tree.read_node_ctx(pid, &mut io, QueryContext::unlimited())?;
+    let node = tree.read_node_owned(pid)?;
     let size = node.encoded_size(tree.dim);
     if size > tree.cfg.page_size {
         return Err(err(pid, format!("encoded size {size} exceeds page")));
     }
-    match &*node {
+    match &node {
         Node::Data(entries) => {
             if expected_level != 0 {
                 return Err(err(pid, format!("data node at level {expected_level}")));
@@ -78,6 +79,7 @@ fn check_rec<S: Storage>(
                     ),
                 ));
             }
+            let mut live: Option<Rect> = None;
             for e in entries {
                 if !region.contains_point(&e.point) {
                     return Err(err(
@@ -85,8 +87,12 @@ fn check_rec<S: Storage>(
                         format!("point {:?} outside region {region:?}", e.point),
                     ));
                 }
+                match &mut live {
+                    Some(r) => r.extend_to_point(&e.point),
+                    None => live = Some(Rect::from_point(&e.point)),
+                }
             }
-            Ok(entries.len())
+            Ok((entries.len(), live))
         }
         Node::Index { level, kd } => {
             if *level != expected_level {
@@ -106,6 +112,7 @@ fn check_rec<S: Storage>(
                 return Err(err(pid, "kd-tree exceeds page".into()));
             }
             let mut total = 0usize;
+            let mut live: Option<Rect> = None;
             for (child, child_region) in kd.children_with_regions(region) {
                 if !region.contains_rect(&child_region) {
                     return Err(err(
@@ -113,42 +120,27 @@ fn check_rec<S: Storage>(
                         format!("child region {child_region:?} escapes {region:?}"),
                     ));
                 }
-                // ELS conservativeness: the effective region must contain
-                // every point beneath the child; checked by verifying all
-                // entries below fall inside it.
-                let eff = tree.els.effective_region(child, &child_region);
-                let count = check_rec(tree, child, &child_region, expected_level - 1, false, seen)?;
-                check_points_within(tree, child, &eff)?;
-                total += count;
-            }
-            Ok(total)
-        }
-    }
-}
-
-/// Asserts every data point beneath `pid` lies inside `eff`.
-fn check_points_within<S: Storage>(
-    tree: &HybridTree<S>,
-    pid: PageId,
-    eff: &Rect,
-) -> IndexResult<()> {
-    let mut io = IoStats::default();
-    let mut stack = vec![pid];
-    while let Some(pid) = stack.pop() {
-        let node = tree.read_node_ctx(pid, &mut io, QueryContext::unlimited())?;
-        match &*node {
-            Node::Data(entries) => {
-                for e in entries {
-                    if !eff.contains_point(&e.point) {
+                let (count, child_live) =
+                    check_rec(tree, child, &child_region, expected_level - 1, false, seen)?;
+                if let Some(child_live) = child_live {
+                    // ELS conservativeness: the effective region holds
+                    // every point beneath the child exactly when it holds
+                    // their bounding box.
+                    let eff = tree.els.effective_region(child, &child_region);
+                    if !eff.contains_rect(&child_live) {
                         return Err(err(
-                            pid,
-                            format!("ELS region {eff:?} misses point {:?}", e.point),
+                            child,
+                            format!("ELS region {eff:?} misses live box {child_live:?}"),
                         ));
                     }
+                    match &mut live {
+                        Some(r) => r.extend_to_rect(&child_live),
+                        None => live = Some(child_live),
+                    }
                 }
+                total += count;
             }
-            Node::Index { kd, .. } => stack.extend(kd.child_ids()),
+            Ok((total, live))
         }
     }
-    Ok(())
 }

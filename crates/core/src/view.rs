@@ -180,9 +180,9 @@ impl<'a> KdView<'a> {
         }
     }
 
-    /// Every child page id, in kd order (used by distance queries, which
-    /// prune per child with the ELS quantized box instead of descending
-    /// by region).
+    /// Every child page id, in kd order (distance queries with ELS
+    /// enabled bound each child by its quantized live box instead of its
+    /// region).
     pub fn child_ids(&self, out: &mut Vec<PageId>) -> PageResult<()> {
         self.walk_all(0, out)
     }
@@ -197,6 +197,42 @@ impl<'a> KdView<'a> {
                 let (_, _, _, left_off, right_off) = self.internal_header(off)?;
                 self.walk_all(left_off, out)?;
                 self.walk_all(right_off, out)
+            }
+            Some(&t) => Err(PageError::Corrupt(format!("bad kd tag {t}"))),
+            None => Err(PageError::Corrupt("kd walk out of bounds".into())),
+        }
+    }
+
+    /// Every child page id with its kd-region, in kd order, given the
+    /// node's own region (distance queries with ELS disabled bound each
+    /// child by this region). Same output as
+    /// [`KdTree::children_with_regions`](crate::kdtree::KdTree::children_with_regions).
+    pub fn children_with_regions(
+        &self,
+        region: &Rect,
+        out: &mut Vec<(PageId, Rect)>,
+    ) -> PageResult<()> {
+        self.walk_regions(0, region, out)
+    }
+
+    fn walk_regions(
+        &self,
+        off: usize,
+        region: &Rect,
+        out: &mut Vec<(PageId, Rect)>,
+    ) -> PageResult<()> {
+        match self.buf.get(off) {
+            Some(&KD_LEAF) => {
+                out.push((self.leaf_child(off)?, region.clone()));
+                Ok(())
+            }
+            Some(&KD_INTERNAL) => {
+                let (dim, lsp, rsp, left_off, right_off) = self.internal_header(off)?;
+                if dim >= region.dim() {
+                    return Err(PageError::Corrupt(format!("kd dim {dim} out of range")));
+                }
+                self.walk_regions(left_off, &region.clamp_above(dim, lsp), out)?;
+                self.walk_regions(right_off, &region.clamp_below(dim, rsp), out)
             }
             Some(&t) => Err(PageError::Corrupt(format!("bad kd tag {t}"))),
             None => Err(PageError::Corrupt("kd walk out of bounds".into())),

@@ -67,6 +67,26 @@ proptest! {
         prop_assert_eq!(from_view, kd.child_ids());
     }
 
+    /// Ids, regions and order must all match: ELS-off distance queries
+    /// push children in this order, so result order and budget
+    /// interrupt points depend on it.
+    #[test]
+    fn view_regions_equal_tree_regions(
+        kd in kd_strategy(4, 5),
+        lo in proptest::collection::vec(-1.0f32..2.0, 4),
+        ext in proptest::collection::vec(0.0f32..1.5, 4),
+    ) {
+        let hi: Vec<f32> = lo.iter().zip(&ext).map(|(l, e)| l + e).collect();
+        let region = Rect::new(lo, hi);
+        let buf = Node::Index { level: 1, kd: kd.clone() }.encode(4);
+        let NodeView::Index(view) = NodeView::parse(&buf, 4).unwrap() else {
+            panic!("expected index view");
+        };
+        let mut from_view = Vec::new();
+        view.children_with_regions(&region, &mut from_view).unwrap();
+        prop_assert_eq!(from_view, kd.children_with_regions(&region));
+    }
+
     #[test]
     fn kd_roundtrips_through_bytes(kd in kd_strategy(8, 6)) {
         let node = Node::Index { level: 3, kd: kd.clone() };
@@ -92,6 +112,7 @@ proptest! {
             let _ = view.child_ids(&mut out);
             let _ = view.children_overlapping_box(&Rect::unit(3), &mut out);
             let _ = view.children_containing_point(&Point::origin(3), &mut out);
+            let _ = view.children_with_regions(&Rect::unit(3), &mut Vec::new());
         }
     }
 }

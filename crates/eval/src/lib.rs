@@ -19,14 +19,12 @@
 //! regenerated table.
 
 mod admission;
-pub mod bench;
 pub mod figures;
 mod report;
 mod runner;
 mod scale;
 
 pub use admission::{AdmissionGate, AdmissionPermit, Overloaded};
-pub use bench::{run_decode_bench, BenchReport, BenchRow};
 pub use report::FigureReport;
 pub use runner::{
     build_engine, build_engine_cached, compare_box, compare_distance, run_batch, run_box_queries,

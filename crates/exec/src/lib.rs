@@ -43,9 +43,10 @@ use hyt_page::IoStats;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
-/// What kind of node an [`NodeExpand::expand_box`] (or range/near) call
-/// visited. `Leaf` triggers the result-cardinality cap check; a leaf may
-/// still emit children (the hB-tree's data-page redirects).
+/// What kind of node a [`NodeExpand::expand_box`] or
+/// [`NodeExpand::expand_near`] call visited. `Leaf` triggers the
+/// result-cardinality cap check; a leaf may still emit children (the
+/// hB-tree's data-page redirects).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeKind {
     /// A data page: entries were offered to the sink / output.
@@ -140,24 +141,11 @@ pub trait NodeExpand {
         children: &mut Vec<Self::Ref>,
     ) -> IndexResult<NodeKind>;
 
-    /// Distance-range expansion: offer every entry of a data page to
-    /// `sink`, or emit children with squared lower bounds (the kernel
-    /// prunes against the query's comparator-space bound).
-    fn expand_range(
-        &self,
-        r: Self::Ref,
-        nq: NearQuery<'_>,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-        sink: &mut dyn EntrySink,
-        children: &mut Vec<Child<Self::Ref>>,
-    ) -> IndexResult<NodeKind>;
-
-    /// Nearest-neighbor expansion: same shape as
-    /// [`expand_range`](Self::expand_range), used by the best-first kNN
-    /// driver and the streaming cursor. Split out because an engine may
-    /// choose a different read path per query kind (the hybrid tree walks
-    /// range-query directory pages zero-copy but decodes them for kNN).
+    /// Distance-bounded expansion, shared by the distance-range driver,
+    /// the best-first kNN driver and the streaming cursor: offer every
+    /// entry of a data page to `sink`, or emit children with squared
+    /// lower bounds (the kernel prunes against its own comparator-space
+    /// bound).
     fn expand_near(
         &self,
         r: Self::Ref,
@@ -271,7 +259,7 @@ pub fn run_distance_range<E: NodeExpand>(
             continue;
         }
         children.clear();
-        match ex.expand_range(
+        match ex.expand_near(
             r,
             NearQuery { q, metric },
             &mut io,
@@ -819,18 +807,6 @@ mod tests {
                 }
             }
             Ok(NodeKind::Leaf)
-        }
-
-        fn expand_range(
-            &self,
-            r: usize,
-            nq: NearQuery<'_>,
-            io: &mut IoStats,
-            ctx: &QueryContext,
-            sink: &mut dyn EntrySink,
-            children: &mut Vec<Child<usize>>,
-        ) -> IndexResult<NodeKind> {
-            self.expand_near(r, nq, io, ctx, sink, children)
         }
 
         fn expand_near(

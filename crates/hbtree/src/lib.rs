@@ -883,20 +883,6 @@ impl<S: Storage> NodeExpand for HbExpand<'_, S> {
         }
     }
 
-    fn expand_range(
-        &self,
-        _r: PageId,
-        _nq: NearQuery<'_>,
-        _io: &mut IoStats,
-        _ctx: &QueryContext,
-        _sink: &mut dyn EntrySink,
-        _children: &mut Vec<Child<PageId>>,
-    ) -> IndexResult<NodeKind> {
-        Err(IndexError::Unsupported(
-            "hB-tree does not support distance-based search (paper §4)",
-        ))
-    }
-
     fn expand_near(
         &self,
         _r: PageId,

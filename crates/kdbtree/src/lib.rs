@@ -754,18 +754,6 @@ impl<S: Storage> NodeExpand for KdbExpand<'_, S> {
         }
     }
 
-    fn expand_range(
-        &self,
-        r: (PageId, Rect),
-        nq: NearQuery<'_>,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-        sink: &mut dyn EntrySink,
-        children: &mut Vec<Child<(PageId, Rect)>>,
-    ) -> IndexResult<NodeKind> {
-        self.expand_near(r, nq, io, ctx, sink, children)
-    }
-
     fn expand_near(
         &self,
         (pid, region): (PageId, Rect),

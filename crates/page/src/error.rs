@@ -17,9 +17,6 @@ pub enum PageError {
     },
     /// A serialized page failed to decode.
     Corrupt(String),
-    /// The operation requires the page to be unpinned (e.g. freeing a
-    /// page another handle still holds pinned).
-    Pinned(PageId),
     /// An error from the underlying file.
     Io(std::io::Error),
     /// A governed read was denied by the query's [`QueryContext`]
@@ -43,7 +40,6 @@ impl fmt::Display for PageError {
                 write!(f, "page overflow: need {need} bytes, page size is {cap}")
             }
             PageError::Corrupt(msg) => write!(f, "corrupt page: {msg}"),
-            PageError::Pinned(id) => write!(f, "page {id} is pinned"),
             PageError::Io(e) => write!(f, "storage I/O error: {e}"),
             PageError::Interrupted(i) => write!(f, "query interrupted: {i}"),
         }

@@ -66,8 +66,8 @@ impl fmt::Display for Interrupt {
 ///
 /// Cancellation is *cooperative*: the query observes the flag at its
 /// next governed page fetch. There is no thread interruption, so a
-/// cancelled query always unwinds through its own code, releasing pins
-/// and locks normally.
+/// cancelled query always unwinds through its own code, releasing locks
+/// normally.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 

@@ -1,4 +1,4 @@
-//! Buffer pool with LRU replacement, pinning, and I/O accounting.
+//! Buffer pool with LRU replacement and I/O accounting.
 //!
 //! The pool is safe to share across threads: the frame table is split
 //! into shards, each behind its own [`parking_lot::Mutex`], the backing
@@ -131,7 +131,6 @@ impl AtomicIoStats {
 struct Frame {
     data: Box<[u8]>,
     dirty: bool,
-    pins: u32,
     last_used: u64,
 }
 
@@ -149,9 +148,8 @@ impl Shard {
         self.tick
     }
 
-    /// Evicts LRU unpinned frames until at most `target` remain, writing
-    /// dirty victims back through `storage`. If every frame is pinned the
-    /// shard is left over target (callers shrink back on unpin).
+    /// Evicts LRU frames until at most `target` remain, writing dirty
+    /// victims back through `storage`.
     fn evict_to<S: Storage>(
         &mut self,
         target: usize,
@@ -159,19 +157,16 @@ impl Shard {
         stats: &AtomicIoStats,
     ) -> PageResult<()> {
         while self.frames.len() > target {
-            let victim = self
+            let Some(victim) = self
                 .frames
                 .iter()
-                .filter(|(_, f)| f.pins == 0)
                 .min_by_key(|(_, f)| f.last_used)
-                .map(|(id, _)| *id);
-            let Some(victim) = victim else {
-                // Everything is pinned; allow temporary over-capacity.
-                return Ok(());
+                .map(|(id, _)| *id)
+            else {
+                break;
             };
             let Some(frame) = self.frames.remove(&victim) else {
-                debug_assert!(false, "eviction victim vanished under the shard lock");
-                return Ok(());
+                break;
             };
             if frame.dirty {
                 stats.physical_writes.fetch_add(1, Relaxed);
@@ -187,9 +182,7 @@ impl Shard {
 ///
 /// `capacity` is the maximum number of resident frames; `0` disables
 /// caching entirely (every access is physical), which models the paper's
-/// cold-cache disk-access counting exactly. Pinned pages are never
-/// evicted; if an insertion finds every frame pinned the pool runs over
-/// capacity temporarily and shrinks back on the next unpin.
+/// cold-cache disk-access counting exactly.
 pub struct BufferPool<S: Storage> {
     storage: RwLock<S>,
     shards: Box<[Mutex<Shard>]>,
@@ -257,17 +250,6 @@ impl<S: Storage> BufferPool<S> {
         self.shards.iter().map(|s| s.lock().frames.len()).sum()
     }
 
-    /// Number of resident frames with at least one pin outstanding.
-    /// Query traversals never hold pins across page fetches, so this
-    /// returns to its baseline after every query — including one that
-    /// was interrupted mid-traversal (asserted by the governance tests).
-    pub fn pinned_frames(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().frames.values().filter(|f| f.pins > 0).count())
-            .sum()
-    }
-
     /// Current pool-global I/O counters.
     pub fn stats(&self) -> IoStats {
         self.stats.snapshot()
@@ -285,18 +267,9 @@ impl<S: Storage> BufferPool<S> {
     }
 
     /// Frees a page, dropping any cached frame and decoded node.
-    ///
-    /// Freeing a page that is still pinned fails with
-    /// [`PageError::Pinned`] and leaves both the frame and the backing
-    /// page untouched.
     pub fn free(&self, id: PageId) -> PageResult<()> {
         let mut shard = self.shard(id).lock();
-        if let Some(f) = shard.frames.get(&id) {
-            if f.pins > 0 {
-                return Err(PageError::Pinned(id));
-            }
-            shard.frames.remove(&id);
-        }
+        shard.frames.remove(&id);
         // Evict the decoded form while the frame shard lock is held, so
         // a concurrent decode racing the free inserts (if at all) under
         // a superseded epoch and is discarded.
@@ -379,7 +352,6 @@ impl<S: Storage> BufferPool<S> {
             Frame {
                 data: buf.into_boxed_slice(),
                 dirty: false,
-                pins: 0,
                 last_used: tick,
             },
         );
@@ -525,7 +497,6 @@ impl<S: Storage> BufferPool<S> {
                     Frame {
                         data: page.into_boxed_slice(),
                         dirty: true,
-                        pins: 0,
                         last_used: tick,
                     },
                 );
@@ -536,59 +507,6 @@ impl<S: Storage> BufferPool<S> {
         // the old bytes carries a pre-bump epoch and cannot publish.
         self.node_cache.invalidate(id);
         Ok(())
-    }
-
-    /// Pins a page, faulting it in; pinned pages are never evicted.
-    pub fn pin(&self, id: PageId) -> PageResult<()> {
-        if self.capacity == 0 {
-            return Ok(()); // pinning is meaningless without frames
-        }
-        let mut shard = self.shard(id).lock();
-        let tick = shard.next_tick();
-        if let Some(f) = shard.frames.get_mut(&id) {
-            f.pins += 1;
-            f.last_used = tick;
-            return Ok(());
-        }
-        self.stats.physical_reads.fetch_add(1, Relaxed);
-        let mut buf = vec![0u8; self.page_size];
-        self.physical_read(id, &mut buf, &mut IoStats::default())?;
-        let target = shard.capacity.saturating_sub(1);
-        shard.evict_to(target, &self.storage, &self.stats)?;
-        shard.frames.insert(
-            id,
-            Frame {
-                data: buf.into_boxed_slice(),
-                dirty: false,
-                pins: 1,
-                last_used: tick,
-            },
-        );
-        Ok(())
-    }
-
-    /// Releases one pin; a pool left over capacity by pinned-frame
-    /// pressure shrinks back here.
-    ///
-    /// # Panics
-    /// In debug builds, panics if the page is not pinned (pin/unpin
-    /// imbalance is a caller bug). Release builds treat the stray unpin
-    /// as a no-op rather than aborting a serving process.
-    pub fn unpin(&self, id: PageId) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut shard = self.shard(id).lock();
-        let Some(f) = shard.frames.get_mut(&id) else {
-            debug_assert!(false, "unpin of non-resident page");
-            return;
-        };
-        debug_assert!(f.pins > 0, "unpin without matching pin");
-        f.pins = f.pins.saturating_sub(1);
-        let target = shard.capacity;
-        // Unpin itself cannot fail; surface write-back errors on the next
-        // fallible operation rather than panicking here.
-        let _ = shard.evict_to(target, &self.storage, &self.stats);
     }
 
     /// Writes every dirty frame back to storage.
@@ -705,55 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_pages_survive_eviction_pressure() {
-        let p = pool(1);
-        let a = p.allocate().unwrap();
-        let b = p.allocate().unwrap();
-        p.write(a, b"pinned").unwrap();
-        p.pin(a).unwrap();
-        p.write(b, b"other").unwrap();
-        read(&p, b).unwrap();
-        // `a` is pinned; reading it again must be a hit.
-        let hits_before = p.stats().hits;
-        read(&p, a).unwrap();
-        assert_eq!(p.stats().hits, hits_before + 1);
-        p.unpin(a);
-    }
-
-    // `unpin` checks its balance with `debug_assert!`, so the panic exists
-    // only in debug builds; release builds saturate instead.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "unpin without matching pin")]
-    fn unbalanced_unpin_panics() {
-        let p = pool(2);
-        let a = p.allocate().unwrap();
-        p.pin(a).unwrap();
-        p.unpin(a);
-        p.unpin(a);
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn unbalanced_unpin_saturates() {
-        let p = pool(2);
-        let a = p.allocate().unwrap();
-        p.write(a, b"a").unwrap();
-        p.pin(a).unwrap();
-        p.unpin(a);
-        p.unpin(a);
-        assert_eq!(p.pinned_frames(), 0);
-        // Two newer pages fill the pool; `a` is the LRU victim.
-        for _ in 0..2 {
-            let id = p.allocate().unwrap();
-            p.write(id, b"x").unwrap();
-        }
-        let before = p.stats().physical_reads;
-        assert_eq!(read(&p, a).unwrap()[0], b'a');
-        assert_eq!(p.stats().physical_reads, before + 1, "`a` was evicted");
-    }
-
-    #[test]
     fn flush_all_persists_dirty_frames() {
         let p = pool(8);
         let a = p.allocate().unwrap();
@@ -801,66 +670,6 @@ mod tests {
         p.write(a, b"gone").unwrap();
         p.free(a).unwrap();
         assert!(read(&p, a).is_err());
-    }
-
-    #[test]
-    fn free_of_pinned_page_errors_and_keeps_page() {
-        let p = pool(4);
-        let a = p.allocate().unwrap();
-        p.write(a, b"held").unwrap();
-        p.pin(a).unwrap();
-        assert!(matches!(p.free(a), Err(PageError::Pinned(id)) if id == a));
-        // The page and its contents are untouched by the failed free.
-        assert_eq!(&read(&p, a).unwrap()[..4], b"held");
-        p.unpin(a);
-        p.free(a).unwrap();
-        assert!(read(&p, a).is_err());
-    }
-
-    #[test]
-    fn all_pinned_overflow_shrinks_back_on_unpin() {
-        // Regression for the all-pinned eviction path: with every frame
-        // pinned, a faulting read must (1) keep the just-read frame
-        // resident rather than evicting it, (2) run over capacity only
-        // while the pins last, and (3) lose no dirty data.
-        let p = pool(2);
-        let ids: Vec<_> = (0..3).map(|_| p.allocate().unwrap()).collect();
-        p.write(ids[0], b"d0").unwrap();
-        p.write(ids[1], b"d1").unwrap();
-        p.write(ids[2], b"d2").unwrap();
-        // Pool capacity is 2; pin both resident frames (ids[1], ids[2] —
-        // ids[0] was evicted by the third write, write-back preserved it).
-        assert_eq!(p.resident_frames(), 2);
-        p.pin(ids[1]).unwrap();
-        p.pin(ids[2]).unwrap();
-
-        // Fault ids[0] back in: every other frame is pinned, so the pool
-        // must go over capacity instead of evicting the new frame.
-        let before = p.stats();
-        assert_eq!(&read(&p, ids[0]).unwrap()[..2], b"d0");
-        assert_eq!(p.resident_frames(), 3, "over capacity while all pinned");
-        let after = p.stats();
-        assert_eq!(after.physical_reads, before.physical_reads + 1);
-
-        // The just-inserted frame is genuinely resident: reading it again
-        // is a hit, not another physical read.
-        let s0 = p.stats();
-        read(&p, ids[0]).unwrap();
-        let s1 = p.stats();
-        assert_eq!(s1.hits, s0.hits + 1, "new frame was not self-evicted");
-        assert_eq!(s1.physical_reads, s0.physical_reads);
-
-        // Dirty any frame, then release a pin: the pool shrinks back to
-        // capacity and the dirty victim is written back, not dropped.
-        p.write(ids[0], b"D0").unwrap();
-        p.unpin(ids[1]);
-        assert_eq!(p.resident_frames(), 2, "shrinks back on unpin");
-        assert_eq!(
-            &read(&p, ids[0]).unwrap()[..2],
-            b"D0",
-            "write-back preserved data"
-        );
-        p.unpin(ids[2]);
     }
 
     #[test]

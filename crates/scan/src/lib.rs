@@ -183,18 +183,6 @@ impl<S: Storage> NodeExpand for ScanExpand<'_, S> {
         Ok(NodeKind::Leaf)
     }
 
-    fn expand_range(
-        &self,
-        pid: PageId,
-        nq: NearQuery<'_>,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-        sink: &mut dyn EntrySink,
-        children: &mut Vec<Child<PageId>>,
-    ) -> IndexResult<NodeKind> {
-        self.expand_near(pid, nq, io, ctx, sink, children)
-    }
-
     fn expand_near(
         &self,
         pid: PageId,

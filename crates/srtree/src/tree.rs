@@ -562,18 +562,6 @@ impl<S: Storage> NodeExpand for SrExpand<'_, S> {
         }
     }
 
-    fn expand_range(
-        &self,
-        pid: PageId,
-        nq: NearQuery<'_>,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-        sink: &mut dyn EntrySink,
-        children: &mut Vec<Child<PageId>>,
-    ) -> IndexResult<NodeKind> {
-        self.expand_near(pid, nq, io, ctx, sink, children)
-    }
-
     fn expand_near(
         &self,
         pid: PageId,

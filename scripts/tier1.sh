@@ -14,9 +14,6 @@ echo "== cargo clippy hyt-page (read paths must be panic-free: unwrap/expect den
 cargo clippy -p hyt-page --lib -- -D warnings -D clippy::unwrap_used -D clippy::expect_used \
     -D clippy::undocumented_unsafe_blocks
 
-echo "== cargo clippy hyt-exec (the shared traversal kernel: warnings are errors)"
-cargo clippy -p hyt-exec --all-targets -- -D warnings
-
 echo "== cargo test"
 cargo test --workspace -q
 
@@ -26,14 +23,8 @@ cargo test --release -q -p hyt-page
 echo "== perfbench tests (a separate workspace: build it against the changed crates and check its answers against the brute-force oracle)"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
-echo "== crash matrix (fault injection: kill at every write site, reopen)"
-cargo test -q --test crash_matrix
-
 echo "== chaos queries (governed batches under fault load; must finish, not hang)"
 timeout 120 cargo test -q --test chaos_queries
-
-echo "== executor equivalence (cursor prefixes == batch kNN on every engine)"
-cargo test -q --test executor
 
 echo "== cargo doc (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

@@ -14,6 +14,17 @@ use rand::rngs::StdRng;
 
 const STREAMING_ENGINES: [Engine; 4] = [Engine::Hybrid, Engine::Sr, Engine::Kdb, Engine::Scan];
 
+/// The prefix equivalences also run on the hybrid tree with ELS off,
+/// whose distance search bounds children by kd-region instead of by the
+/// quantized live box.
+const PREFIX_ENGINES: [Engine; 5] = [
+    Engine::Hybrid,
+    Engine::HybridEls(0),
+    Engine::Sr,
+    Engine::Kdb,
+    Engine::Scan,
+];
+
 fn datasets() -> Vec<(&'static str, Vec<Point>)> {
     vec![
         ("uniform-4d", uniform(1_200, 4, 71)),
@@ -46,7 +57,7 @@ fn drain(
 fn cursor_prefixes_equal_batch_knn_on_all_engines() {
     for (name, data) in datasets() {
         let queries = query_points(&data, 8, 81);
-        for engine in STREAMING_ENGINES {
+        for engine in PREFIX_ENGINES {
             let (idx, _) = build_engine(engine, &data).unwrap();
             // k = the whole index: the cursor browses every entry once,
             // in ascending distance.
@@ -83,7 +94,7 @@ fn cursor_prefixes_equal_batch_knn_on_all_engines() {
 fn degraded_cursor_prefixes_equal_degraded_batch_answers() {
     for (name, data) in datasets() {
         let queries = query_points(&data, 4, 91);
-        for engine in STREAMING_ENGINES {
+        for engine in PREFIX_ENGINES {
             let (idx, _) = build_engine(engine, &data).unwrap();
             for q in &queries {
                 // Find the I/O a complete k=10 search needs, then starve
