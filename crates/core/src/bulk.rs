@@ -79,7 +79,6 @@ impl<S: Storage> HybridTree<S> {
                 cfg.page_size
             )));
         }
-        let data_min = ((cfg.min_fill * data_cap as f64).floor() as usize).max(1);
         let len = entries.len();
         let global_br = Rect::bounding(&entries.iter().map(|(p, _)| p.clone()).collect::<Vec<_>>());
 
@@ -159,8 +158,6 @@ impl<S: Storage> HybridTree<S> {
             dim,
             len,
             cfg,
-            data_cap,
-            data_min,
             Some(global_br),
             els,
         ))

@@ -31,6 +31,12 @@ pub fn data_capacity(page_size: usize, dim: usize) -> usize {
     page_size.saturating_sub(DATA_HEADER_BYTES) / entry_bytes(dim)
 }
 
+/// The utilization quota (paper §3.2): the fewest entries a non-root
+/// data node of capacity `data_cap` may hold.
+pub(crate) fn data_min(min_fill: f64, data_cap: usize) -> usize {
+    ((min_fill * data_cap as f64).floor() as usize).max(1)
+}
+
 /// A deserialized hybrid tree node.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Node {

@@ -33,12 +33,12 @@
 //! or any live page carries an epoch newer than the catalog (proof the
 //! page file diverged after the last commit), or the live-page count
 //! disagrees with the catalog, `open` falls back to a [`recover`] pass:
-//! walk the tree from the catalog root, rebuild the ELS table bottom-up,
-//! re-derive the set of live pages (reclaiming leaked ones), and
-//! cross-check the result against the full structural invariant suite in
-//! `verify.rs`. Recovery either returns a consistent tree or fails with a
-//! typed [`PageError::Corrupt`] — never a panic, never silently wrong
-//! query results.
+//! one walk of the tree from the catalog root that rebuilds the ELS table
+//! bottom-up and applies every structural rule in `verify.rs` as it
+//! goes, after which the pages it never reached are reclaimed. Recovery
+//! either returns a consistent tree or fails with a typed
+//! [`PageError::Corrupt`] — never a panic, never silently wrong query
+//! results.
 //!
 //! [`recover`]: HybridTree::recover
 
@@ -46,12 +46,12 @@ use crate::config::{HybridTreeConfig, QuerySizeDist, SplitPolicy};
 use crate::els::ElsTable;
 use crate::node::Node;
 use crate::tree::HybridTree;
-use hyt_geom::{Point, Rect};
+use crate::verify::{self, Els, Issue};
+use hyt_geom::Rect;
 use hyt_index::{IndexError, IndexResult};
 use hyt_page::{
     crc32, BufferPool, ByteReader, ByteWriter, DurableStorage, PageError, PageId, Storage,
 };
-use std::collections::HashSet;
 use std::io::Write as _;
 use std::path::Path;
 
@@ -99,7 +99,7 @@ fn decode_cfg(r: &mut ByteReader<'_>) -> Result<HybridTreeConfig, PageError> {
     };
     let pool_pages = r.get_u32()? as usize;
     let node_cache_entries = r.get_u32()? as usize;
-    Ok(HybridTreeConfig {
+    let cfg = HybridTreeConfig {
         page_size,
         min_fill,
         els_bits,
@@ -107,7 +107,11 @@ fn decode_cfg(r: &mut ByteReader<'_>) -> Result<HybridTreeConfig, PageError> {
         query_size,
         pool_pages,
         node_cache_entries,
-    })
+    };
+    // The ranges `with_storage` accepts (e.g. `ElsTable::new` panics on
+    // more than 16 ELS bits, and recovery and scrub build one).
+    cfg.validate().map_err(corrupt)?;
+    Ok(cfg)
 }
 
 /// The fixed-size part of the catalog: everything needed to reopen or
@@ -164,6 +168,13 @@ fn decode_core(buf: &[u8]) -> Result<CatalogCore, PageError> {
     let len = r.get_u64()? as usize;
     let root = PageId(r.get_u32()?);
     let height = r.get_u32()? as usize;
+    // Bounds before any allocation: the dimensionality `with_storage`
+    // accepts, and a root level that fits a node header's `u16`.
+    if !(1..=u16::MAX as usize).contains(&dim) || !(1..=u16::MAX as usize + 1).contains(&height) {
+        return Err(corrupt(format!(
+            "implausible catalog: dim {dim}, height {height}"
+        )));
+    }
     let epoch = r.get_u64()?;
     let live_pages = r.get_u32()?;
     let cfg = decode_cfg(&mut r)?;
@@ -182,11 +193,6 @@ fn decode_core(buf: &[u8]) -> Result<CatalogCore, PageError> {
         }
         t => return Err(corrupt(format!("bad bounding-box tag {t}"))),
     };
-    if dim == 0 || height == 0 {
-        return Err(corrupt(format!(
-            "implausible catalog: dim {dim}, height {height}"
-        )));
-    }
     Ok(CatalogCore {
         dim,
         len,
@@ -273,13 +279,9 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 impl<S: Storage> HybridTree<S> {
-    /// Commits the tree: flushes and fsyncs every dirty page, then
-    /// atomically replaces the catalog at `meta_path` (see the module docs
-    /// for the protocol). After this call, [`HybridTree::open`] restores
-    /// exactly this state even if the process dies immediately.
-    pub fn persist<P: AsRef<Path>>(&mut self, meta_path: P) -> IndexResult<()> {
-        self.pool.sync_storage()?;
-        let core = CatalogCore {
+    /// The catalog core describing this tree as it stands.
+    pub(crate) fn catalog_core(&self) -> CatalogCore {
+        CatalogCore {
             dim: self.dim,
             len: self.len,
             root: self.root,
@@ -288,8 +290,16 @@ impl<S: Storage> HybridTree<S> {
             live_pages: self.pool.live_pages() as u32,
             cfg: self.cfg.clone(),
             global_br: self.global_br.clone(),
-        };
-        let bytes = encode_catalog(&core, &self.els);
+        }
+    }
+
+    /// Commits the tree: flushes and fsyncs every dirty page, then
+    /// atomically replaces the catalog at `meta_path` (see the module docs
+    /// for the protocol). After this call, [`HybridTree::open`] restores
+    /// exactly this state even if the process dies immediately.
+    pub fn persist<P: AsRef<Path>>(&mut self, meta_path: P) -> IndexResult<()> {
+        self.pool.sync_storage()?;
+        let bytes = encode_catalog(&self.catalog_core(), &self.els);
         write_atomic(meta_path.as_ref(), &bytes).map_err(PageError::Io)?;
         // Pages flushed from now on are provably newer than this catalog.
         self.pool.with_storage_mut(|s| s.advance_epoch());
@@ -346,8 +356,6 @@ impl HybridTree<DurableStorage> {
         match catalog.els {
             Ok(els) if !diverged => {
                 let core = catalog.core;
-                let data_cap = crate::node::data_capacity(core.cfg.page_size, core.dim);
-                let data_min = ((core.cfg.min_fill * data_cap as f64).floor() as usize).max(1);
                 let pool = BufferPool::with_node_cache(
                     storage,
                     core.cfg.pool_pages,
@@ -360,8 +368,6 @@ impl HybridTree<DurableStorage> {
                     core.dim,
                     core.len,
                     core.cfg,
-                    data_cap,
-                    data_min,
                     core.global_br,
                     els,
                 ))
@@ -370,9 +376,9 @@ impl HybridTree<DurableStorage> {
         }
     }
 
-    /// Forces a recovery pass: walks the tree from the catalog root,
-    /// rebuilding the ELS table and the live-page set from the pages
-    /// themselves, then cross-checks every structural invariant. Returns a
+    /// Forces a recovery pass: one walk from the catalog root rebuilds
+    /// the ELS table from the pages themselves and checks every structural
+    /// rule, then the pages the walk never reached are freed. Returns a
     /// consistent tree or a typed [`PageError::Corrupt`] error.
     pub fn recover<P: AsRef<Path>, Q: AsRef<Path>>(
         pages_path: P,
@@ -384,138 +390,39 @@ impl HybridTree<DurableStorage> {
     }
 
     fn recover_with(mut storage: DurableStorage, core: CatalogCore) -> IndexResult<Self> {
-        let dim = core.dim;
-        let cfg = core.cfg.clone();
-        let mut els = ElsTable::new(dim, cfg.els_bits);
-        let mut reachable = HashSet::new();
-        let root_region = core
-            .global_br
-            .clone()
-            .unwrap_or_else(|| Rect::from_point(&Point::origin(dim)));
-        let expected_level = (core.height - 1) as u16;
-        let (total, _) = walk_rebuild(
-            &storage,
-            core.root,
-            &root_region,
-            expected_level,
-            dim,
-            cfg.page_size,
-            &mut els,
-            &mut reachable,
-        )
-        .map_err(IndexError::Storage)?;
-        if total != core.len {
-            return Err(IndexError::Storage(corrupt(format!(
-                "recovery walk found {total} entries, catalog records {}",
-                core.len
-            ))));
+        let mut els = ElsTable::new(core.dim, core.cfg.els_bits);
+        let mut buf = vec![0u8; core.cfg.page_size];
+        let walked = verify::walk(&core, Els::Rebuild(&mut els), |pid| {
+            storage.read(pid, &mut buf)?;
+            Node::decode(&buf, core.dim)
+        });
+        if let Some(issue) = walked.issues.into_iter().next() {
+            return Err(IndexError::Storage(match issue {
+                Issue::Read(_, e) => e,
+                Issue::Rule(msg) => corrupt(format!("recovery walk: {msg}")),
+            }));
         }
         // Reclaim pages the tree cannot reach (leaked by a crash between
         // an allocation and the commit that would have referenced it).
         // Freeing zeroes the slot, so the reclamation is durable.
         for i in 0..storage.page_slots() {
             let id = PageId(i);
-            if !storage.is_freed(id) && !reachable.contains(&id) {
+            if !storage.is_freed(id) && !walked.seen.contains(&id) {
                 storage.free(id)?;
             }
         }
-        let data_cap = crate::node::data_capacity(cfg.page_size, dim);
-        let data_min = ((cfg.min_fill * data_cap as f64).floor() as usize).max(1);
+        let cfg = core.cfg;
         let pool = BufferPool::with_node_cache(storage, cfg.pool_pages, cfg.node_cache_entries);
-        let tree = Self::assemble(
+        Ok(Self::assemble(
             pool,
             core.root,
             core.height,
-            dim,
+            core.dim,
             core.len,
             cfg,
-            data_cap,
-            data_min,
             core.global_br,
             els,
-        );
-        // Cross-check against the full invariant suite (regions, levels,
-        // utilization, ELS conservativeness, reachable count).
-        tree.check_invariants().map_err(|e| {
-            IndexError::Storage(corrupt(format!("recovery cross-check failed: {e}")))
-        })?;
-        Ok(tree)
-    }
-}
-
-/// Recursive recovery walk: validates node decode and levels, accumulates
-/// the reachable-page set, rebuilds ELS entries bottom-up, and returns
-/// `(entry count, live bounding box)` for the subtree.
-#[allow(clippy::too_many_arguments)]
-fn walk_rebuild(
-    storage: &DurableStorage,
-    pid: PageId,
-    region: &Rect,
-    expected_level: u16,
-    dim: usize,
-    page_size: usize,
-    els: &mut ElsTable,
-    reachable: &mut HashSet<PageId>,
-) -> Result<(usize, Option<Rect>), PageError> {
-    if !reachable.insert(pid) {
-        return Err(corrupt(format!("{pid}: page referenced more than once")));
-    }
-    let mut buf = vec![0u8; page_size];
-    storage.read(pid, &mut buf)?;
-    match Node::decode(&buf, dim)? {
-        Node::Data(entries) => {
-            if expected_level != 0 {
-                return Err(corrupt(format!(
-                    "{pid}: data node at level {expected_level}"
-                )));
-            }
-            let mut bb: Option<Rect> = None;
-            for e in &entries {
-                bb = Some(match bb {
-                    None => Rect::from_point(&e.point),
-                    Some(b) => {
-                        let mut lo = Vec::with_capacity(dim);
-                        let mut hi = Vec::with_capacity(dim);
-                        for d in 0..dim {
-                            lo.push(b.lo(d).min(e.point.coord(d)));
-                            hi.push(b.hi(d).max(e.point.coord(d)));
-                        }
-                        Rect::new(lo, hi)
-                    }
-                });
-            }
-            Ok((entries.len(), bb))
-        }
-        Node::Index { level, kd } => {
-            if level != expected_level || expected_level == 0 {
-                return Err(corrupt(format!(
-                    "{pid}: index node at level {level}, expected {expected_level}"
-                )));
-            }
-            let mut total = 0usize;
-            let mut acc: Option<Rect> = None;
-            for (child, child_region) in kd.children_with_regions(region) {
-                let (count, live) = walk_rebuild(
-                    storage,
-                    child,
-                    &child_region,
-                    expected_level - 1,
-                    dim,
-                    page_size,
-                    els,
-                    reachable,
-                )?;
-                if let Some(live) = &live {
-                    els.set_from_rects(child, std::iter::once(live), &child_region);
-                    acc = Some(match acc {
-                        None => live.clone(),
-                        Some(a) => a.union(live),
-                    });
-                }
-                total += count;
-            }
-            Ok((total, acc))
-        }
+        ))
     }
 }
 
@@ -803,6 +710,69 @@ mod tests {
             "recovery reclaimed the leaked page"
         );
         std::fs::remove_file(&pages).ok();
+        std::fs::remove_file(&meta).ok();
+    }
+
+    #[test]
+    fn catalog_core_out_of_bounds_is_rejected() {
+        let meta = tmp("bounds.meta");
+        let core = |dim: usize, height: usize, global_br: Option<Rect>| CatalogCore {
+            dim,
+            len: 0,
+            root: PageId(0),
+            height,
+            epoch: 0,
+            live_pages: 1,
+            cfg: HybridTreeConfig::default(),
+            global_br,
+        };
+        let bad_bits = CatalogCore {
+            cfg: HybridTreeConfig {
+                els_bits: 17,
+                ..HybridTreeConfig::default()
+            },
+            ..core(3, 1, None)
+        };
+        let read = |core: &CatalogCore| {
+            std::fs::write(&meta, encode_catalog(core, &ElsTable::new(1, 0))).unwrap();
+            read_catalog(&meta)
+        };
+        // The widest dimensionality and the tallest tree a node header's
+        // `u16` fields can describe still read back.
+        let wide = u16::MAX as usize;
+        let br = Rect::new(vec![0.0; wide], vec![1.0; wide]);
+        assert!(read(&core(wide, 1, Some(br))).is_ok());
+        assert!(read(&core(3, u16::MAX as usize + 1, None)).is_ok());
+        let bad = [
+            core(0, 1, None),
+            core(u16::MAX as usize + 1, 1, None),
+            core(u32::MAX as usize, 1, None),
+            core(3, 0, None),
+            core(3, u16::MAX as usize + 2, None),
+            core(3, u32::MAX as usize, None),
+            bad_bits,
+        ];
+        for c in &bad {
+            assert!(
+                matches!(read(c), Err(PageError::Corrupt(_))),
+                "dim {}, height {} accepted",
+                c.dim,
+                c.height
+            );
+        }
+        // A huge dimensionality with a bounding box present is refused
+        // before the box is allocated: patch the dim field of a valid 3-d
+        // core and reseal its checksum.
+        let mut bytes = encode_catalog(
+            &core(3, 1, Some(Rect::new(vec![0.0; 3], vec![1.0; 3]))),
+            &ElsTable::new(3, 0),
+        );
+        let core_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        let crc = crc32(&bytes[12..12 + core_len]);
+        bytes[12 + core_len..16 + core_len].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&meta, &bytes).unwrap();
+        assert!(matches!(read_catalog(&meta), Err(PageError::Corrupt(_))));
         std::fs::remove_file(&meta).ok();
     }
 

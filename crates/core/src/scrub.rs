@@ -10,23 +10,27 @@
 //!   live (header and payload checksums verify), free (zeroed), or
 //!   damaged, given only the page file and its logical page size.
 //! * [`scrub_index`] — everything above plus the catalog: validates both
-//!   catalog section checksums, walks the tree from the root checking
-//!   node decode, level consistency, double references, kd-region
-//!   containment of data points, ELS conservativeness, the entry count
-//!   against the catalog, reachability of every live page, and that no
-//!   page carries a write epoch newer than the catalog.
+//!   catalog section checksums, applies every structural rule that
+//!   [`HybridTree::check_invariants`] applies (the same walk, see
+//!   `verify.rs`: node decode, levels, double references, capacity,
+//!   utilization, fanout, kd-region containment, ELS conservativeness,
+//!   the entry count against the catalog), and checks the reachability
+//!   of every live page and that no page carries a write epoch newer
+//!   than the catalog. A damaged ELS section is reported and rebuilt, as
+//!   `open` would, so the rest of the tree is still checked.
 //!
 //! [`HybridTree`]: crate::HybridTree
+//! [`HybridTree::check_invariants`]: crate::HybridTree::check_invariants
 
 use crate::els::ElsTable;
 use crate::node::Node;
 use crate::persist::read_catalog;
-use hyt_geom::{Point, Rect};
+use crate::verify::{self, Els};
 use hyt_index::IndexResult;
 use hyt_page::{
     inspect_frame, FileStorage, FrameStatus, PageError, PageId, Storage, FRAME_HEADER_BYTES,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
 
 /// One damaged page slot.
@@ -157,11 +161,13 @@ pub fn scrub_index<P: AsRef<Path>, Q: AsRef<Path>>(
     let core = catalog.core;
     let mut scan = scan_frames(pages_path.as_ref(), core.cfg.page_size)?;
     let mut issues = Vec::new();
-    let els = match catalog.els {
-        Ok(els) => Some(els),
+    let mut rebuilt;
+    let els = match &catalog.els {
+        Ok(els) => Els::Check(els),
         Err(e) => {
             issues.push(format!("catalog ELS section damaged: {e}"));
-            None
+            rebuilt = ElsTable::new(core.dim, core.cfg.els_bits);
+            Els::Rebuild(&mut rebuilt)
         }
     };
     if scan.report.max_live_epoch > core.epoch {
@@ -177,29 +183,16 @@ pub fn scrub_index<P: AsRef<Path>, Q: AsRef<Path>>(
             scan.report.live, core.live_pages
         ));
     }
-
-    let root_region = core
-        .global_br
-        .clone()
-        .unwrap_or_else(|| Rect::from_point(&Point::origin(core.dim)));
-    let mut walk = Walk {
-        payloads: &scan.payloads,
-        dim: core.dim,
-        els: els.as_ref(),
-        seen: HashSet::new(),
-        issues: Vec::new(),
-    };
-    let (total, _) = walk.visit(core.root, &root_region, (core.height - 1) as u16);
-    issues.append(&mut walk.issues);
-    if total != core.len {
-        issues.push(format!(
-            "tree walk reached {total} entries, catalog records {}",
-            core.len
-        ));
-    }
-    let seen = walk.seen;
-    for (&id, _) in scan.payloads.iter() {
-        if !seen.contains(&id) {
+    let payloads = &scan.payloads;
+    let walked = verify::walk(&core, els, |pid| match payloads.get(&pid) {
+        Some(payload) => Node::decode(payload, core.dim),
+        None => Err(PageError::Corrupt(
+            "referenced page is not live on disk".into(),
+        )),
+    });
+    issues.extend(walked.issues.iter().map(|issue| issue.to_string()));
+    for id in payloads.keys() {
+        if !walked.seen.contains(id) {
             issues.push(format!("{id}: live page unreachable from the root"));
         }
     }
@@ -213,102 +206,14 @@ pub fn scrub_index<P: AsRef<Path>, Q: AsRef<Path>>(
     Ok(scan.report)
 }
 
-/// Recursive structure walk over the verified-live payload map.
-struct Walk<'a> {
-    payloads: &'a HashMap<PageId, Vec<u8>>,
-    dim: usize,
-    els: Option<&'a ElsTable>,
-    seen: HashSet<PageId>,
-    issues: Vec<String>,
-}
-
-impl Walk<'_> {
-    /// Returns `(entry count, live bounding box)` for the subtree at
-    /// `pid`; structural problems are recorded rather than aborting, so
-    /// one damaged subtree does not mask damage elsewhere.
-    fn visit(&mut self, pid: PageId, region: &Rect, expected_level: u16) -> (usize, Option<Rect>) {
-        if !self.seen.insert(pid) {
-            self.issues
-                .push(format!("{pid}: page referenced more than once"));
-            return (0, None);
-        }
-        let Some(payload) = self.payloads.get(&pid) else {
-            self.issues
-                .push(format!("{pid}: referenced page is not live on disk"));
-            return (0, None);
-        };
-        let node = match Node::decode(payload, self.dim) {
-            Ok(n) => n,
-            Err(e) => {
-                self.issues.push(format!("{pid}: undecodable node: {e}"));
-                return (0, None);
-            }
-        };
-        match node {
-            Node::Data(entries) => {
-                if expected_level != 0 {
-                    self.issues
-                        .push(format!("{pid}: data node at level {expected_level}"));
-                    return (0, None);
-                }
-                let mut bb: Option<Rect> = None;
-                let mut escaped = false;
-                for e in &entries {
-                    escaped |= !region.contains_point(&e.point);
-                    let p = Rect::from_point(&e.point);
-                    bb = Some(match bb {
-                        None => p,
-                        Some(b) => b.union(&p),
-                    });
-                }
-                if escaped {
-                    self.issues
-                        .push(format!("{pid}: data point outside its kd region"));
-                }
-                (entries.len(), bb)
-            }
-            Node::Index { level, kd } => {
-                if level != expected_level || expected_level == 0 {
-                    self.issues.push(format!(
-                        "{pid}: index node at level {level}, expected {expected_level}"
-                    ));
-                    return (0, None);
-                }
-                let mut total = 0usize;
-                let mut acc: Option<Rect> = None;
-                for (child, child_region) in kd.children_with_regions(region) {
-                    let (count, live) = self.visit(child, &child_region, expected_level - 1);
-                    if let Some(live) = &live {
-                        if let Some(els) = self.els {
-                            match els.exact_live(child) {
-                                Some(ex) if ex.contains_rect(live) => {}
-                                Some(_) => self.issues.push(format!(
-                                    "{child}: ELS entry does not cover the live data"
-                                )),
-                                None => self
-                                    .issues
-                                    .push(format!("{child}: non-empty subtree missing from ELS")),
-                            }
-                        }
-                        acc = Some(match acc {
-                            None => live.clone(),
-                            Some(a) => a.union(live),
-                        });
-                    }
-                    total += count;
-                }
-                (total, acc)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::HybridTreeConfig;
     use crate::tree::HybridTree;
+    use hyt_geom::Point;
     use hyt_index::MultidimIndex;
+    use hyt_page::DurableStorage;
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
@@ -319,35 +224,58 @@ mod tests {
     }
 
     fn build(name: &str, n: usize) -> (std::path::PathBuf, std::path::PathBuf, usize) {
+        build_with(name, n, 4, false)
+    }
+
+    /// Persists a 4-d tree of `n` uniform points, inserted one by one or
+    /// bulk-loaded.
+    fn build_with(
+        name: &str,
+        n: usize,
+        els_bits: u8,
+        bulk: bool,
+    ) -> (std::path::PathBuf, std::path::PathBuf, usize) {
         let pages = tmp(&format!("{name}.pages"));
         let meta = tmp(&format!("{name}.meta"));
         let cfg = HybridTreeConfig {
             page_size: 512,
-            els_bits: 4,
+            els_bits,
             ..HybridTreeConfig::default()
         };
         let page_size = cfg.page_size;
         let mut rng = StdRng::seed_from_u64(42);
-        let mut t = HybridTree::create_durable(4, cfg, &pages).unwrap();
-        for i in 0..n {
-            let p = Point::new((0..4).map(|_| rng.gen::<f32>()).collect());
-            t.insert(p, i as u64).unwrap();
-        }
+        let entries: Vec<(Point, u64)> = (0..n as u64)
+            .map(|i| (Point::new((0..4).map(|_| rng.gen::<f32>()).collect()), i))
+            .collect();
+        let mut t = if bulk {
+            let storage = DurableStorage::create(&pages, page_size).unwrap();
+            HybridTree::bulk_load_into(storage, cfg, entries).unwrap()
+        } else {
+            let mut t = HybridTree::create_durable(4, cfg, &pages).unwrap();
+            for (p, i) in entries {
+                t.insert(p, i).unwrap();
+            }
+            t
+        };
         t.persist(&meta).unwrap();
         (pages, meta, page_size)
     }
 
     #[test]
     fn clean_index_scrubs_clean() {
-        let (pages, meta, page_size) = build("clean", 600);
-        let rep = scrub_pages(&pages, page_size).unwrap();
-        assert!(rep.is_clean(), "{:?}", rep.damage);
-        assert!(rep.live > 1);
-        let rep = scrub_index(&pages, &meta).unwrap();
-        assert!(rep.is_clean(), "{:?}", rep);
-        assert_eq!(rep.catalog.as_ref().unwrap().len, 600);
-        std::fs::remove_file(&pages).ok();
-        std::fs::remove_file(&meta).ok();
+        // ELS on and off, inserted and bulk-loaded: every healthy index
+        // passes every rule.
+        for (els_bits, bulk) in [(4, false), (0, false), (4, true), (0, true)] {
+            let (pages, meta, page_size) = build_with("clean", 600, els_bits, bulk);
+            let rep = scrub_pages(&pages, page_size).unwrap();
+            assert!(rep.is_clean(), "{:?}", rep.damage);
+            assert!(rep.live > 1);
+            let rep = scrub_index(&pages, &meta).unwrap();
+            assert!(rep.is_clean(), "els_bits {els_bits}, bulk {bulk}: {rep:?}");
+            assert_eq!(rep.catalog.as_ref().unwrap().len, 600);
+            std::fs::remove_file(&pages).ok();
+            std::fs::remove_file(&meta).ok();
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 use crate::config::HybridTreeConfig;
 use crate::els::ElsTable;
 use crate::kdtree::KdTree;
-use crate::node::{data_capacity, DataEntry, Node, INDEX_HEADER_BYTES};
+use crate::node::{data_capacity, data_min, DataEntry, Node, INDEX_HEADER_BYTES};
 use crate::split::{build_kd, split_data, split_index};
+use crate::verify::{Els, Issue};
 use crate::view::NodeView;
 use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Coord, Metric, Point, Rect};
@@ -36,6 +37,14 @@ enum DelOutcome {
     /// Entry removed *and* this node fell below utilization and was
     /// dissolved; the caller must unlink and free it.
     Eliminated(Vec<DataEntry>),
+}
+
+/// The root's kd-region: the bounding box of everything ever inserted,
+/// or the origin while the tree has never held a point.
+pub(crate) fn root_region_of(global_br: Option<&Rect>, dim: usize) -> Rect {
+    global_br
+        .cloned()
+        .unwrap_or_else(|| Rect::from_point(&Point::origin(dim)))
 }
 
 /// The hybrid tree (paper §3): a paged feature-space index with 1-d
@@ -94,7 +103,7 @@ impl<S: Storage> HybridTree<S> {
                 cfg.page_size
             )));
         }
-        let data_min = ((cfg.min_fill * data_cap as f64).floor() as usize).max(1);
+        let data_min = data_min(cfg.min_fill, data_cap);
         let els = ElsTable::new(dim, cfg.els_bits);
         let pool = BufferPool::with_node_cache(storage, cfg.pool_pages, cfg.node_cache_entries);
         let root = pool.allocate()?;
@@ -116,8 +125,8 @@ impl<S: Storage> HybridTree<S> {
     }
 
     /// Assembles a tree from parts already written to storage (the bulk
-    /// loader's back door; invariants are the caller's responsibility
-    /// and are checked by its tests).
+    /// loader's and `open`'s back door; invariants are the caller's
+    /// responsibility and are checked by its tests).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         pool: BufferPool<S>,
@@ -126,12 +135,12 @@ impl<S: Storage> HybridTree<S> {
         dim: usize,
         len: usize,
         cfg: HybridTreeConfig,
-        data_cap: usize,
-        data_min: usize,
         global_br: Option<Rect>,
         els: ElsTable,
     ) -> Self {
+        let data_cap = data_capacity(cfg.page_size, dim);
         Self {
+            data_min: data_min(cfg.min_fill, data_cap),
             pool,
             root,
             height,
@@ -139,7 +148,6 @@ impl<S: Storage> HybridTree<S> {
             len,
             cfg,
             data_cap,
-            data_min,
             global_br,
             els,
             rr_state: 0,
@@ -226,9 +234,18 @@ impl<S: Storage> HybridTree<S> {
 
     /// Runs the full structural invariant checker (containment,
     /// utilization, page-size, ELS conservativeness, level consistency,
-    /// entry count). Intended for tests; `O(size of tree)`.
+    /// entry count) and returns the first rule it finds broken. Intended
+    /// for tests; `O(size of tree)`.
     pub fn check_invariants(&self) -> IndexResult<()> {
-        crate::verify::check(self)
+        let core = self.catalog_core();
+        let walked = crate::verify::walk(&core, Els::Check(&self.els), |pid| {
+            self.read_node_owned(pid)
+        });
+        match walked.issues.into_iter().next() {
+            Some(Issue::Read(_, e)) => Err(IndexError::Storage(e)),
+            Some(Issue::Rule(msg)) => Err(IndexError::Internal(msg)),
+            None => Ok(()),
+        }
     }
 
     /// Flushes dirty pages and fsyncs the store without committing a
@@ -258,20 +275,18 @@ impl<S: Storage> HybridTree<S> {
     // ------------------------------------------------------------------
 
     pub(crate) fn root_region(&self) -> Rect {
-        self.global_br
-            .clone()
-            .unwrap_or_else(|| Rect::from_point(&Point::origin(self.dim)))
+        root_region_of(self.global_br.as_ref(), self.dim)
     }
 
-    /// Owned node read for mutation paths: decodes straight from the
-    /// borrowed pool frame (no payload copy before decode).
-    pub(crate) fn read_node_owned(&self, pid: PageId) -> IndexResult<Node> {
+    /// Owned node read for mutation paths and the invariant walk: decodes
+    /// straight from the borrowed pool frame (no payload copy before
+    /// decode).
+    pub(crate) fn read_node_owned(&self, pid: PageId) -> PageResult<Node> {
         let mut io = IoStats::default();
-        Ok(self
-            .pool
+        self.pool
             .read_with(pid, false, &mut io, QueryContext::unlimited(), |buf| {
                 Node::decode(buf, self.dim)
-            })??)
+            })?
     }
 
     /// Governed data-page read: `ctx` must admit the fetch (cancel,
@@ -1224,7 +1239,13 @@ mod tests {
 
     #[test]
     fn invariant_check_catches_an_els_entry_below_its_data() {
-        let mut t = build(&rand_points(1500, 2, 17), small_cfg());
+        let dir = std::env::temp_dir().join(format!("hyt_tree_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (pages, meta) = (dir.join("els_below.pages"), dir.join("els_below.meta"));
+        let mut t = HybridTree::create_durable(2, small_cfg(), &pages).unwrap();
+        for (i, p) in rand_points(1500, 2, 17).into_iter().enumerate() {
+            t.insert(p, i as u64).unwrap();
+        }
         t.check_invariants().unwrap();
         let Node::Index { kd, .. } = t.read_node_owned(t.root).unwrap() else {
             panic!("expected an index root");
@@ -1235,6 +1256,24 @@ mod tests {
         t.els.set_from_rects(child, [&corner], &region);
         let err = t.check_invariants().unwrap_err().to_string();
         assert!(err.contains("ELS region"), "{err}");
+
+        // Scrub applies the same rule to the persisted table, and recovery
+        // heals it by rebuilding the table from the pages.
+        t.persist(&meta).unwrap();
+        drop(t);
+        let report = crate::scrub_index(&pages, &meta).unwrap();
+        let issues = &report.catalog.as_ref().unwrap().issues;
+        assert!(
+            issues
+                .iter()
+                .any(|i| i.starts_with(&format!("{child}: ELS region"))),
+            "{issues:?}"
+        );
+        let healed = HybridTree::recover(&pages, &meta).unwrap();
+        healed.check_invariants().unwrap();
+        assert_eq!(healed.len(), 1500);
+        std::fs::remove_file(&pages).ok();
+        std::fs::remove_file(&meta).ok();
     }
 
     #[test]

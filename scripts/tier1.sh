@@ -23,6 +23,9 @@ cargo test --release -q -p hyt-page
 echo "== perfbench tests (a separate workspace: build it against the changed crates and check its answers against the brute-force oracle)"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
+echo "== deterministic counts (perfbench's traced page, distance and structure counts must equal results/perfbench_counts.json)"
+scripts/counts.sh
+
 echo "== chaos queries (governed batches under fault load; must finish, not hang)"
 timeout 120 cargo test -q --test chaos_queries
 

@@ -188,3 +188,48 @@ fn cli_reports_usage_on_bad_input() {
         .unwrap();
     assert!(!out.status.success());
 }
+
+#[test]
+fn scrub_passes_an_index_built_without_els() {
+    // With ELS off the table is empty by design; scrub must not ask a
+    // non-empty child for an entry.
+    let dir = std::env::temp_dir().join(format!("hyt_cli_els0_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("vectors.csv");
+    let pages = dir.join("db.pages");
+    let meta = dir.join("db.meta");
+    let out = hyt()
+        .args([
+            "generate", "--kind", "uniform", "--n", "3000", "--dim", "4", "--seed", "3", "--out",
+        ])
+        .arg(&csv)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = hyt()
+        .args(["build", "--input"])
+        .arg(&csv)
+        .args(["--index"])
+        .arg(&pages)
+        .args(["--meta"])
+        .arg(&meta)
+        .args(["--els-bits", "0"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = hyt()
+        .args(["scrub", "--index"])
+        .arg(&pages)
+        .args(["--meta"])
+        .arg(&meta)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("clean"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
