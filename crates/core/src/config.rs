@@ -66,10 +66,16 @@ impl QuerySizeDist {
     }
 }
 
+/// The largest page size a hybrid tree accepts. An index page's kd-tree
+/// stores each left subtree's byte length as a `u16`, and a left subtree
+/// spans at most `page_size − 21` bytes (the node header, its parent's
+/// split record and a one-leaf right sibling take the rest).
+pub(crate) const MAX_PAGE_SIZE: usize = 65536;
+
 /// Parameters fixed at tree construction.
 #[derive(Clone, Debug)]
 pub struct HybridTreeConfig {
-    /// Disk page size in bytes (paper: 4096).
+    /// Disk page size in bytes (paper: 4096), from 64 to 65536.
     pub page_size: usize,
     /// Minimum node utilization guaranteed by splits, as a fraction of
     /// capacity (also the data-node underflow threshold for deletes).
@@ -120,8 +126,11 @@ impl HybridTreeConfig {
         if self.els_bits > 16 {
             return Err(format!("els_bits must be <= 16, got {}", self.els_bits));
         }
-        if self.page_size < 64 {
-            return Err(format!("page_size too small: {}", self.page_size));
+        if !(64..=MAX_PAGE_SIZE).contains(&self.page_size) {
+            return Err(format!(
+                "page_size must be in [64, {MAX_PAGE_SIZE}], got {}",
+                self.page_size
+            ));
         }
         Ok(())
     }
@@ -152,11 +161,18 @@ mod tests {
             ..HybridTreeConfig::default()
         };
         assert!(bad_bits.validate().is_err());
-        let bad_page = HybridTreeConfig {
-            page_size: 16,
+        for page_size in [16, MAX_PAGE_SIZE + 1] {
+            let bad_page = HybridTreeConfig {
+                page_size,
+                ..HybridTreeConfig::default()
+            };
+            assert!(bad_page.validate().is_err(), "page_size {page_size}");
+        }
+        let widest = HybridTreeConfig {
+            page_size: MAX_PAGE_SIZE,
             ..HybridTreeConfig::default()
         };
-        assert!(bad_page.validate().is_err());
+        assert!(widest.validate().is_ok());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::kdtree::KdTree;
 use hyt_geom::Point;
+use hyt_index::leaf;
 use hyt_page::{ByteReader, ByteWriter, PageError, PageResult};
 
 const TAG_DATA: u8 = 0;
@@ -21,14 +22,9 @@ pub struct DataEntry {
     pub oid: u64,
 }
 
-/// Bytes one entry occupies on a page.
-pub fn entry_bytes(dim: usize) -> usize {
-    4 * dim + 8
-}
-
 /// Maximum entries a data node of `page_size` can hold.
 pub fn data_capacity(page_size: usize, dim: usize) -> usize {
-    page_size.saturating_sub(DATA_HEADER_BYTES) / entry_bytes(dim)
+    page_size.saturating_sub(DATA_HEADER_BYTES) / leaf::entry_bytes(dim)
 }
 
 /// The utilization quota (paper §3.2): the fewest entries a non-root
@@ -56,7 +52,7 @@ impl Node {
     /// Serialized size in bytes.
     pub fn encoded_size(&self, dim: usize) -> usize {
         match self {
-            Node::Data(entries) => DATA_HEADER_BYTES + entries.len() * entry_bytes(dim),
+            Node::Data(entries) => DATA_HEADER_BYTES + entries.len() * leaf::entry_bytes(dim),
             Node::Index { kd, .. } => INDEX_HEADER_BYTES + kd.encoded_size(),
         }
     }
@@ -67,14 +63,7 @@ impl Node {
         match self {
             Node::Data(entries) => {
                 w.put_u8(TAG_DATA);
-                w.put_u32(entries.len() as u32);
-                for e in entries {
-                    debug_assert_eq!(e.point.dim(), dim);
-                    for d in 0..dim {
-                        w.put_f32(e.point.coord(d));
-                    }
-                    w.put_u64(e.oid);
-                }
+                leaf::encode(&mut w, dim, entries.iter().map(|e| (&e.point, e.oid)));
             }
             Node::Index { level, kd } => {
                 w.put_u8(TAG_INDEX);
@@ -89,28 +78,9 @@ impl Node {
     pub fn decode(buf: &[u8], dim: usize) -> PageResult<Self> {
         let mut r = ByteReader::new(buf);
         match r.get_u8()? {
-            TAG_DATA => {
-                let n = r.get_u32()? as usize;
-                if n * entry_bytes(dim) > r.remaining() {
-                    return Err(PageError::Corrupt(format!(
-                        "data node claims {n} entries, only {} bytes remain",
-                        r.remaining()
-                    )));
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut coords = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        coords.push(r.get_f32()?);
-                    }
-                    let oid = r.get_u64()?;
-                    entries.push(DataEntry {
-                        point: Point::new(coords),
-                        oid,
-                    });
-                }
-                Ok(Node::Data(entries))
-            }
+            TAG_DATA => Ok(Node::Data(leaf::decode(&mut r, dim, |point, oid| {
+                DataEntry { point, oid }
+            })?)),
             TAG_INDEX => {
                 let level = r.get_u16()?;
                 let kd = KdTree::decode(&mut r)?;
@@ -144,9 +114,7 @@ mod tests {
 
     #[test]
     fn entry_size_matches_paper_arithmetic() {
-        // A 64-d entry: 64 * 4 bytes of coordinates + 8-byte oid.
-        assert_eq!(entry_bytes(64), 264);
-        // 4K page holds 15 such entries.
+        // A 4K page holds 15 64-d entries.
         assert_eq!(data_capacity(4096, 64), 15);
         // Fanout of data pages in low dimensions is much higher.
         assert!(data_capacity(4096, 8) > 100);

@@ -733,6 +733,15 @@ mod tests {
             },
             ..core(3, 1, None)
         };
+        // A page size the kd-tree encoding cannot address; it would also
+        // make recovery and scrub allocate a page-sized buffer.
+        let huge_page = CatalogCore {
+            cfg: HybridTreeConfig {
+                page_size: u32::MAX as usize,
+                ..HybridTreeConfig::default()
+            },
+            ..core(3, 1, None)
+        };
         let read = |core: &CatalogCore| {
             std::fs::write(&meta, encode_catalog(core, &ElsTable::new(1, 0))).unwrap();
             read_catalog(&meta)
@@ -751,13 +760,15 @@ mod tests {
             core(3, u16::MAX as usize + 2, None),
             core(3, u32::MAX as usize, None),
             bad_bits,
+            huge_page,
         ];
         for c in &bad {
             assert!(
                 matches!(read(c), Err(PageError::Corrupt(_))),
-                "dim {}, height {} accepted",
+                "dim {}, height {}, page size {} accepted",
                 c.dim,
-                c.height
+                c.height,
+                c.cfg.page_size
             );
         }
         // A huge dimensionality with a bounding box present is refused

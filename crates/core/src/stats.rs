@@ -1,40 +1,27 @@
 //! Structural statistics of a built hybrid tree (Table 1 / Table 2 data).
 
-use crate::node::Node;
+use crate::node::{Node, DATA_HEADER_BYTES};
 use crate::tree::HybridTree;
-use hyt_index::{IndexResult, StructureStats};
+use hyt_index::{IndexResult, StatsTally, StructureStats};
 use hyt_page::Storage;
 
 /// Walks the whole tree and aggregates the properties compared in the
 /// paper's Tables 1–2: fanout, utilization, overlap, split-dimension use.
 pub(crate) fn compute<S: Storage>(tree: &HybridTree<S>) -> IndexResult<StructureStats> {
-    let mut st = StructureStats {
-        height: tree.height,
-        ..StructureStats::default()
-    };
+    let mut tally = StatsTally::new(tree.height, tree.cfg.page_size, tree.dim);
     if tree.len == 0 {
-        st.total_nodes = 1;
-        st.data_nodes = 1;
-        return Ok(st);
+        return Ok(tally.finish());
     }
-    let mut fanout_sum = 0usize;
-    let mut util_sum = 0.0f64;
     let mut overlap_sum = 0.0f64;
     let mut overlap_n = 0usize;
     let mut dims = std::collections::HashSet::new();
 
     let mut stack = vec![(tree.root, tree.root_region())];
     while let Some((pid, region)) = stack.pop() {
-        let node = tree.read_node_owned(pid)?;
-        match &node {
-            Node::Data(_) => {
-                st.data_nodes += 1;
-                let used = node.encoded_size(tree.dim);
-                util_sum += used as f64 / tree.cfg.page_size as f64;
-            }
+        match tree.read_node_owned(pid)? {
+            Node::Data(entries) => tally.data_node(DATA_HEADER_BYTES, entries.len()),
             Node::Index { kd, .. } => {
-                st.index_nodes += 1;
-                fanout_sum += kd.fanout();
+                tally.index_node(kd.fanout());
                 for d in kd.split_dims() {
                     dims.insert(d);
                 }
@@ -53,23 +40,15 @@ pub(crate) fn compute<S: Storage>(tree: &HybridTree<S>) -> IndexResult<Structure
         }
     }
 
-    st.total_nodes = st.data_nodes + st.index_nodes;
-    st.avg_fanout = if st.index_nodes > 0 {
-        fanout_sum as f64 / st.index_nodes as f64
-    } else {
-        0.0
-    };
-    st.avg_leaf_utilization = if st.data_nodes > 0 {
-        util_sum / st.data_nodes as f64
-    } else {
-        0.0
-    };
-    st.avg_overlap_fraction = if overlap_n > 0 {
-        overlap_sum / overlap_n as f64
-    } else {
-        0.0
-    };
-    st.distinct_split_dims = dims.len();
-    st.redundant_bytes = 0; // the hybrid tree posts no redundant paths
-    Ok(st)
+    Ok(StructureStats {
+        avg_overlap_fraction: if overlap_n > 0 {
+            overlap_sum / overlap_n as f64
+        } else {
+            0.0
+        },
+        distinct_split_dims: dims.len(),
+        // The hybrid tree posts no redundant paths.
+        redundant_bytes: 0,
+        ..tally.finish()
+    })
 }

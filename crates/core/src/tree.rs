@@ -302,14 +302,13 @@ impl<S: Storage> HybridTree<S> {
         io: &mut IoStats,
         ctx: &QueryContext,
     ) -> IndexResult<Arc<Vec<DataEntry>>> {
-        self.pool.read_decoded(pid, false, io, ctx, |buf| {
-            match Node::decode(buf, self.dim)? {
+        self.pool
+            .read_decoded(pid, io, ctx, |buf| match Node::decode(buf, self.dim)? {
                 Node::Data(entries) => Ok(entries),
                 Node::Index { .. } => Err(IndexError::Storage(PageError::Corrupt(format!(
                     "{pid}: expected a data node at the leaf level"
                 )))),
-            }
-        })
+            })
     }
 
     fn write_node(&mut self, pid: PageId, node: &Node) -> IndexResult<()> {

@@ -14,8 +14,8 @@
 //! [`KdTree`](crate::kdtree::KdTree)/[`Node`](crate::node::Node) forms.
 
 use crate::kdtree::{INTERNAL_BYTES, LEAF_BYTES};
-use crate::node::entry_bytes;
 use hyt_geom::{Point, Rect};
+use hyt_index::leaf::entry_bytes;
 use hyt_page::{PageError, PageId, PageResult};
 
 const TAG_DATA: u8 = 0;

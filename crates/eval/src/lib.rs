@@ -27,8 +27,8 @@ mod scale;
 pub use admission::{AdmissionGate, AdmissionPermit, Overloaded};
 pub use report::FigureReport;
 pub use runner::{
-    build_engine, build_engine_cached, compare_box, compare_distance, run_batch, run_box_queries,
-    run_distance_queries, run_knn_stream, total_io, BatchAnswer, BatchPolicy, BatchQuery,
-    CompareRow, Engine, GovernedAnswer, QueryCost, QueryStatus,
+    build_engine, compare_box, compare_distance, run_batch, run_box_queries, run_distance_queries,
+    run_knn_stream, total_io, BatchAnswer, BatchPolicy, BatchQuery, CompareRow, Engine,
+    GovernedAnswer, QueryCost, QueryStatus,
 };
 pub use scale::Scale;

@@ -7,7 +7,7 @@ use hyt_hbtree::{HbTree, HbTreeConfig};
 use hyt_index::{CancelToken, DegradeReason, IndexError, IndexResult, MultidimIndex, QueryContext};
 
 use hyt_kdbtree::{KdbTree, KdbTreeConfig};
-use hyt_page::{IoStats, PageError, DEFAULT_PAGE_SIZE};
+use hyt_page::{IoStats, PageError};
 use hyt_scan::SeqScan;
 use hyt_srtree::{SrTree, SrTreeConfig};
 use std::time::{Duration, Instant};
@@ -57,17 +57,6 @@ pub fn build_engine(
     engine: Engine,
     data: &[Point],
 ) -> IndexResult<(Box<dyn MultidimIndex>, Duration)> {
-    build_engine_cached(engine, data, 0)
-}
-
-/// [`build_engine`] with a decoded-node cache of `node_cache_entries`
-/// entries on every engine (0 = the default decode-per-visit behavior).
-/// The cache changes only decode counts, never answers or logical I/O.
-pub fn build_engine_cached(
-    engine: Engine,
-    data: &[Point],
-    node_cache_entries: usize,
-) -> IndexResult<(Box<dyn MultidimIndex>, Duration)> {
     let Some(first) = data.first() else {
         return Err(IndexError::EmptyDataset(
             "build_engine infers dimensionality from the first point",
@@ -82,28 +71,15 @@ pub fn build_engine_cached(
             .enumerate()
             .map(|(i, p)| (p, i as u64))
             .collect();
-        let tree = HybridTree::bulk_load(
-            entries,
-            HybridTreeConfig {
-                node_cache_entries,
-                ..HybridTreeConfig::default()
-            },
-        )?;
+        let tree = HybridTree::bulk_load(entries, HybridTreeConfig::default())?;
         return Ok((Box::new(tree), start.elapsed()));
     }
     let mut idx: Box<dyn MultidimIndex> = match engine {
-        Engine::Hybrid => Box::new(HybridTree::new(
-            dim,
-            HybridTreeConfig {
-                node_cache_entries,
-                ..HybridTreeConfig::default()
-            },
-        )?),
+        Engine::Hybrid => Box::new(HybridTree::new(dim, HybridTreeConfig::default())?),
         Engine::HybridVam => Box::new(HybridTree::new(
             dim,
             HybridTreeConfig {
                 split_policy: SplitPolicy::Vam,
-                node_cache_entries,
                 ..HybridTreeConfig::default()
             },
         )?),
@@ -111,36 +87,13 @@ pub fn build_engine_cached(
             dim,
             HybridTreeConfig {
                 els_bits: bits,
-                node_cache_entries,
                 ..HybridTreeConfig::default()
             },
         )?),
-        Engine::Hb => Box::new(HbTree::new(
-            dim,
-            HbTreeConfig {
-                node_cache_entries,
-                ..HbTreeConfig::default()
-            },
-        )?),
-        Engine::Sr => Box::new(SrTree::new(
-            dim,
-            SrTreeConfig {
-                node_cache_entries,
-                ..SrTreeConfig::default()
-            },
-        )?),
-        Engine::Kdb => Box::new(KdbTree::new(
-            dim,
-            KdbTreeConfig {
-                node_cache_entries,
-                ..KdbTreeConfig::default()
-            },
-        )?),
-        Engine::Scan => Box::new(SeqScan::with_page_size_and_cache(
-            dim,
-            DEFAULT_PAGE_SIZE,
-            node_cache_entries,
-        )?),
+        Engine::Hb => Box::new(HbTree::new(dim, HbTreeConfig::default())?),
+        Engine::Sr => Box::new(SrTree::new(dim, SrTreeConfig::default())?),
+        Engine::Kdb => Box::new(KdbTree::new(dim, KdbTreeConfig::default())?),
+        Engine::Scan => Box::new(SeqScan::new(dim)?),
         Engine::HybridBulk => unreachable!("handled above"),
     };
     for (i, p) in data.iter().enumerate() {

@@ -33,11 +33,12 @@
 use hyt_exec::{Child, EntrySink, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Coord, Metric, Point, Rect};
 use hyt_index::{
-    check_dim, IndexError, IndexResult, MultidimIndex, QueryContext, QueryOutcome, StructureStats,
+    check_dim, leaf, IndexError, IndexResult, MultidimIndex, QueryContext, QueryOutcome,
+    StatsTally, StructureStats,
 };
 use hyt_page::{
-    BufferPool, ByteReader, ByteWriter, IoStats, MemStorage, NodeCacheStats, PageError, PageId,
-    PageResult, Storage, DEFAULT_PAGE_SIZE,
+    BufferPool, ByteReader, ByteWriter, IoStats, MemStorage, PageError, PageId, PageResult,
+    Storage, DEFAULT_PAGE_SIZE,
 };
 use std::collections::HashSet;
 
@@ -117,6 +118,12 @@ impl Redirect {
     fn encoded_size(&self) -> usize {
         1 + self.constraints.len() * Constraint::ENCODED + 4
     }
+}
+
+/// Bytes of a data node other than its leaf entries: the tag and entry
+/// count before them, the redirect count and redirects after them.
+fn data_overhead(redirects: &[Redirect]) -> usize {
+    1 + 4 + 2 + redirects.iter().map(Redirect::encoded_size).sum::<usize>()
 }
 
 /// Intra-node kd-tree. `Sibling` marks an extracted corner whose
@@ -317,9 +324,7 @@ impl HbNode {
     fn encoded_size(&self, dim: usize) -> usize {
         match self {
             HbNode::Data { entries, redirects } => {
-                5 + entries.len() * (4 * dim + 8)
-                    + 2
-                    + redirects.iter().map(Redirect::encoded_size).sum::<usize>()
+                data_overhead(redirects) + entries.len() * leaf::entry_bytes(dim)
             }
             HbNode::Index { kd, .. } => 3 + kd.encoded_size(),
         }
@@ -330,13 +335,7 @@ impl HbNode {
         match self {
             HbNode::Data { entries, redirects } => {
                 w.put_u8(TAG_DATA);
-                w.put_u32(entries.len() as u32);
-                for (p, oid) in entries {
-                    for d in 0..dim {
-                        w.put_f32(p.coord(d));
-                    }
-                    w.put_u64(*oid);
-                }
+                leaf::encode(&mut w, dim, entries.iter().map(|(p, oid)| (p, *oid)));
                 w.put_u16(redirects.len() as u16);
                 for r in redirects {
                     w.put_u8(r.constraints.len() as u8);
@@ -359,21 +358,7 @@ impl HbNode {
         let mut r = ByteReader::new(buf);
         match r.get_u8()? {
             TAG_DATA => {
-                let n = r.get_u32()? as usize;
-                if n * (4 * dim + 8) > r.remaining() {
-                    return Err(PageError::Corrupt(format!(
-                        "hB data node claims {n} entries beyond the page"
-                    )));
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut c = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        c.push(r.get_f32()?);
-                    }
-                    let oid = r.get_u64()?;
-                    entries.push((Point::new(c), oid));
-                }
+                let entries = leaf::decode(&mut r, dim, |p, oid| (p, oid))?;
                 let nr = r.get_u16()? as usize;
                 let mut redirects = Vec::with_capacity(nr);
                 for _ in 0..nr {
@@ -405,20 +390,12 @@ impl HbNode {
 pub struct HbTreeConfig {
     /// Page size in bytes.
     pub page_size: usize,
-    /// Buffer-pool capacity in pages (0 = cold-cache accounting).
-    pub pool_pages: usize,
-    /// Decoded-node cache capacity in entries; 0 (the default) disables
-    /// it. Enabling it never changes query results or logical I/O
-    /// accounting, only the number of node-decode invocations.
-    pub node_cache_entries: usize,
 }
 
 impl Default for HbTreeConfig {
     fn default() -> Self {
         Self {
             page_size: DEFAULT_PAGE_SIZE,
-            pool_pages: 0,
-            node_cache_entries: 0,
         }
     }
 }
@@ -471,14 +448,14 @@ impl<S: Storage> HbTree<S> {
                 "storage/config page size mismatch".into(),
             ));
         }
-        let data_cap = (cfg.page_size.saturating_sub(7)) / (4 * dim + 8);
+        let data_cap = cfg.page_size.saturating_sub(data_overhead(&[])) / leaf::entry_bytes(dim);
         if data_cap < 3 {
             return Err(IndexError::Internal(format!(
                 "page size {} too small for dimension {dim} (need 3 entries for 1/3 splits)",
                 cfg.page_size
             )));
         }
-        let pool = BufferPool::with_node_cache(storage, cfg.pool_pages, cfg.node_cache_entries);
+        let pool = BufferPool::new(storage, 0);
         let root = pool.allocate()?;
         pool.write(
             root,
@@ -511,23 +488,20 @@ impl<S: Storage> HbTree<S> {
     }
 
     fn read_node(&self, pid: PageId) -> IndexResult<HbNode> {
-        let mut io = IoStats::default();
-        Ok(self
-            .pool
-            .read_with(pid, false, &mut io, QueryContext::unlimited(), |buf| {
-                HbNode::decode(buf, self.dim)
-            })??)
+        self.read_node_ctx(pid, &mut IoStats::default(), QueryContext::unlimited())
     }
 
+    /// Governed node read: `ctx` admits the fetch, `io` is charged one
+    /// logical read, and the page is decoded in place from the pool.
     fn read_node_ctx(
         &self,
         pid: PageId,
         io: &mut IoStats,
         ctx: &QueryContext,
-    ) -> IndexResult<std::sync::Arc<HbNode>> {
-        self.pool.read_decoded(pid, false, io, ctx, |buf| {
-            Ok(HbNode::decode(buf, self.dim)?)
-        })
+    ) -> IndexResult<HbNode> {
+        Ok(self
+            .pool
+            .read_with(pid, false, io, ctx, |buf| HbNode::decode(buf, self.dim))??)
     }
 
     fn write_node(&mut self, pid: PageId, node: &HbNode) -> IndexResult<()> {
@@ -712,11 +686,8 @@ impl<S: Storage> HbTree<S> {
                 // shrink the effective capacity, so one shed may not do).
                 let mut posts = Vec::new();
                 loop {
-                    let size = HbNode::Data {
-                        entries: entries.clone(),
-                        redirects: redirects.clone(),
-                    }
-                    .encoded_size(self.dim);
+                    let size =
+                        data_overhead(&redirects) + entries.len() * leaf::entry_bytes(self.dim);
                     if entries.len() <= self.data_cap && size <= self.cfg.page_size {
                         break;
                     }
@@ -859,8 +830,7 @@ impl<S: Storage> NodeExpand for HbExpand<'_, S> {
         out: &mut Vec<u64>,
         children: &mut Vec<PageId>,
     ) -> IndexResult<NodeKind> {
-        let node = self.tree.read_node_ctx(pid, io, ctx)?;
-        match &*node {
+        match &self.tree.read_node_ctx(pid, io, ctx)? {
             HbNode::Data { entries, redirects } => {
                 out.extend(
                     entries
@@ -1070,25 +1040,13 @@ impl<S: Storage> MultidimIndex for HbTree<S> {
 
     fn reset_io_stats(&self) {
         self.pool.reset_stats();
-        self.pool.node_cache().reset_stats();
-    }
-
-    fn cache_stats(&self) -> NodeCacheStats {
-        self.pool.node_cache_stats()
     }
 
     fn structure_stats(&self) -> IndexResult<StructureStats> {
-        let mut st = StructureStats {
-            height: self.height,
-            ..StructureStats::default()
-        };
+        let mut tally = StatsTally::new(self.height, self.cfg.page_size, self.dim);
         if self.len == 0 {
-            st.total_nodes = 1;
-            st.data_nodes = 1;
-            return Ok(st);
+            return Ok(tally.finish());
         }
-        let mut fanout_sum = 0usize;
-        let mut util = 0.0f64;
         let mut dims = HashSet::new();
         let mut redundant = 0usize;
         let mut stack = vec![self.root];
@@ -1099,19 +1057,13 @@ impl<S: Storage> MultidimIndex for HbTree<S> {
             }
             match self.read_node(pid)? {
                 HbNode::Data { entries, redirects } => {
-                    st.data_nodes += 1;
+                    tally.data_node(data_overhead(&redirects), entries.len());
                     // Redirects are pure routing redundancy.
                     redundant += redirects.iter().map(Redirect::encoded_size).sum::<usize>();
-                    let node = HbNode::Data {
-                        entries,
-                        redirects: redirects.clone(),
-                    };
-                    util += node.encoded_size(self.dim) as f64 / self.cfg.page_size as f64;
                     stack.extend(redirects.iter().map(|r| r.target));
                 }
                 HbNode::Index { kd, .. } => {
-                    st.index_nodes += 1;
-                    fanout_sum += kd.weight();
+                    tally.index_node(kd.weight());
                     // Posted-path redundancy: sibling references plus the
                     // kd internals that route to them (~12 bytes each).
                     redundant += kd.count_siblings() * 12;
@@ -1123,21 +1075,12 @@ impl<S: Storage> MultidimIndex for HbTree<S> {
                 }
             }
         }
-        st.total_nodes = st.data_nodes + st.index_nodes;
-        st.avg_fanout = if st.index_nodes > 0 {
-            fanout_sum as f64 / st.index_nodes as f64
-        } else {
-            0.0
-        };
-        st.avg_leaf_utilization = if st.data_nodes > 0 {
-            util / st.data_nodes as f64
-        } else {
-            0.0
-        };
-        st.avg_overlap_fraction = 0.0; // clean (holey) partitions
-        st.distinct_split_dims = dims.len();
-        st.redundant_bytes = redundant;
-        Ok(st)
+        Ok(StructureStats {
+            avg_overlap_fraction: 0.0, // clean (holey) partitions
+            distinct_split_dims: dims.len(),
+            redundant_bytes: redundant,
+            ..tally.finish()
+        })
     }
 }
 
@@ -1148,10 +1091,7 @@ mod tests {
     use rand::rngs::StdRng;
 
     fn cfg() -> HbTreeConfig {
-        HbTreeConfig {
-            page_size: 256,
-            ..HbTreeConfig::default()
-        }
+        HbTreeConfig { page_size: 256 }
     }
 
     fn points(n: usize, dim: usize, seed: u64) -> Vec<Point> {

@@ -4,11 +4,15 @@
 //! tree, the SR-tree, the hB-tree, and a linear scan. [`MultidimIndex`] is
 //! the uniform surface the evaluation harness drives; [`StructureStats`]
 //! captures the structural properties compared in the paper's Tables 1–2
-//! (fanout, utilization, overlap, split-dimension usage).
+//! (fanout, utilization, overlap, split-dimension usage), tallied by
+//! [`StatsTally`]; [`leaf`] is the data-page entry layout all five
+//! engines share.
 
 use hyt_geom::{Metric, Point, Rect};
 use hyt_page::{IoStats, PageError};
 use std::fmt;
+
+pub mod leaf;
 
 pub use hyt_page::{CancelToken, Interrupt, NodeCacheStats, QueryContext};
 
@@ -288,6 +292,70 @@ pub struct StructureStats {
     pub redundant_bytes: usize,
 }
 
+/// The node counts and averages every tree engine's
+/// [`structure_stats`](MultidimIndex::structure_stats) walk accumulates.
+/// The walk reports each node it visits; [`finish`](Self::finish) fills
+/// `height`, the node counts, `avg_fanout` and `avg_leaf_utilization`,
+/// and the engine sets the remaining fields itself.
+#[derive(Debug)]
+pub struct StatsTally {
+    stats: StructureStats,
+    page_size: usize,
+    dim: usize,
+    fanout_sum: usize,
+    util_sum: f64,
+}
+
+impl StatsTally {
+    /// A tally for a tree of `height` levels over `dim`-d entries on
+    /// `page_size`-byte pages.
+    pub fn new(height: usize, page_size: usize, dim: usize) -> Self {
+        Self {
+            stats: StructureStats {
+                height,
+                ..StructureStats::default()
+            },
+            page_size,
+            dim,
+            fanout_sum: 0,
+            util_sum: 0.0,
+        }
+    }
+
+    /// Counts a directory node with `fanout` children.
+    pub fn index_node(&mut self, fanout: usize) {
+        self.stats.index_nodes += 1;
+        self.fanout_sum += fanout;
+    }
+
+    /// Counts a data node of `entries` leaf entries behind
+    /// `overhead_bytes` of the engine's own header and trailer.
+    pub fn data_node(&mut self, overhead_bytes: usize, entries: usize) {
+        self.stats.data_nodes += 1;
+        let used = overhead_bytes + entries * leaf::entry_bytes(self.dim);
+        self.util_sum += used as f64 / self.page_size as f64;
+    }
+
+    /// The tallied statistics. A tally that saw no node describes an
+    /// empty tree: one empty root leaf, with every average zero.
+    pub fn finish(self) -> StructureStats {
+        let mut st = self.stats;
+        if st.data_nodes + st.index_nodes == 0 {
+            st.data_nodes = 1;
+            st.total_nodes = 1;
+            return st;
+        }
+        st.total_nodes = st.data_nodes + st.index_nodes;
+        if st.index_nodes > 0 {
+            st.avg_fanout = self.fanout_sum as f64 / st.index_nodes as f64;
+        }
+        if st.data_nodes > 0 {
+            st.avg_leaf_utilization = self.util_sum / st.data_nodes as f64;
+        }
+        st
+    }
+}
+
 /// A disk-based multidimensional index over k-dimensional `f32` points with
 /// `u64` object identifiers.
 ///
@@ -530,6 +598,24 @@ mod tests {
         // No cap: never degrades.
         let mut any = vec![1u64; 10];
         assert!(!apply_result_cap(QueryContext::unlimited(), &mut any, true));
+    }
+
+    #[test]
+    fn stats_tally_averages_and_empty_tree() {
+        let empty = StatsTally::new(1, 4096, 8).finish();
+        assert_eq!((empty.total_nodes, empty.data_nodes), (1, 1));
+        assert_eq!(empty.avg_leaf_utilization, 0.0);
+
+        let mut t = StatsTally::new(2, 100, 2);
+        t.index_node(3);
+        t.index_node(4);
+        t.data_node(4, 2); // 4 + 2 * 16 = 36 bytes
+        t.data_node(4, 4); // 4 + 4 * 16 = 68 bytes
+        let st = t.finish();
+        assert_eq!(st.height, 2);
+        assert_eq!((st.total_nodes, st.index_nodes, st.data_nodes), (4, 2, 2));
+        assert_eq!(st.avg_fanout, 3.5);
+        assert_eq!(st.avg_leaf_utilization, (0.36 + 0.68) / 2.0);
     }
 
     #[test]

@@ -25,18 +25,19 @@
 use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Coord, Metric, Point, Rect};
 use hyt_index::{
-    check_dim, IndexError, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome,
-    StructureStats,
+    check_dim, leaf, IndexError, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome,
+    StatsTally, StructureStats,
 };
 use hyt_page::{
-    BufferPool, ByteReader, ByteWriter, IoStats, MemStorage, NodeCacheStats, PageError, PageId,
-    PageResult, Storage, DEFAULT_PAGE_SIZE,
+    BufferPool, ByteReader, ByteWriter, IoStats, MemStorage, PageError, PageId, PageResult,
+    Storage, DEFAULT_PAGE_SIZE,
 };
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 const TAG_DATA: u8 = 0;
 const TAG_INDEX: u8 = 1;
+/// Header bytes of a data node (tag + entry count).
+const DATA_HEADER_BYTES: usize = 1 + 4;
 const KD_LEAF: u8 = 0;
 const KD_INTERNAL: u8 = 1;
 
@@ -203,7 +204,7 @@ enum KdbNode {
 impl KdbNode {
     fn encoded_size(&self, dim: usize) -> usize {
         match self {
-            KdbNode::Data(e) => 5 + e.len() * (4 * dim + 8),
+            KdbNode::Data(e) => DATA_HEADER_BYTES + e.len() * leaf::entry_bytes(dim),
             KdbNode::Index { kd, .. } => 3 + kd.encoded_size(),
         }
     }
@@ -213,13 +214,7 @@ impl KdbNode {
         match self {
             KdbNode::Data(entries) => {
                 w.put_u8(TAG_DATA);
-                w.put_u32(entries.len() as u32);
-                for (p, oid) in entries {
-                    for d in 0..dim {
-                        w.put_f32(p.coord(d));
-                    }
-                    w.put_u64(*oid);
-                }
+                leaf::encode(&mut w, dim, entries.iter().map(|(p, oid)| (p, *oid)));
             }
             KdbNode::Index { level, kd } => {
                 w.put_u8(TAG_INDEX);
@@ -233,24 +228,7 @@ impl KdbNode {
     fn decode(buf: &[u8], dim: usize) -> PageResult<Self> {
         let mut r = ByteReader::new(buf);
         match r.get_u8()? {
-            TAG_DATA => {
-                let n = r.get_u32()? as usize;
-                if n * (4 * dim + 8) > r.remaining() {
-                    return Err(PageError::Corrupt(format!(
-                        "kdb data node claims {n} entries beyond the page"
-                    )));
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut c = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        c.push(r.get_f32()?);
-                    }
-                    let oid = r.get_u64()?;
-                    entries.push((Point::new(c), oid));
-                }
-                Ok(KdbNode::Data(entries))
-            }
+            TAG_DATA => Ok(KdbNode::Data(leaf::decode(&mut r, dim, |p, oid| (p, oid))?)),
             TAG_INDEX => {
                 let level = r.get_u16()?;
                 let kd = Kd::decode(&mut r)?;
@@ -266,20 +244,12 @@ impl KdbNode {
 pub struct KdbTreeConfig {
     /// Page size in bytes.
     pub page_size: usize,
-    /// Buffer-pool capacity in pages (0 = cold-cache accounting).
-    pub pool_pages: usize,
-    /// Decoded-node cache capacity in entries; 0 (the default) disables
-    /// it. Enabling it never changes query results or logical I/O
-    /// accounting, only the number of node-decode invocations.
-    pub node_cache_entries: usize,
 }
 
 impl Default for KdbTreeConfig {
     fn default() -> Self {
         Self {
             page_size: DEFAULT_PAGE_SIZE,
-            pool_pages: 0,
-            node_cache_entries: 0,
         }
     }
 }
@@ -324,14 +294,14 @@ impl<S: Storage> KdbTree<S> {
                 "storage/config page size mismatch".into(),
             ));
         }
-        let data_cap = (cfg.page_size - 5) / (4 * dim + 8);
+        let data_cap = (cfg.page_size - DATA_HEADER_BYTES) / leaf::entry_bytes(dim);
         if data_cap < 2 {
             return Err(IndexError::Internal(format!(
                 "page size {} too small for dimension {dim}",
                 cfg.page_size
             )));
         }
-        let pool = BufferPool::with_node_cache(storage, cfg.pool_pages, cfg.node_cache_entries);
+        let pool = BufferPool::new(storage, 0);
         let root = pool.allocate()?;
         pool.write(root, &KdbNode::Data(Vec::new()).encode(dim))?;
         Ok(Self {
@@ -358,23 +328,20 @@ impl<S: Storage> KdbTree<S> {
     }
 
     fn read_node(&self, pid: PageId) -> IndexResult<KdbNode> {
-        let mut io = IoStats::default();
-        Ok(self
-            .pool
-            .read_with(pid, false, &mut io, QueryContext::unlimited(), |buf| {
-                KdbNode::decode(buf, self.dim)
-            })??)
+        self.read_node_ctx(pid, &mut IoStats::default(), QueryContext::unlimited())
     }
 
+    /// Governed node read: `ctx` admits the fetch, `io` is charged one
+    /// logical read, and the page is decoded in place from the pool.
     fn read_node_ctx(
         &self,
         pid: PageId,
         io: &mut IoStats,
         ctx: &QueryContext,
-    ) -> IndexResult<Arc<KdbNode>> {
-        self.pool.read_decoded(pid, false, io, ctx, |buf| {
-            Ok(KdbNode::decode(buf, self.dim)?)
-        })
+    ) -> IndexResult<KdbNode> {
+        Ok(self
+            .pool
+            .read_with(pid, false, io, ctx, |buf| KdbNode::decode(buf, self.dim))??)
     }
 
     fn write_node(&mut self, pid: PageId, node: &KdbNode) -> IndexResult<()> {
@@ -734,8 +701,7 @@ impl<S: Storage> NodeExpand for KdbExpand<'_, S> {
         out: &mut Vec<u64>,
         children: &mut Vec<(PageId, Rect)>,
     ) -> IndexResult<NodeKind> {
-        let node = self.tree.read_node_ctx(pid, io, ctx)?;
-        match &*node {
+        match &self.tree.read_node_ctx(pid, io, ctx)? {
             KdbNode::Data(entries) => {
                 out.extend(
                     entries
@@ -763,8 +729,7 @@ impl<S: Storage> NodeExpand for KdbExpand<'_, S> {
         sink: &mut dyn EntrySink,
         children: &mut Vec<Child<(PageId, Rect)>>,
     ) -> IndexResult<NodeKind> {
-        let node = self.tree.read_node_ctx(pid, io, ctx)?;
-        match &*node {
+        match &self.tree.read_node_ctx(pid, io, ctx)? {
             KdbNode::Data(entries) => {
                 for (p, oid) in entries {
                     sink.offer(*oid, p);
@@ -913,37 +878,20 @@ impl<S: Storage> MultidimIndex for KdbTree<S> {
 
     fn reset_io_stats(&self) {
         self.pool.reset_stats();
-        self.pool.node_cache().reset_stats();
-    }
-
-    fn cache_stats(&self) -> NodeCacheStats {
-        self.pool.node_cache_stats()
     }
 
     fn structure_stats(&self) -> IndexResult<StructureStats> {
-        let mut st = StructureStats {
-            height: self.height,
-            ..StructureStats::default()
-        };
+        let mut tally = StatsTally::new(self.height, self.cfg.page_size, self.dim);
         if self.len == 0 {
-            st.total_nodes = 1;
-            st.data_nodes = 1;
-            return Ok(st);
+            return Ok(tally.finish());
         }
-        let mut fanout_sum = 0usize;
-        let mut util = 0.0f64;
         let mut dims = std::collections::HashSet::new();
         let mut stack = vec![self.root];
         while let Some(pid) = stack.pop() {
             match self.read_node(pid)? {
-                KdbNode::Data(entries) => {
-                    st.data_nodes += 1;
-                    util += KdbNode::Data(entries).encoded_size(self.dim) as f64
-                        / self.cfg.page_size as f64;
-                }
+                KdbNode::Data(entries) => tally.data_node(DATA_HEADER_BYTES, entries.len()),
                 KdbNode::Index { kd, .. } => {
-                    st.index_nodes += 1;
-                    fanout_sum += kd.fanout();
+                    tally.index_node(kd.fanout());
                     let mut ds = Vec::new();
                     kd.split_dims(&mut ds);
                     dims.extend(ds);
@@ -953,20 +901,11 @@ impl<S: Storage> MultidimIndex for KdbTree<S> {
                 }
             }
         }
-        st.total_nodes = st.data_nodes + st.index_nodes;
-        st.avg_fanout = if st.index_nodes > 0 {
-            fanout_sum as f64 / st.index_nodes as f64
-        } else {
-            0.0
-        };
-        st.avg_leaf_utilization = if st.data_nodes > 0 {
-            util / st.data_nodes as f64
-        } else {
-            0.0
-        };
-        st.avg_overlap_fraction = 0.0; // clean splits by construction
-        st.distinct_split_dims = dims.len();
-        Ok(st)
+        Ok(StructureStats {
+            avg_overlap_fraction: 0.0, // clean splits by construction
+            distinct_split_dims: dims.len(),
+            ..tally.finish()
+        })
     }
 }
 
@@ -978,10 +917,7 @@ mod tests {
     use rand::rngs::StdRng;
 
     fn cfg() -> KdbTreeConfig {
-        KdbTreeConfig {
-            page_size: 256,
-            ..KdbTreeConfig::default()
-        }
+        KdbTreeConfig { page_size: 256 }
     }
 
     fn points(n: usize, dim: usize, seed: u64) -> Vec<Point> {

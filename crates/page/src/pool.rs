@@ -399,24 +399,19 @@ impl<S: Storage> BufferPool<S> {
     }
 
     /// Accounts one page access served from the decoded-node cache: the
-    /// query still requested the page, so `logical_reads` (or
-    /// `seq_reads`) and `hits` tick exactly as for a frame hit — the
-    /// paper's cost model counts node visits, not decodes, and
-    /// governance budgets keep their page-fetch granularity.
-    fn account_cached(&self, seq: bool, io: &mut IoStats) {
-        if seq {
-            io.seq_reads += 1;
-            self.stats.seq_reads.fetch_add(1, Relaxed);
-        } else {
-            io.logical_reads += 1;
-            self.stats.logical_reads.fetch_add(1, Relaxed);
-        }
+    /// query still requested the page, so `logical_reads` and `hits`
+    /// tick exactly as for a frame hit — the paper's cost model counts
+    /// node visits, not decodes, and governance budgets keep their
+    /// page-fetch granularity.
+    fn account_cached(&self, io: &mut IoStats) {
+        io.logical_reads += 1;
+        self.stats.logical_reads.fetch_add(1, Relaxed);
         io.hits += 1;
         self.stats.hits.fetch_add(1, Relaxed);
     }
 
-    /// Reads a page and returns its *decoded* form, shared behind an
-    /// `Arc`. `seq`, `io` and `ctx` are as for
+    /// Reads a page on the random-access path and returns its *decoded*
+    /// form, shared behind an `Arc`. `io` and `ctx` are as for
     /// [`read_with`](Self::read_with); admission is charged even when the
     /// decoded node is served from cache, so a read budget bounds
     /// cache-hit traversals exactly like cold ones.
@@ -428,7 +423,6 @@ impl<S: Storage> BufferPool<S> {
     pub fn read_decoded<T, E, F>(
         &self,
         id: PageId,
-        seq: bool,
         io: &mut IoStats,
         ctx: &QueryContext,
         decode: F,
@@ -444,7 +438,7 @@ impl<S: Storage> BufferPool<S> {
         // no-ops, except that the lookup still ticks the miss counter —
         // keeping `misses` == decode count in both cache modes.
         if let Some(node) = self.node_cache.get_as::<T>(id) {
-            self.account_cached(seq, io);
+            self.account_cached(io);
             return Ok(node);
         }
         // Snapshot the page epoch *before* touching the bytes: if a
@@ -452,7 +446,7 @@ impl<S: Storage> BufferPool<S> {
         // epoch and the cache discards it.
         let epoch = self.node_cache.epoch(id);
         let node = self
-            .read_with_impl(id, seq, io, decode)
+            .read_with_impl(id, false, io, decode)
             .map_err(E::from)??;
         let node = Arc::new(node);
         self.node_cache.insert(id, epoch, node.clone());
@@ -769,10 +763,10 @@ mod tests {
         p.write(a, &[7]).unwrap();
         let mut io = IoStats::default();
         let n1: Arc<u8> = p
-            .read_decoded(a, false, &mut io, QueryContext::unlimited(), decode_first)
+            .read_decoded(a, &mut io, QueryContext::unlimited(), decode_first)
             .unwrap();
         let n2: Arc<u8> = p
-            .read_decoded(a, false, &mut io, QueryContext::unlimited(), decode_first)
+            .read_decoded(a, &mut io, QueryContext::unlimited(), decode_first)
             .unwrap();
         assert_eq!((*n1, *n2), (7, 7));
         assert!(Arc::ptr_eq(&n1, &n2), "second visit shares the decode");
@@ -791,12 +785,12 @@ mod tests {
         p.write(a, &[1]).unwrap();
         let mut io = IoStats::default();
         let n: Arc<u8> = p
-            .read_decoded(a, false, &mut io, QueryContext::unlimited(), decode_first)
+            .read_decoded(a, &mut io, QueryContext::unlimited(), decode_first)
             .unwrap();
         assert_eq!(*n, 1);
         p.write(a, &[2]).unwrap();
         let n: Arc<u8> = p
-            .read_decoded(a, false, &mut io, QueryContext::unlimited(), decode_first)
+            .read_decoded(a, &mut io, QueryContext::unlimited(), decode_first)
             .unwrap();
         assert_eq!(*n, 2, "rewrite evicts the decoded form");
         p.free(a).unwrap();
@@ -811,13 +805,11 @@ mod tests {
         let ctx = QueryContext::default().with_max_reads(2);
         let mut io = IoStats::default();
         for _ in 0..2 {
-            let n: Result<Arc<u8>, PageError> =
-                p.read_decoded(a, false, &mut io, &ctx, decode_first);
+            let n: Result<Arc<u8>, PageError> = p.read_decoded(a, &mut io, &ctx, decode_first);
             assert_eq!(*n.unwrap(), 9);
         }
         // Third visit would be a cache hit, but the budget still governs.
-        let denied: Result<Arc<u8>, PageError> =
-            p.read_decoded(a, false, &mut io, &ctx, decode_first);
+        let denied: Result<Arc<u8>, PageError> = p.read_decoded(a, &mut io, &ctx, decode_first);
         assert!(matches!(
             denied,
             Err(PageError::Interrupted(crate::Interrupt::BudgetExhausted))

@@ -10,16 +10,15 @@
 use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Metric, Point, Rect};
 use hyt_index::{
-    check_dim, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome, StructureStats,
+    check_dim, leaf, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome,
+    StructureStats,
 };
-use hyt_page::{
-    BufferPool, ByteReader, ByteWriter, IoStats, MemStorage, NodeCacheStats, PageId, Storage,
-};
+use hyt_page::{BufferPool, ByteReader, ByteWriter, IoStats, MemStorage, PageId, Storage};
 
 /// Entries per page given the page and entry sizes.
 fn capacity(page_size: usize, dim: usize) -> usize {
     // Per-page header: u32 count.
-    (page_size - 4) / (4 * dim + 8)
+    (page_size - 4) / leaf::entry_bytes(dim)
 }
 
 /// A flat file of `(point, oid)` records scanned in page order.
@@ -43,34 +42,11 @@ impl SeqScan<MemStorage> {
         let storage = MemStorage::with_page_size(page_size);
         Self::with_storage(dim, storage)
     }
-
-    /// Creates an empty scan file with a custom page size and a
-    /// decoded-page cache of `node_cache_entries` entries (0 disables).
-    pub fn with_page_size_and_cache(
-        dim: usize,
-        page_size: usize,
-        node_cache_entries: usize,
-    ) -> IndexResult<Self> {
-        let storage = MemStorage::with_page_size(page_size);
-        Self::with_storage_and_cache(dim, storage, node_cache_entries)
-    }
 }
 
 impl<S: Storage> SeqScan<S> {
     /// Creates an empty scan file over the given store.
     pub fn with_storage(dim: usize, storage: S) -> IndexResult<Self> {
-        Self::with_storage_and_cache(dim, storage, 0)
-    }
-
-    /// Creates an empty scan file with a decoded-page cache of
-    /// `node_cache_entries` entries (0 disables it). The cache changes
-    /// only the number of page-decode invocations — never query results
-    /// or the sequential I/O accounting.
-    pub fn with_storage_and_cache(
-        dim: usize,
-        storage: S,
-        node_cache_entries: usize,
-    ) -> IndexResult<Self> {
         let cap = capacity(storage.page_size(), dim);
         if cap == 0 {
             return Err(hyt_index::IndexError::Internal(format!(
@@ -79,7 +55,7 @@ impl<S: Storage> SeqScan<S> {
             )));
         }
         Ok(Self {
-            pool: BufferPool::with_node_cache(storage, 0, node_cache_entries),
+            pool: BufferPool::new(storage, 0),
             pages: Vec::new(),
             dim,
             len: 0,
@@ -93,52 +69,26 @@ impl<S: Storage> SeqScan<S> {
         self.pages.len()
     }
 
-    fn decode_page(&self, buf: &[u8]) -> IndexResult<Vec<(Point, u64)>> {
-        let mut r = ByteReader::new(buf);
-        let n = r.get_u32()? as usize;
-        if n * (4 * self.dim + 8) > r.remaining() {
-            return Err(hyt_index::IndexError::Storage(
-                hyt_page::PageError::Corrupt(format!(
-                    "scan page claims {n} entries beyond the page"
-                )),
-            ));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut coords = Vec::with_capacity(self.dim);
-            for _ in 0..self.dim {
-                coords.push(r.get_f32()?);
-            }
-            let oid = r.get_u64()?;
-            out.push((Point::new(coords), oid));
-        }
-        Ok(out)
-    }
-
     fn encode_page(&self, entries: &[(Point, u64)]) -> Vec<u8> {
-        let mut w = ByteWriter::with_capacity(4 + entries.len() * (4 * self.dim + 8));
-        w.put_u32(entries.len() as u32);
-        for (p, oid) in entries {
-            for d in 0..self.dim {
-                w.put_f32(p.coord(d));
-            }
-            w.put_u64(*oid);
-        }
+        let mut w = ByteWriter::with_capacity(4 + entries.len() * leaf::entry_bytes(self.dim));
+        leaf::encode(&mut w, self.dim, entries.iter().map(|(p, oid)| (p, *oid)));
         w.into_inner()
     }
 
-    /// Decoded entries of one page via the sequential read path: the
-    /// read is attributed to `io` as a sequential access (the paper's
-    /// cost model discounts it 10x) and admitted by `ctx`, so an
-    /// interrupt lands within one pool read.
-    fn read_page_ctx(
+    /// Decoded entries of one page, read through the pool: `seq` picks
+    /// the sequential path (the paper's cost model discounts it 10x) and
+    /// `ctx` admits the fetch, so an interrupt lands within one pool
+    /// read.
+    fn read_page(
         &self,
         pid: PageId,
+        seq: bool,
         io: &mut IoStats,
         ctx: &QueryContext,
-    ) -> IndexResult<std::sync::Arc<Vec<(Point, u64)>>> {
-        self.pool
-            .read_decoded(pid, true, io, ctx, |buf| self.decode_page(buf))
+    ) -> IndexResult<Vec<(Point, u64)>> {
+        Ok(self.pool.read_with(pid, seq, io, ctx, |buf| {
+            leaf::decode(&mut ByteReader::new(buf), self.dim, |p, oid| (p, oid))
+        })??)
     }
 }
 
@@ -173,7 +123,7 @@ impl<S: Storage> NodeExpand for ScanExpand<'_, S> {
         out: &mut Vec<u64>,
         _children: &mut Vec<PageId>,
     ) -> IndexResult<NodeKind> {
-        let entries = self.tree.read_page_ctx(pid, io, ctx)?;
+        let entries = self.tree.read_page(pid, true, io, ctx)?;
         out.extend(
             entries
                 .iter()
@@ -192,8 +142,8 @@ impl<S: Storage> NodeExpand for ScanExpand<'_, S> {
         sink: &mut dyn EntrySink,
         _children: &mut Vec<Child<PageId>>,
     ) -> IndexResult<NodeKind> {
-        let entries = self.tree.read_page_ctx(pid, io, ctx)?;
-        for (p, oid) in entries.iter() {
+        let entries = self.tree.read_page(pid, true, io, ctx)?;
+        for (p, oid) in &entries {
             sink.offer(*oid, p);
         }
         Ok(NodeKind::Leaf)
@@ -218,13 +168,12 @@ impl<S: Storage> MultidimIndex for SeqScan<S> {
         let need_new_page = match self.pages.last() {
             None => true,
             Some(&last) => {
-                let mut entries = self.pool.read_with(
+                let mut entries = self.read_page(
                     last,
                     false,
                     &mut IoStats::default(),
                     QueryContext::unlimited(),
-                    |buf| self.decode_page(buf),
-                )??;
+                )?;
                 if entries.len() >= self.cap {
                     true
                 } else {
@@ -249,13 +198,12 @@ impl<S: Storage> MultidimIndex for SeqScan<S> {
         check_dim(self.dim, point.dim())?;
         for i in 0..self.pages.len() {
             let pid = self.pages[i];
-            let mut entries = self.pool.read_with(
+            let mut entries = self.read_page(
                 pid,
                 true,
                 &mut IoStats::default(),
                 QueryContext::unlimited(),
-                |buf| self.decode_page(buf),
-            )??;
+            )?;
             if let Some(j) = entries
                 .iter()
                 .position(|(p, o)| *o == oid && p.same_coords(point))
@@ -322,11 +270,6 @@ impl<S: Storage> MultidimIndex for SeqScan<S> {
 
     fn reset_io_stats(&self) {
         self.pool.reset_stats();
-        self.pool.node_cache().reset_stats();
-    }
-
-    fn cache_stats(&self) -> NodeCacheStats {
-        self.pool.node_cache_stats()
     }
 
     fn structure_stats(&self) -> IndexResult<StructureStats> {

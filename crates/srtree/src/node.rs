@@ -1,6 +1,7 @@
 //! On-page formats of the SR-tree.
 
 use hyt_geom::{Point, Rect};
+use hyt_index::leaf;
 use hyt_page::{ByteReader, ByteWriter, PageError, PageId, PageResult};
 
 const TAG_DATA: u8 = 0;
@@ -10,11 +11,6 @@ const TAG_INDEX: u8 = 1;
 pub const DATA_HEADER_BYTES: usize = 1 + 4;
 /// Header of an index node (tag + level + count).
 pub const INDEX_HEADER_BYTES: usize = 1 + 2 + 4;
-
-/// Bytes per data entry.
-pub fn data_entry_bytes(dim: usize) -> usize {
-    4 * dim + 8
-}
 
 /// Bytes per index entry: page id, weight, radius, centroid, rectangle.
 ///
@@ -26,7 +22,7 @@ pub fn index_entry_bytes(dim: usize) -> usize {
 
 /// Data entries a page can hold.
 pub fn data_capacity(page_size: usize, dim: usize) -> usize {
-    page_size.saturating_sub(DATA_HEADER_BYTES) / data_entry_bytes(dim)
+    page_size.saturating_sub(DATA_HEADER_BYTES) / leaf::entry_bytes(dim)
 }
 
 /// Index entries a page can hold.
@@ -68,7 +64,7 @@ impl SrNode {
     /// Serialized size in bytes.
     pub fn encoded_size(&self, dim: usize) -> usize {
         match self {
-            SrNode::Data(e) => DATA_HEADER_BYTES + e.len() * data_entry_bytes(dim),
+            SrNode::Data(e) => DATA_HEADER_BYTES + e.len() * leaf::entry_bytes(dim),
             SrNode::Index { entries, .. } => {
                 INDEX_HEADER_BYTES + entries.len() * index_entry_bytes(dim)
             }
@@ -81,13 +77,7 @@ impl SrNode {
         match self {
             SrNode::Data(entries) => {
                 w.put_u8(TAG_DATA);
-                w.put_u32(entries.len() as u32);
-                for (p, oid) in entries {
-                    for d in 0..dim {
-                        w.put_f32(p.coord(d));
-                    }
-                    w.put_u64(*oid);
-                }
+                leaf::encode(&mut w, dim, entries.iter().map(|(p, oid)| (p, *oid)));
             }
             SrNode::Index { level, entries } => {
                 w.put_u8(TAG_INDEX);
@@ -116,24 +106,7 @@ impl SrNode {
     pub fn decode(buf: &[u8], dim: usize) -> PageResult<Self> {
         let mut r = ByteReader::new(buf);
         match r.get_u8()? {
-            TAG_DATA => {
-                let n = r.get_u32()? as usize;
-                if n * data_entry_bytes(dim) > r.remaining() {
-                    return Err(PageError::Corrupt(format!(
-                        "SR data node claims {n} entries beyond the page"
-                    )));
-                }
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let mut coords = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        coords.push(r.get_f32()?);
-                    }
-                    let oid = r.get_u64()?;
-                    entries.push((Point::new(coords), oid));
-                }
-                Ok(SrNode::Data(entries))
-            }
+            TAG_DATA => Ok(SrNode::Data(leaf::decode(&mut r, dim, |p, oid| (p, oid))?)),
             TAG_INDEX => {
                 let level = r.get_u16()?;
                 let n = r.get_u32()? as usize;

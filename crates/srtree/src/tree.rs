@@ -1,16 +1,13 @@
 //! SR-tree operations.
 
-use crate::node::{data_capacity, index_capacity, ChildEntry, SrNode};
+use crate::node::{data_capacity, index_capacity, ChildEntry, SrNode, DATA_HEADER_BYTES};
 use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Metric, Point, Rect, L2};
 use hyt_index::{
     check_dim, IndexError, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome,
-    StructureStats,
+    StatsTally, StructureStats,
 };
-use hyt_page::{
-    BufferPool, IoStats, MemStorage, NodeCacheStats, PageId, Storage, DEFAULT_PAGE_SIZE,
-};
-use std::sync::Arc;
+use hyt_page::{BufferPool, IoStats, MemStorage, PageId, Storage, DEFAULT_PAGE_SIZE};
 
 /// Construction parameters of an [`SrTree`].
 #[derive(Clone, Debug)]
@@ -19,12 +16,6 @@ pub struct SrTreeConfig {
     pub page_size: usize,
     /// Minimum fill fraction guaranteed by splits.
     pub min_fill: f64,
-    /// Buffer-pool capacity in pages (0 = cold-cache accounting).
-    pub pool_pages: usize,
-    /// Decoded-node cache capacity in entries; 0 (the default) disables
-    /// it. Enabling it never changes query results or logical I/O
-    /// accounting, only the number of `SrNode::decode` invocations.
-    pub node_cache_entries: usize,
 }
 
 impl Default for SrTreeConfig {
@@ -32,8 +23,6 @@ impl Default for SrTreeConfig {
         Self {
             page_size: DEFAULT_PAGE_SIZE,
             min_fill: 0.4,
-            pool_pages: 0,
-            node_cache_entries: 0,
         }
     }
 }
@@ -92,7 +81,7 @@ impl<S: Storage> SrTree<S> {
         }
         let data_min = ((cfg.min_fill * data_cap as f64).floor() as usize).max(1);
         let index_min = ((cfg.min_fill * index_cap as f64).floor() as usize).max(1);
-        let pool = BufferPool::with_node_cache(storage, cfg.pool_pages, cfg.node_cache_entries);
+        let pool = BufferPool::new(storage, 0);
         let root = pool.allocate()?;
         pool.write(root, &SrNode::Data(Vec::new()).encode(dim))?;
         Ok(Self {
@@ -120,23 +109,20 @@ impl<S: Storage> SrTree<S> {
     }
 
     fn read_node(&self, pid: PageId) -> IndexResult<SrNode> {
-        let mut io = IoStats::default();
-        Ok(self
-            .pool
-            .read_with(pid, false, &mut io, QueryContext::unlimited(), |buf| {
-                SrNode::decode(buf, self.dim)
-            })??)
+        self.read_node_ctx(pid, &mut IoStats::default(), QueryContext::unlimited())
     }
 
+    /// Governed node read: `ctx` admits the fetch, `io` is charged one
+    /// logical read, and the page is decoded in place from the pool.
     fn read_node_ctx(
         &self,
         pid: PageId,
         io: &mut IoStats,
         ctx: &QueryContext,
-    ) -> IndexResult<Arc<SrNode>> {
-        self.pool.read_decoded(pid, false, io, ctx, |buf| {
-            Ok(SrNode::decode(buf, self.dim)?)
-        })
+    ) -> IndexResult<SrNode> {
+        Ok(self
+            .pool
+            .read_with(pid, false, io, ctx, |buf| SrNode::decode(buf, self.dim))??)
     }
 
     fn write_node(&mut self, pid: PageId, node: &SrNode) -> IndexResult<()> {
@@ -539,8 +525,7 @@ impl<S: Storage> NodeExpand for SrExpand<'_, S> {
         out: &mut Vec<u64>,
         children: &mut Vec<PageId>,
     ) -> IndexResult<NodeKind> {
-        let node = self.tree.read_node_ctx(pid, io, ctx)?;
-        match &*node {
+        match &self.tree.read_node_ctx(pid, io, ctx)? {
             SrNode::Data(entries) => {
                 out.extend(
                     entries
@@ -571,8 +556,7 @@ impl<S: Storage> NodeExpand for SrExpand<'_, S> {
         sink: &mut dyn EntrySink,
         children: &mut Vec<Child<PageId>>,
     ) -> IndexResult<NodeKind> {
-        let node = self.tree.read_node_ctx(pid, io, ctx)?;
-        match &*node {
+        match &self.tree.read_node_ctx(pid, io, ctx)? {
             SrNode::Data(entries) => {
                 for (p, oid) in entries {
                     sink.offer(*oid, p);
@@ -691,54 +675,29 @@ impl<S: Storage> MultidimIndex for SrTree<S> {
 
     fn reset_io_stats(&self) {
         self.pool.reset_stats();
-        self.pool.node_cache().reset_stats();
-    }
-
-    fn cache_stats(&self) -> NodeCacheStats {
-        self.pool.node_cache_stats()
     }
 
     fn structure_stats(&self) -> IndexResult<StructureStats> {
-        let mut st = StructureStats {
-            height: self.height,
-            ..StructureStats::default()
-        };
+        let mut tally = StatsTally::new(self.height, self.cfg.page_size, self.dim);
         if self.len == 0 {
-            st.total_nodes = 1;
-            st.data_nodes = 1;
-            return Ok(st);
+            return Ok(tally.finish());
         }
-        let mut fanout_sum = 0usize;
-        let mut util = 0.0f64;
         let mut stack = vec![self.root];
         while let Some(pid) = stack.pop() {
             match self.read_node(pid)? {
-                SrNode::Data(entries) => {
-                    st.data_nodes += 1;
-                    util += SrNode::Data(entries).encoded_size(self.dim) as f64
-                        / self.cfg.page_size as f64;
-                }
+                SrNode::Data(entries) => tally.data_node(DATA_HEADER_BYTES, entries.len()),
                 SrNode::Index { entries, .. } => {
-                    st.index_nodes += 1;
-                    fanout_sum += entries.len();
+                    tally.index_node(entries.len());
                     stack.extend(entries.iter().map(|e| e.pid));
                 }
             }
         }
-        st.total_nodes = st.data_nodes + st.index_nodes;
-        st.avg_fanout = if st.index_nodes > 0 {
-            fanout_sum as f64 / st.index_nodes as f64
-        } else {
-            0.0
-        };
-        st.avg_leaf_utilization = if st.data_nodes > 0 {
-            util / st.data_nodes as f64
-        } else {
-            0.0
-        };
-        // Every dimension participates in every BR: no implicit reduction.
-        st.distinct_split_dims = self.dim;
-        Ok(st)
+        Ok(StructureStats {
+            // Every dimension participates in every BR: no implicit
+            // reduction.
+            distinct_split_dims: self.dim,
+            ..tally.finish()
+        })
     }
 }
 

@@ -14,6 +14,9 @@ echo "== cargo clippy hyt-page (read paths must be panic-free: unwrap/expect den
 cargo clippy -p hyt-page --lib -- -D warnings -D clippy::unwrap_used -D clippy::expect_used \
     -D clippy::undocumented_unsafe_blocks
 
+echo "== cargo clippy hyt-index (the shared leaf decoder parses untrusted page bytes for every engine: unwrap/expect denied)"
+cargo clippy -p hyt-index --lib -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
+
 echo "== cargo test"
 cargo test --workspace -q
 

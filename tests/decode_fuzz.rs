@@ -6,9 +6,10 @@
 
 use hybridtree_repro::core::{scrub_index, ElsTable, HybridTree, HybridTreeConfig, KdTree, Node};
 use hybridtree_repro::geom::Point;
-use hybridtree_repro::index::MultidimIndex;
+use hybridtree_repro::index::{leaf, MultidimIndex};
 use hybridtree_repro::page::{
-    inspect_frame, inspect_header, ByteReader, DurableStorage, FrameStatus, FRAME_HEADER_BYTES,
+    inspect_frame, inspect_header, ByteReader, ByteWriter, DurableStorage, FrameStatus, PageError,
+    FRAME_HEADER_BYTES,
 };
 use proptest::prelude::*;
 
@@ -32,7 +33,78 @@ fn valid_data_node(dim: usize, n: usize) -> Vec<u8> {
     Node::Data(entries).encode(dim)
 }
 
+/// A valid leaf payload (count + entries), as every engine writes it.
+fn valid_leaf(dim: usize, n: usize) -> Vec<u8> {
+    let entries: Vec<(Point, u64)> = (0..n)
+        .map(|i| {
+            let p = Point::new((0..dim).map(|d| (i * dim + d) as f32 / 64.0).collect());
+            (p, i as u64)
+        })
+        .collect();
+    let mut w = ByteWriter::new();
+    leaf::encode(&mut w, dim, entries.iter().map(|(p, oid)| (p, *oid)));
+    w.into_inner()
+}
+
+/// Runs the shared leaf decoder, which every engine's data pages go
+/// through: it must return entries or a `Corrupt` error, nothing else.
+fn decode_leaf(buf: &[u8], dim: usize) -> Result<Vec<(Point, u64)>, ()> {
+    match leaf::decode(&mut ByteReader::new(buf), dim, |p, oid| (p, oid)) {
+        Ok(entries) => Ok(entries),
+        Err(PageError::Corrupt(_)) => Err(()),
+        Err(e) => panic!("leaf decode failed with a non-corruption error: {e}"),
+    }
+}
+
 proptest! {
+    // The shared leaf decoder on arbitrary bytes, and on arbitrary bytes
+    // behind a small count so the entry parsing itself is reached.
+    #[test]
+    fn leaf_decode_never_panics_on_garbage(
+        raw in proptest::collection::vec(0u16..256, 0..600),
+        count in 0u32..8,
+        dim in 1usize..20,
+    ) {
+        let bytes: Vec<u8> = raw.iter().map(|&v| v as u8).collect();
+        let _ = decode_leaf(&bytes, dim);
+        let mut counted = count.to_le_bytes().to_vec();
+        counted.extend_from_slice(&bytes);
+        if let Ok(entries) = decode_leaf(&counted, dim) {
+            prop_assert_eq!(entries.len(), count as usize);
+        }
+    }
+
+    // Every truncation of a valid leaf is rejected; the whole one decodes.
+    #[test]
+    fn leaf_decode_rejects_truncation(cut in 0usize..400, dim in 1usize..9) {
+        let buf = valid_leaf(dim, 8);
+        if cut < buf.len() {
+            prop_assert!(decode_leaf(&buf[..cut], dim).is_err());
+        } else {
+            prop_assert_eq!(decode_leaf(&buf, dim).unwrap().len(), 8);
+        }
+    }
+
+    // Bit flips in a valid leaf, decoded at the same dim and at a
+    // different dim (a page read with the wrong dimensionality).
+    #[test]
+    fn leaf_decode_survives_bit_flips(
+        pos in 0usize..300,
+        bit in 0u8..8,
+        dim in 1usize..9,
+        other_dim in 1usize..9,
+    ) {
+        let mut buf = valid_leaf(dim, 8);
+        let pos = pos % buf.len();
+        buf[pos] ^= 1 << bit;
+        if let Ok(entries) = decode_leaf(&buf, dim) {
+            // Only the count can change which bytes are entries; a flip
+            // inside an entry leaves eight of them.
+            prop_assert!(pos < 4 || entries.len() == 8);
+        }
+        let _ = decode_leaf(&buf, other_dim);
+    }
+
     // Arbitrary garbage: the decoder must classify, not crash.
     #[test]
     fn node_decode_never_panics_on_garbage(

@@ -1,27 +1,50 @@
 //! Decoded-node cache: invalidation regression tests and the
-//! cache-on ≡ cache-off equivalence property across every engine.
+//! cache-on ≡ cache-off equivalence property across the hybrid tree's
+//! variants, the only engine with the cache.
 //!
 //! The cache memoizes *decoded* nodes keyed by `(page, write epoch)`;
 //! enabling it must be invisible in every observable except decode
-//! counts — same answers, same logical/sequential read accounting, same
-//! degradation points under PR 3 read budgets. These tests pin that
+//! counts — same answers, same logical read accounting, same
+//! degradation points under read budgets. These tests pin that
 //! contract, plus the invalidation rules (rewrite bumps the epoch, free
 //! evicts, stale-epoch inserts are discarded).
 
-use hybridtree_repro::eval::{build_engine_cached, run_batch, BatchPolicy, BatchQuery, Engine};
+use hybridtree_repro::eval::{run_batch, BatchPolicy, BatchQuery, Engine};
 use hybridtree_repro::page::{BufferPool, IoStats, MemStorage, NodeCache, PageId};
 use hybridtree_repro::prelude::*;
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
-const ENGINES: [Engine; 5] = [
+const ENGINES: [Engine; 4] = [
     Engine::Hybrid,
-    Engine::Hb,
-    Engine::Sr,
-    Engine::Kdb,
-    Engine::Scan,
+    Engine::HybridVam,
+    Engine::HybridEls(0),
+    Engine::HybridBulk,
 ];
+
+/// Builds a hybrid variant with a decoded-node cache of
+/// `node_cache_entries` entries (0 disables it).
+fn build(engine: Engine, data: &[Point], node_cache_entries: usize) -> HybridTree {
+    let mut cfg = HybridTreeConfig {
+        node_cache_entries,
+        ..HybridTreeConfig::default()
+    };
+    match engine {
+        Engine::HybridVam => cfg.split_policy = SplitPolicy::Vam,
+        Engine::HybridEls(bits) => cfg.els_bits = bits,
+        _ => {}
+    }
+    let entries = data.iter().cloned().zip(0u64..);
+    if engine == Engine::HybridBulk {
+        return HybridTree::bulk_load(entries.collect(), cfg).unwrap();
+    }
+    let mut tree = HybridTree::new(data[0].dim(), cfg).unwrap();
+    for (p, oid) in entries {
+        tree.insert(p, oid).unwrap();
+    }
+    tree
+}
 
 // ---------------------------------------------------------------------
 // Pool-level invalidation regression
@@ -30,7 +53,7 @@ const ENGINES: [Engine; 5] = [
 fn decoded_first_byte(pool: &BufferPool<MemStorage>, id: PageId) -> u8 {
     let mut io = IoStats::default();
     let node: std::sync::Arc<u8> = pool
-        .read_decoded(id, false, &mut io, QueryContext::unlimited(), |buf| {
+        .read_decoded(id, &mut io, QueryContext::unlimited(), |buf| {
             Ok::<_, hybridtree_repro::page::PageError>(buf[0])
         })
         .unwrap();
@@ -139,7 +162,7 @@ fn hybrid_tree_cache_survives_splits_and_deletes() {
 }
 
 // ---------------------------------------------------------------------
-// Cache-on ≡ cache-off equivalence property, all five engines
+// Cache-on ≡ cache-off equivalence property, every hybrid variant
 // ---------------------------------------------------------------------
 
 /// Strips the fields a decoded-node cache hit may legitimately change
@@ -156,12 +179,12 @@ fn observable(a: &hybridtree_repro::eval::GovernedAnswer) -> impl PartialEq + st
     )
 }
 
-fn mixed_queries(data: &[Point], seed: u64, box_only: bool) -> Vec<BatchQuery> {
+fn mixed_queries(data: &[Point], seed: u64) -> Vec<BatchQuery> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..10)
         .map(|i| {
             let c = data[rng.gen_range(0..data.len())].clone();
-            if box_only || i % 3 == 0 {
+            if i % 3 == 0 {
                 let h = rng.gen_range(0.05..0.4f32);
                 BatchQuery::Box(Rect::new(
                     c.coords().iter().map(|x| x - h).collect(),
@@ -188,14 +211,14 @@ fn assert_cache_transparent(data: &[Point], seed: u64, max_reads: Option<u64>) -
     };
     let mut any_degraded = false;
     for engine in ENGINES {
-        let queries = mixed_queries(data, seed, engine == Engine::Hb);
-        let (off, _) = build_engine_cached(engine, data, 0).unwrap();
-        let (on, _) = build_engine_cached(engine, data, 512).unwrap();
-        let base = run_batch(off.as_ref(), &L2, &queries, 1, &policy, None).unwrap();
+        let queries = mixed_queries(data, seed);
+        let off = build(engine, data, 0);
+        let on = build(engine, data, 512);
+        let base = run_batch(&off, &L2, &queries, 1, &policy, None).unwrap();
         // Two passes over the cached build: the second runs against a
         // warm cache, where hits actually happen.
         for pass in 0..2 {
-            let got = run_batch(on.as_ref(), &L2, &queries, 1, &policy, None).unwrap();
+            let got = run_batch(&on, &L2, &queries, 1, &policy, None).unwrap();
             assert_eq!(base.len(), got.len());
             for (i, (b, g)) in base.iter().zip(&got).enumerate() {
                 assert_eq!(
@@ -231,7 +254,8 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
     /// Randomized datasets, query mixes, and budgets: enabling the
-    /// decoded-node cache never changes any observable on any engine.
+    /// decoded-node cache never changes any observable on any hybrid
+    /// variant.
     #[test]
     fn cache_equivalence_holds_for_arbitrary_workloads(
         seed in 0u64..1_000,

@@ -76,13 +76,13 @@ proptest! {
 
     #[test]
     fn hbtree_matches_oracle(ops in proptest::collection::vec(op_strategy(3), 1..200)) {
-        let cfg = HbTreeConfig { page_size: 256, ..HbTreeConfig::default() };
+        let cfg = HbTreeConfig { page_size: 256 };
         run_ops(Box::new(HbTree::new(3, cfg).unwrap()), ops);
     }
 
     #[test]
     fn kdbtree_matches_oracle(ops in proptest::collection::vec(op_strategy(3), 1..200)) {
-        let cfg = KdbTreeConfig { page_size: 256, ..KdbTreeConfig::default() };
+        let cfg = KdbTreeConfig { page_size: 256 };
         run_ops(Box::new(KdbTree::new(3, cfg).unwrap()), ops);
     }
 
@@ -104,9 +104,9 @@ proptest! {
                 other => other,
             })
             .collect();
-        let kdb_cfg = KdbTreeConfig { page_size: 256, ..KdbTreeConfig::default() };
+        let kdb_cfg = KdbTreeConfig { page_size: 256 };
         run_ops(Box::new(KdbTree::new(2, kdb_cfg).unwrap()), ops.clone());
-        let hb_cfg = HbTreeConfig { page_size: 256, ..HbTreeConfig::default() };
+        let hb_cfg = HbTreeConfig { page_size: 256 };
         run_ops(Box::new(HbTree::new(2, hb_cfg).unwrap()), ops);
     }
 }
