@@ -82,8 +82,17 @@ impl<S: Storage> HybridTree<S> {
         let len = entries.len();
         let global_br = Rect::bounding(&entries.iter().map(|(p, _)| p.clone()).collect::<Vec<_>>());
 
-        let pool = BufferPool::with_node_cache(storage, cfg.pool_pages, cfg.node_cache_entries);
-        let mut els = ElsTable::new(dim, cfg.els_bits);
+        let els = ElsTable::new(dim, cfg.els_bits);
+        let mut tree = Self::assemble(
+            storage,
+            PageId::INVALID,
+            1,
+            dim,
+            len,
+            cfg,
+            Some(global_br),
+            els,
+        );
 
         // ---- 1. leaf level: recursive clean partitioning ----------------
         let mut data_entries: Vec<DataEntry> = entries
@@ -92,8 +101,8 @@ impl<S: Storage> HybridTree<S> {
             .collect();
         let mut leaves: Vec<(PageId, Rect)> = Vec::new();
         build_leaves(
-            &pool,
-            &mut els,
+            &tree.pool,
+            &mut tree.els,
             dim,
             data_cap,
             &mut data_entries,
@@ -102,7 +111,7 @@ impl<S: Storage> HybridTree<S> {
 
         // ---- 2. index levels: pack consecutive children -----------------
         // Fanout F costs INDEX_HEADER + (F-1) internals + F leaves.
-        let max_fanout = ((cfg.page_size - INDEX_HEADER_BYTES + INTERNAL_BYTES)
+        let max_fanout = ((tree.cfg.page_size - INDEX_HEADER_BYTES + INTERNAL_BYTES)
             / (INTERNAL_BYTES + LEAF_BYTES))
             .max(2);
         let mut level: u16 = 0;
@@ -129,38 +138,31 @@ impl<S: Storage> HybridTree<S> {
                     next.push(group[0].clone());
                     continue;
                 }
-                let kd = build_kd(group, &cfg.query_size);
-                let pid = pool.allocate()?;
+                let kd = build_kd(group, &tree.cfg.query_size);
+                let pid = tree.pool.allocate()?;
                 let node = Node::Index { level, kd };
                 let buf = node.encode(dim);
-                if buf.len() > cfg.page_size {
+                if buf.len() > tree.cfg.page_size {
                     return Err(IndexError::Internal(format!(
                         "bulk-load packed an oversized index node ({} bytes)",
                         buf.len()
                     )));
                 }
-                pool.write(pid, &buf)?;
+                tree.pool.write(pid, &buf)?;
                 let mut live = group[0].1.clone();
                 for (_, r) in &group[1..] {
                     live.extend_to_rect(r);
                 }
-                els.set_from_rects(pid, [live.clone()].iter(), &live);
+                tree.els.set_from_rects(pid, [live.clone()].iter(), &live);
                 next.push((pid, live));
             }
             current = next;
         }
 
         let (root, _) = current.pop().expect("at least one node");
-        Ok(Self::assemble(
-            pool,
-            root,
-            level as usize + 1,
-            dim,
-            len,
-            cfg,
-            Some(global_br),
-            els,
-        ))
+        tree.root = root;
+        tree.height = level as usize + 1;
+        Ok(tree)
     }
 }
 

@@ -92,9 +92,9 @@ pub struct HybridTreeConfig {
     /// so every logical access is also physical — the paper's cold-cache
     /// disk-access accounting.
     pub pool_pages: usize,
-    /// Capacity (in entries) of the decoded-node cache attached to the
-    /// buffer pool. `0` (the default) disables it, so every node visit
-    /// pays a full decode — the configuration all correctness baselines
+    /// Capacity (in data pages) of the tree's decoded-node cache. `0`
+    /// (the default) disables it, so every data-page visit pays a full
+    /// decode — the configuration all correctness baselines
     /// run under. Enabling it never changes query results or logical
     /// I/O accounting, only the number of `Node::decode` invocations.
     pub node_cache_entries: usize,

@@ -52,6 +52,7 @@
 //! ```
 
 mod bulk;
+mod cache;
 mod config;
 mod els;
 mod kdtree;

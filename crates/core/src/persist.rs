@@ -49,9 +49,7 @@ use crate::tree::HybridTree;
 use crate::verify::{self, Els, Issue};
 use hyt_geom::Rect;
 use hyt_index::{IndexError, IndexResult};
-use hyt_page::{
-    crc32, BufferPool, ByteReader, ByteWriter, DurableStorage, PageError, PageId, Storage,
-};
+use hyt_page::{crc32, ByteReader, ByteWriter, DurableStorage, PageError, PageId, Storage};
 use std::io::Write as _;
 use std::path::Path;
 
@@ -356,13 +354,8 @@ impl HybridTree<DurableStorage> {
         match catalog.els {
             Ok(els) if !diverged => {
                 let core = catalog.core;
-                let pool = BufferPool::with_node_cache(
-                    storage,
-                    core.cfg.pool_pages,
-                    core.cfg.node_cache_entries,
-                );
                 Ok(Self::assemble(
-                    pool,
+                    storage,
                     core.root,
                     core.height,
                     core.dim,
@@ -411,15 +404,13 @@ impl HybridTree<DurableStorage> {
                 storage.free(id)?;
             }
         }
-        let cfg = core.cfg;
-        let pool = BufferPool::with_node_cache(storage, cfg.pool_pages, cfg.node_cache_entries);
         Ok(Self::assemble(
-            pool,
+            storage,
             core.root,
             core.height,
             core.dim,
             core.len,
-            cfg,
+            core.cfg,
             core.global_br,
             els,
         ))

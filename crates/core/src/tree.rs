@@ -1,5 +1,6 @@
 //! The hybrid tree proper: construction, insertion, deletion, and search.
 
+use crate::cache::{Leaf, LeafCache};
 use crate::config::HybridTreeConfig;
 use crate::els::ElsTable;
 use crate::kdtree::KdTree;
@@ -10,12 +11,10 @@ use crate::view::NodeView;
 use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Coord, Metric, Point, Rect};
 use hyt_index::{
-    check_dim, IndexError, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome,
-    StructureStats,
+    check_dim, IndexError, IndexResult, KnnStream, MultidimIndex, NodeCacheStats, QueryContext,
+    QueryOutcome, StructureStats,
 };
-use hyt_page::{
-    BufferPool, IoStats, MemStorage, NodeCacheStats, PageError, PageId, PageResult, Storage,
-};
+use hyt_page::{BufferPool, IoStats, MemStorage, PageError, PageId, PageResult, Storage};
 use std::sync::Arc;
 
 /// A split propagating up from a child: the child kept the lower half and
@@ -55,6 +54,9 @@ pub(crate) fn root_region_of(global_br: Option<&Rect>, dim: usize) -> Rect {
 /// See the [crate docs](crate) for an overview and example.
 pub struct HybridTree<S: Storage = MemStorage> {
     pub(crate) pool: BufferPool<S>,
+    /// Decoded data pages (`cfg.node_cache_entries` of them), dropped
+    /// page by page by the tree's own writes and frees.
+    cache: LeafCache,
     pub(crate) root: PageId,
     /// Number of levels; 1 means the root is a data node.
     pub(crate) height: usize,
@@ -103,33 +105,21 @@ impl<S: Storage> HybridTree<S> {
                 cfg.page_size
             )));
         }
-        let data_min = data_min(cfg.min_fill, data_cap);
         let els = ElsTable::new(dim, cfg.els_bits);
-        let pool = BufferPool::with_node_cache(storage, cfg.pool_pages, cfg.node_cache_entries);
-        let root = pool.allocate()?;
-        let empty = Node::Data(Vec::new());
-        pool.write(root, &empty.encode(dim))?;
-        Ok(Self {
-            pool,
-            root,
-            height: 1,
-            dim,
-            len: 0,
-            cfg,
-            data_cap,
-            data_min,
-            global_br: None,
-            els,
-            rr_state: 0,
-        })
+        let mut tree = Self::assemble(storage, PageId::INVALID, 1, dim, 0, cfg, None, els);
+        tree.root = tree.pool.allocate()?;
+        tree.write_node(tree.root, &Node::Data(Vec::new()))?;
+        Ok(tree)
     }
 
-    /// Assembles a tree from parts already written to storage (the bulk
-    /// loader's and `open`'s back door; invariants are the caller's
-    /// responsibility and are checked by its tests).
+    /// Assembles a tree over `storage`, building its buffer pool and
+    /// decoded-page cache from `cfg`: the one place either is made. The
+    /// bulk loader and `open` pass parts already written to storage;
+    /// their invariants are the caller's responsibility and are checked
+    /// by its tests.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
-        pool: BufferPool<S>,
+        storage: S,
         root: PageId,
         height: usize,
         dim: usize,
@@ -141,7 +131,8 @@ impl<S: Storage> HybridTree<S> {
         let data_cap = data_capacity(cfg.page_size, dim);
         Self {
             data_min: data_min(cfg.min_fill, data_cap),
-            pool,
+            pool: BufferPool::new(storage, cfg.pool_pages),
+            cache: LeafCache::new(cfg.node_cache_entries),
             root,
             height,
             dim,
@@ -291,24 +282,45 @@ impl<S: Storage> HybridTree<S> {
 
     /// Governed data-page read: `ctx` must admit the fetch (cancel,
     /// deadline, read budget) or this fails with an interrupt before
-    /// touching the pool. Returns the shared decoded entries: with the
-    /// decoded-node cache enabled a repeat visit skips `Node::decode`
-    /// entirely while still counting one logical read. Directory pages
-    /// are walked in place ([`NodeView`]) and never come through here;
-    /// an index page is reported as corrupt.
-    pub(crate) fn read_node_ctx(
+    /// touching the pool. Returns the shared decoded entries: a visit
+    /// the cache serves skips `Node::decode` but still counts one
+    /// logical read. Directory pages are walked in place ([`NodeView`])
+    /// and never come through here; an index page is reported as corrupt.
+    pub(crate) fn read_leaf(
         &self,
         pid: PageId,
         io: &mut IoStats,
         ctx: &QueryContext,
-    ) -> IndexResult<Arc<Vec<DataEntry>>> {
-        self.pool
-            .read_decoded(pid, io, ctx, |buf| match Node::decode(buf, self.dim)? {
-                Node::Data(entries) => Ok(entries),
-                Node::Index { .. } => Err(IndexError::Storage(PageError::Corrupt(format!(
-                    "{pid}: expected a data node at the leaf level"
-                )))),
-            })
+    ) -> IndexResult<Leaf> {
+        ctx.admit_read(io).map_err(PageError::Interrupted)?;
+        if let Some(leaf) = self.cache.get(pid) {
+            self.pool.account_cached(io);
+            return Ok(leaf);
+        }
+        // Admitted above: the pool read itself runs unlimited.
+        let leaf = self
+            .pool
+            .read_with(
+                pid,
+                false,
+                io,
+                QueryContext::unlimited(),
+                |buf| match Node::decode(buf, self.dim)? {
+                    Node::Data(entries) => Ok(Arc::new(entries)),
+                    Node::Index { .. } => Err(IndexError::Storage(PageError::Corrupt(format!(
+                        "{pid}: expected a data node at the leaf level"
+                    )))),
+                },
+            )??;
+        self.cache.insert(pid, Arc::clone(&leaf));
+        Ok(leaf)
+    }
+
+    /// Frees a page and drops its cached decode.
+    fn free_page(&mut self, pid: PageId) -> IndexResult<()> {
+        self.cache.invalidate(pid);
+        self.pool.free(pid)?;
+        Ok(())
     }
 
     fn write_node(&mut self, pid: PageId, node: &Node) -> IndexResult<()> {
@@ -320,6 +332,7 @@ impl<S: Storage> HybridTree<S> {
                 self.cfg.page_size
             )));
         }
+        self.cache.invalidate(pid);
         self.pool.write(pid, &buf)?;
         Ok(())
     }
@@ -533,7 +546,7 @@ impl<S: Storage> HybridTree<S> {
                         DelOutcome::NotFound => continue,
                         DelOutcome::Done(orphans) => return Ok(DelOutcome::Done(orphans)),
                         DelOutcome::Eliminated(mut orphans) => {
-                            self.pool.free(child)?;
+                            self.free_page(child)?;
                             self.els.remove(child);
                             if !kd.remove_leaf(child) {
                                 // kd was a single leaf: this node is empty.
@@ -571,7 +584,7 @@ impl<S: Storage> HybridTree<S> {
                 Node::Data(entries) => out.extend(entries),
                 Node::Index { kd, .. } => stack.extend(kd.child_ids()),
             }
-            self.pool.free(pid)?;
+            self.free_page(pid)?;
             self.els.remove(pid);
         }
         Ok(out)
@@ -583,7 +596,7 @@ impl<S: Storage> HybridTree<S> {
             match node {
                 Node::Index { kd, .. } if kd.fanout() == 1 => {
                     let child = kd.child_ids()[0];
-                    self.pool.free(self.root)?;
+                    self.free_page(self.root)?;
                     self.els.remove(self.root);
                     self.els.remove(child); // the new root needs no entry
                     self.root = child;
@@ -700,7 +713,7 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
         if r.depth == t.height - 1 {
             // Data pages are decoded (shared, cacheable): the metric
             // reads every entry as a `&Point`.
-            let entries = t.read_node_ctx(r.pid, io, ctx)?;
+            let entries = t.read_leaf(r.pid, io, ctx)?;
             for e in entries.iter() {
                 sink.offer(e.oid, &e.point);
             }
@@ -845,11 +858,11 @@ impl<S: Storage> MultidimIndex for HybridTree<S> {
 
     fn reset_io_stats(&self) {
         self.pool.reset_stats();
-        self.pool.node_cache().reset_stats();
+        self.cache.reset_stats();
     }
 
     fn cache_stats(&self) -> NodeCacheStats {
-        self.pool.node_cache_stats()
+        self.cache.stats()
     }
 
     fn structure_stats(&self) -> IndexResult<StructureStats> {

@@ -14,7 +14,7 @@ use std::fmt;
 
 pub mod leaf;
 
-pub use hyt_page::{CancelToken, Interrupt, NodeCacheStats, QueryContext};
+pub use hyt_page::{CancelToken, Interrupt, QueryContext};
 
 /// Errors surfaced by index operations.
 #[derive(Debug)]
@@ -506,7 +506,7 @@ pub trait MultidimIndex: Send + Sync {
     /// Resets the pool-global I/O counters.
     fn reset_io_stats(&self);
 
-    /// Decoded-node cache counters for this index's pool since the last
+    /// Decoded-node cache counters for this index since the last
     /// [`reset_io_stats`](Self::reset_io_stats) (`misses` is the decode
     /// count of the workload). All zeros for engines without such a
     /// cache, or with it disabled.
@@ -516,6 +516,33 @@ pub trait MultidimIndex: Send + Sync {
 
     /// Structural statistics of the current tree.
     fn structure_stats(&self) -> IndexResult<StructureStats>;
+}
+
+/// Counters of an index's decoded-node cache (see
+/// [`MultidimIndex::cache_stats`]). A *miss* is exactly one decode, so
+/// `misses` is the decode count of a workload, cache on or off.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NodeCacheStats {
+    /// Lookups served from the cache (decode skipped).
+    pub hits: u64,
+    /// Lookups that fell through to a decode.
+    pub misses: u64,
+    /// Entries dropped by LRU capacity pressure.
+    pub evictions: u64,
+    /// Entries dropped because their page was rewritten or freed.
+    pub invalidations: u64,
+}
+
+impl NodeCacheStats {
+    /// Fraction of lookups served from the cache (0 when idle).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
 }
 
 /// Checks an argument's dimensionality against the index's.

@@ -4,9 +4,10 @@
 //! A serving system cannot let one pathological query (a huge-radius
 //! range query on a high-overlap tree, a kNN scan over a degraded index)
 //! hold a worker thread and the buffer pool hostage. [`QueryContext`]
-//! carries the limits a caller imposes on one query; the
-//! [`BufferPool`](crate::BufferPool)'s two read methods (`read_with`,
-//! `read_decoded`) consult it before every page fetch, so a cancel, an
+//! carries the limits a caller imposes on one query;
+//! [`BufferPool::read_with`](crate::BufferPool::read_with) consults it
+//! before every page fetch (a visit served from a caller's own cache is
+//! admitted with [`QueryContext::admit_read`] all the same), so a cancel, an
 //! expired deadline, or an exhausted budget is observed within **one
 //! pool read** — the unit the paper's cost model charges for anyway.
 //!

@@ -24,7 +24,6 @@
 
 #![deny(unsafe_code)]
 
-mod cache;
 mod checksum;
 mod codec;
 mod crc;
@@ -35,7 +34,6 @@ mod govern;
 mod pool;
 mod storage;
 
-pub use cache::{CachedNode, NodeCache, NodeCacheStats};
 pub use checksum::{ChecksumStorage, DurableStorage};
 pub use codec::{ByteReader, ByteWriter};
 pub use crc::crc32;

@@ -13,12 +13,10 @@
 //! experiments depend on that determinism. Large pools trade exact LRU
 //! for per-shard LRU to cut contention.
 
-use crate::cache::{NodeCache, NodeCacheStats};
 use crate::{PageError, PageId, PageResult, QueryContext, Storage};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
 
 /// Pools at least this large split their frame table into
 /// `NUM_SHARDS` shards; smaller pools keep one shard and exact LRU.
@@ -45,7 +43,7 @@ const RETRY_BASE_DELAY_US: u64 = 50;
 ///
 /// Two sets of these counters exist: the pool-global set (read with
 /// [`BufferPool::stats`]) and per-caller accumulators passed to
-/// [`BufferPool::read_with`] and [`BufferPool::read_decoded`], which
+/// [`BufferPool::read_with`] and [`BufferPool::account_cached`], which
 /// attribute I/O to the query that incurred it. `logical_reads` and
 /// `seq_reads` of a query depend only on the
 /// pages its traversal requests, so they are identical whether queries
@@ -189,21 +187,11 @@ pub struct BufferPool<S: Storage> {
     capacity: usize,
     page_size: usize,
     stats: AtomicIoStats,
-    node_cache: NodeCache,
 }
 
 impl<S: Storage> BufferPool<S> {
-    /// Wraps `storage` with a pool holding up to `capacity` pages and no
-    /// decoded-node cache (see
-    /// [`with_node_cache`](Self::with_node_cache)).
+    /// Wraps `storage` with a pool holding up to `capacity` pages.
     pub fn new(storage: S, capacity: usize) -> Self {
-        Self::with_node_cache(storage, capacity, 0)
-    }
-
-    /// Wraps `storage` with a pool holding up to `capacity` pages plus a
-    /// [`NodeCache`] bounded to `cache_entries` decoded nodes
-    /// (`0` disables it; queries then decode on every visit).
-    pub fn with_node_cache(storage: S, capacity: usize, cache_entries: usize) -> Self {
         let page_size = storage.page_size();
         let n = if capacity < SHARDING_THRESHOLD {
             1
@@ -227,7 +215,6 @@ impl<S: Storage> BufferPool<S> {
             capacity,
             page_size,
             stats: AtomicIoStats::default(),
-            node_cache: NodeCache::new(cache_entries),
         }
     }
 
@@ -266,14 +253,10 @@ impl<S: Storage> BufferPool<S> {
         self.storage.write().allocate()
     }
 
-    /// Frees a page, dropping any cached frame and decoded node.
+    /// Frees a page, dropping any cached frame.
     pub fn free(&self, id: PageId) -> PageResult<()> {
         let mut shard = self.shard(id).lock();
         shard.frames.remove(&id);
-        // Evict the decoded form while the frame shard lock is held, so
-        // a concurrent decode racing the free inserts (if at all) under
-        // a superseded epoch and is discarded.
-        self.node_cache.invalidate(id);
         // Shard lock is still held so no concurrent read can fault the
         // page back in between the frame drop and the storage free.
         self.storage.write().free(id)
@@ -303,18 +286,32 @@ impl<S: Storage> BufferPool<S> {
         }
     }
 
-    /// Core read path, after admission: accounts the access, locates the
-    /// page bytes (frame hit, or physical read + frame insert), and runs
-    /// `f` on them *in place*. On a frame hit `f` sees the resident
-    /// frame's bytes borrowed under the shard lock — no payload copy — so
-    /// `f` must be cheap-ish and must not re-enter this pool.
-    fn read_with_impl<R>(
+    /// Reads a page and runs `f` on its bytes in place, attributing the
+    /// access to `io` (the query's own accumulator) as well as to the
+    /// pool-global counters.
+    ///
+    /// * `seq` selects the sequential path: the access counts as a
+    ///   `seq_reads` (the linear-scan baseline, 10x cheaper in the
+    ///   paper's cost model) instead of a `logical_reads`.
+    /// * `ctx` must first admit the fetch (cancel, deadline, read budget
+    ///   against `io`); a denied fetch returns [`PageError::Interrupted`]
+    ///   without touching the pool, so every limit is observed at
+    ///   page-fetch granularity. Ungoverned callers pass
+    ///   [`QueryContext::unlimited`].
+    ///
+    /// On a pool hit `f` borrows the resident frame under the shard lock
+    /// instead of copying the payload out first; callers that need owned
+    /// bytes pass `<[u8]>::to_vec`. `f` must not call back into this
+    /// pool (the shard lock is held).
+    pub fn read_with<R>(
         &self,
         id: PageId,
         seq: bool,
         io: &mut IoStats,
+        ctx: &QueryContext,
         f: impl FnOnce(&[u8]) -> R,
     ) -> PageResult<R> {
+        ctx.admit_read(io).map_err(PageError::Interrupted)?;
         if seq {
             io.seq_reads += 1;
             self.stats.seq_reads.fetch_add(1, Relaxed);
@@ -358,99 +355,18 @@ impl<S: Storage> BufferPool<S> {
         Ok(out)
     }
 
-    /// Reads a page and runs `f` on its bytes in place, attributing the
-    /// access to `io` (the query's own accumulator) as well as to the
-    /// pool-global counters.
-    ///
-    /// * `seq` selects the sequential path: the access counts as a
-    ///   `seq_reads` (the linear-scan baseline, 10x cheaper in the
-    ///   paper's cost model) instead of a `logical_reads`.
-    /// * `ctx` must first admit the fetch (cancel, deadline, read budget
-    ///   against `io`); a denied fetch returns [`PageError::Interrupted`]
-    ///   without touching the pool, so every limit is observed at
-    ///   page-fetch granularity. Ungoverned callers pass
-    ///   [`QueryContext::unlimited`].
-    ///
-    /// On a pool hit `f` borrows the resident frame under the shard lock
-    /// instead of copying the payload out first; callers that need owned
-    /// bytes pass `<[u8]>::to_vec`. `f` must not call back into this
-    /// pool (the shard lock is held).
-    pub fn read_with<R>(
-        &self,
-        id: PageId,
-        seq: bool,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> PageResult<R> {
-        ctx.admit_read(io).map_err(PageError::Interrupted)?;
-        self.read_with_impl(id, seq, io, f)
-    }
-
-    /// The decoded-node cache attached to this pool (disabled unless the
-    /// pool was built with [`with_node_cache`](Self::with_node_cache)).
-    pub fn node_cache(&self) -> &NodeCache {
-        &self.node_cache
-    }
-
-    /// Decoded-node cache counters (misses = decode invocations).
-    pub fn node_cache_stats(&self) -> NodeCacheStats {
-        self.node_cache.stats()
-    }
-
-    /// Accounts one page access served from the decoded-node cache: the
-    /// query still requested the page, so `logical_reads` and `hits`
-    /// tick exactly as for a frame hit — the paper's cost model counts
-    /// node visits, not decodes, and governance budgets keep their
-    /// page-fetch granularity.
-    fn account_cached(&self, io: &mut IoStats) {
+    /// Counts one page visit that the pool did not serve, e.g. a node a
+    /// caller's own decoded-node cache returned: the query still
+    /// requested the page, so the per-query and pool-global
+    /// `logical_reads` and `hits` tick exactly as for a frame hit. The
+    /// paper's cost model counts node visits, not decodes. The caller
+    /// admits the visit first ([`QueryContext::admit_read`]), so read
+    /// budgets keep their page-fetch granularity.
+    pub fn account_cached(&self, io: &mut IoStats) {
         io.logical_reads += 1;
         self.stats.logical_reads.fetch_add(1, Relaxed);
         io.hits += 1;
         self.stats.hits.fetch_add(1, Relaxed);
-    }
-
-    /// Reads a page on the random-access path and returns its *decoded*
-    /// form, shared behind an `Arc`. `io` and `ctx` are as for
-    /// [`read_with`](Self::read_with); admission is charged even when the
-    /// decoded node is served from cache, so a read budget bounds
-    /// cache-hit traversals exactly like cold ones.
-    ///
-    /// With the decoded-node cache enabled a repeat visit skips `decode`
-    /// entirely (while still accounting the read); otherwise this is
-    /// `read_with` + `decode` with no payload copy. `decode` must not
-    /// call back into this pool.
-    pub fn read_decoded<T, E, F>(
-        &self,
-        id: PageId,
-        io: &mut IoStats,
-        ctx: &QueryContext,
-        decode: F,
-    ) -> Result<Arc<T>, E>
-    where
-        T: Send + Sync + 'static,
-        E: From<PageError>,
-        F: FnOnce(&[u8]) -> Result<T, E>,
-    {
-        ctx.admit_read(io)
-            .map_err(|i| E::from(PageError::Interrupted(i)))?;
-        // With the cache disabled all three cache calls below are cheap
-        // no-ops, except that the lookup still ticks the miss counter —
-        // keeping `misses` == decode count in both cache modes.
-        if let Some(node) = self.node_cache.get_as::<T>(id) {
-            self.account_cached(io);
-            return Ok(node);
-        }
-        // Snapshot the page epoch *before* touching the bytes: if a
-        // writer intervenes, the insert below carries a superseded
-        // epoch and the cache discards it.
-        let epoch = self.node_cache.epoch(id);
-        let node = self
-            .read_with_impl(id, false, io, decode)
-            .map_err(E::from)??;
-        let node = Arc::new(node);
-        self.node_cache.insert(id, epoch, node.clone());
-        Ok(node)
     }
 
     /// Writes page contents (write-back; flushed on eviction or
@@ -465,13 +381,7 @@ impl<S: Storage> BufferPool<S> {
         self.stats.logical_writes.fetch_add(1, Relaxed);
         if self.capacity == 0 {
             self.stats.physical_writes.fetch_add(1, Relaxed);
-            let res = self.storage.write().write(id, data);
-            // The rewrite supersedes any decoded form. Invalidating
-            // *after* the bytes land means a decode that raced us either
-            // snapshotted the old epoch (its insert is discarded) or
-            // gets dropped right here — never published stale.
-            self.node_cache.invalidate(id);
-            return res;
+            return self.storage.write().write(id, data);
         }
         let mut page = vec![0u8; self.page_size];
         page[..data.len()].copy_from_slice(data);
@@ -496,10 +406,6 @@ impl<S: Storage> BufferPool<S> {
                 );
             }
         }
-        // Invalidate the decoded form under the frame shard lock, i.e.
-        // strictly after the new bytes are visible: a racing decode of
-        // the old bytes carries a pre-bump epoch and cannot publish.
-        self.node_cache.invalidate(id);
         Ok(())
     }
 
@@ -749,71 +655,6 @@ mod tests {
         assert_eq!(s.logical_reads, 64);
         assert_eq!(s.hits, 64, "everything fits; all reads hit");
         assert_eq!(p.resident_frames(), 64);
-    }
-
-    /// Toy "decoded node": the page's first byte, annotated.
-    fn decode_first(bytes: &[u8]) -> PageResult<u8> {
-        Ok(bytes[0])
-    }
-
-    #[test]
-    fn decoded_reads_hit_cache_and_still_account() {
-        let p = BufferPool::with_node_cache(MemStorage::with_page_size(128), 4, 8);
-        let a = p.allocate().unwrap();
-        p.write(a, &[7]).unwrap();
-        let mut io = IoStats::default();
-        let n1: Arc<u8> = p
-            .read_decoded(a, &mut io, QueryContext::unlimited(), decode_first)
-            .unwrap();
-        let n2: Arc<u8> = p
-            .read_decoded(a, &mut io, QueryContext::unlimited(), decode_first)
-            .unwrap();
-        assert_eq!((*n1, *n2), (7, 7));
-        assert!(Arc::ptr_eq(&n1, &n2), "second visit shares the decode");
-        let c = p.node_cache_stats();
-        assert_eq!((c.hits, c.misses), (1, 1), "one decode, one cache hit");
-        // Logical accounting is unchanged by the cache: both visits count.
-        assert_eq!(io.logical_reads, 2);
-        assert_eq!(io.hits, 2, "frame hit + decoded-cache hit");
-        assert_eq!(p.stats().logical_reads, 2);
-    }
-
-    #[test]
-    fn decoded_cache_invalidated_by_write_and_free() {
-        let p = BufferPool::with_node_cache(MemStorage::with_page_size(128), 4, 8);
-        let a = p.allocate().unwrap();
-        p.write(a, &[1]).unwrap();
-        let mut io = IoStats::default();
-        let n: Arc<u8> = p
-            .read_decoded(a, &mut io, QueryContext::unlimited(), decode_first)
-            .unwrap();
-        assert_eq!(*n, 1);
-        p.write(a, &[2]).unwrap();
-        let n: Arc<u8> = p
-            .read_decoded(a, &mut io, QueryContext::unlimited(), decode_first)
-            .unwrap();
-        assert_eq!(*n, 2, "rewrite evicts the decoded form");
-        p.free(a).unwrap();
-        assert!(!p.node_cache().contains(a), "free evicts the decoded form");
-    }
-
-    #[test]
-    fn decoded_read_respects_read_budget_on_hits() {
-        let p = BufferPool::with_node_cache(MemStorage::with_page_size(128), 4, 8);
-        let a = p.allocate().unwrap();
-        p.write(a, &[9]).unwrap();
-        let ctx = QueryContext::default().with_max_reads(2);
-        let mut io = IoStats::default();
-        for _ in 0..2 {
-            let n: Result<Arc<u8>, PageError> = p.read_decoded(a, &mut io, &ctx, decode_first);
-            assert_eq!(*n.unwrap(), 9);
-        }
-        // Third visit would be a cache hit, but the budget still governs.
-        let denied: Result<Arc<u8>, PageError> = p.read_decoded(a, &mut io, &ctx, decode_first);
-        assert!(matches!(
-            denied,
-            Err(PageError::Interrupted(crate::Interrupt::BudgetExhausted))
-        ));
     }
 
     #[test]

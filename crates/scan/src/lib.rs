@@ -10,15 +10,17 @@
 use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Metric, Point, Rect};
 use hyt_index::{
-    check_dim, leaf, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome,
+    check_dim, leaf, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome, StatsTally,
     StructureStats,
 };
 use hyt_page::{BufferPool, ByteReader, ByteWriter, IoStats, MemStorage, PageId, Storage};
 
+/// Per-page header: the `u32` entry count.
+const PAGE_HEADER_BYTES: usize = 4;
+
 /// Entries per page given the page and entry sizes.
 fn capacity(page_size: usize, dim: usize) -> usize {
-    // Per-page header: u32 count.
-    (page_size - 4) / leaf::entry_bytes(dim)
+    (page_size - PAGE_HEADER_BYTES) / leaf::entry_bytes(dim)
 }
 
 /// A flat file of `(point, oid)` records scanned in page order.
@@ -272,18 +274,27 @@ impl<S: Storage> MultidimIndex for SeqScan<S> {
         self.pool.reset_stats();
     }
 
+    /// Leaf utilization is bytes used over page size, tallied page by
+    /// page like the trees' (each page's entry count read from its
+    /// header), so Tables 1–2 compare one quantity across engines.
     fn structure_stats(&self) -> IndexResult<StructureStats> {
-        Ok(StructureStats {
-            height: 1,
-            total_nodes: self.pages.len(),
-            data_nodes: self.pages.len(),
-            avg_leaf_utilization: if self.pages.is_empty() {
-                0.0
-            } else {
-                self.len as f64 / (self.pages.len() * self.cap) as f64
-            },
-            ..StructureStats::default()
-        })
+        if self.pages.is_empty() {
+            return Ok(StructureStats {
+                height: 1,
+                ..StructureStats::default()
+            });
+        }
+        let mut tally = StatsTally::new(1, self.pool.page_size(), self.dim);
+        let mut io = IoStats::default();
+        for &pid in &self.pages {
+            let entries =
+                self.pool
+                    .read_with(pid, true, &mut io, QueryContext::unlimited(), |buf| {
+                        ByteReader::new(buf).get_u32()
+                    })??;
+            tally.data_node(PAGE_HEADER_BYTES, entries as usize);
+        }
+        Ok(tally.finish())
     }
 }
 

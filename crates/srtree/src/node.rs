@@ -115,28 +115,40 @@ impl SrNode {
                         "SR index node claims {n} entries beyond the page"
                     )));
                 }
+                if dim == 0 && n > 0 {
+                    return Err(PageError::Corrupt(
+                        "SR index entries need a dimension".into(),
+                    ));
+                }
                 let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
                     let pid = PageId(r.get_u32()?);
                     let weight = r.get_u32()?;
                     let radius = r.get_f32()?;
-                    let mut c = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        c.push(r.get_f32()?);
+                    let centroid = get_coords(&mut r, dim)?;
+                    let lo = get_coords(&mut r, dim)?;
+                    let hi = get_coords(&mut r, dim)?;
+                    // `Point::new` and `Rect::new` assert what a damaged
+                    // page can break: check it here and report it typed.
+                    if !centroid.iter().all(|c| c.is_finite()) {
+                        return Err(PageError::Corrupt(format!(
+                            "SR index entry for {pid}: non-finite centroid"
+                        )));
                     }
-                    let mut lo = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        lo.push(r.get_f32()?);
-                    }
-                    let mut hi = Vec::with_capacity(dim);
-                    for _ in 0..dim {
-                        hi.push(r.get_f32()?);
+                    if !lo
+                        .iter()
+                        .zip(&hi)
+                        .all(|(l, h)| l.is_finite() && h.is_finite() && l <= h)
+                    {
+                        return Err(PageError::Corrupt(format!(
+                            "SR index entry for {pid}: rectangle bounds not finite and ordered"
+                        )));
                     }
                     entries.push(ChildEntry {
                         pid,
                         weight,
                         radius,
-                        centroid: Point::new(c),
+                        centroid: Point::new(centroid),
                         rect: Rect::new(lo, hi),
                     });
                 }
@@ -145,6 +157,11 @@ impl SrNode {
             t => Err(PageError::Corrupt(format!("bad SR node tag {t}"))),
         }
     }
+}
+
+/// Reads `dim` little-endian `f32` coordinates.
+fn get_coords(r: &mut ByteReader<'_>, dim: usize) -> PageResult<Vec<f32>> {
+    (0..dim).map(|_| r.get_f32()).collect()
 }
 
 #[cfg(test)]
@@ -186,6 +203,36 @@ mod tests {
         let buf = n.encode(3);
         assert_eq!(buf.len(), n.encoded_size(3));
         assert_eq!(SrNode::decode(&buf, 3).unwrap(), n);
+    }
+
+    #[test]
+    fn damaged_index_entries_are_corrupt_not_a_panic() {
+        let n = SrNode::Index {
+            level: 1,
+            entries: vec![ChildEntry {
+                pid: PageId(4),
+                weight: 2,
+                radius: 0.1,
+                centroid: Point::new(vec![0.5]),
+                rect: Rect::new(vec![0.1], vec![0.8]),
+            }],
+        };
+        let good = n.encode(1);
+        // Tag, level and count, then pid, weight and radius: the 1-d
+        // entry's centroid, lo and hi follow at these offsets.
+        let (centroid, lo) = (INDEX_HEADER_BYTES + 12, INDEX_HEADER_BYTES + 16);
+        let with = |at: usize, v: f32| {
+            let mut buf = good.clone();
+            buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            buf
+        };
+        for buf in [with(lo, 0.9), with(centroid, f32::NAN)] {
+            assert!(matches!(
+                SrNode::decode(&buf, 1),
+                Err(PageError::Corrupt(_))
+            ));
+        }
+        assert_eq!(SrNode::decode(&good, 1).unwrap(), n);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 #   scripts/counts.sh --update   # rewrite the committed file
 #
 # The counts are page reads per box/range/kNN query, page writes per
-# insert, distance evaluations and rectangle bounds per query, the tree's
+# insert, the decoded-node cache's hit rate, evictions and invalidations,
+# distance evaluations and rectangle bounds per query, the tree's
 # shape (height, fanout, leaf utilization, ELS bytes) and the share of
 # data pages that held a result. Timings are never part of the gate.
 #
@@ -21,12 +22,19 @@ cd "$(dirname "$0")/.."
 
 GOLDEN=results/perfbench_counts.json
 WORKLOADS=(colhist64-cold fourier16-ingest)
-# The keys of DETERMINISTIC in perfbench/tests/output.rs.
+# The keys of DETERMINISTIC in perfbench/tests/output.rs, plus the three
+# decoded-node cache counters. perfbench's own tests leave those out of
+# DETERMINISTIC, yet the traced script runs on one thread, so its cache
+# sees one fixed sequence of lookups, inserts and invalidations and the
+# counters repeat exactly. They pin the cache's sharding and LRU policy.
 KEYS=(
     page.reads_per_box
     page.reads_per_range
     page.reads_per_knn
     page.writes_per_insert
+    page.cache_hit_rate
+    page.cache_evictions
+    page.cache_invalidations
     geom.dist_evals_per_knn
     geom.dist_evals_per_range
     geom.rect_bounds_per_knn

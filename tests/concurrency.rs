@@ -74,63 +74,103 @@ fn parallel_batches_match_serial_across_engines() {
     }
 }
 
-/// Raw `std::thread` sharing (no runner): concurrent queries straight on
-/// a `HybridTree` behind an `Arc`, interleaved with a nearest-neighbor
-/// cursor, all agreeing with the single-threaded answers.
-#[test]
-fn hybrid_tree_is_shareable_across_threads() {
-    let data = build_points(3000, 4, 2);
-    let mut tree = HybridTree::new(4, HybridTreeConfig::default()).unwrap();
+/// A hybrid tree over `data` whose decoded-node cache holds
+/// `node_cache_entries` data pages (0: no cache).
+fn hybrid(data: &[Point], node_cache_entries: usize) -> HybridTree {
+    let cfg = HybridTreeConfig {
+        node_cache_entries,
+        ..HybridTreeConfig::default()
+    };
+    let mut tree = HybridTree::new(data[0].dim(), cfg).unwrap();
     for (i, p) in data.iter().enumerate() {
         tree.insert(p.clone(), i as u64).unwrap();
     }
-    let tree = Arc::new(tree);
-    let centers: Vec<Point> = data.iter().step_by(300).cloned().collect();
-    let expected: Vec<Vec<(u64, f64)>> = centers
-        .iter()
-        .map(|c| tree.knn(c, 5, &L2).unwrap())
-        .collect();
+    tree
+}
 
-    let mut handles = Vec::new();
-    for _ in 0..4 {
-        let tree = Arc::clone(&tree);
-        let centers = centers.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut answers = Vec::new();
-            for c in &centers {
-                answers.push(tree.knn(c, 5, &L2).unwrap());
-            }
-            // A streaming cursor shares the tree with the other threads.
-            let mut cursor = tree
-                .knn_stream(&centers[0], &L2, QueryContext::unlimited())
-                .unwrap();
-            let first = cursor.next().unwrap();
-            (answers, first)
-        }));
-    }
-    for h in handles {
-        let (answers, first) = h.join().unwrap();
-        assert_eq!(answers, expected);
-        assert_eq!(first.0, expected[0][0].0);
-        assert!((first.1 - expected[0][0].1).abs() < 1e-12);
+/// A cache of 8 entries, far fewer than the trees' data pages, so
+/// concurrent queries churn its LRU.
+const SMALL_CACHE: usize = 8;
+
+/// Raw `std::thread` sharing (no runner): concurrent queries straight on
+/// a `HybridTree` behind an `Arc`, interleaved with a nearest-neighbor
+/// cursor, all agreeing with the single-threaded answers of a tree
+/// without the decoded-node cache — also when a small cache churns.
+#[test]
+fn hybrid_tree_is_shareable_across_threads() {
+    let data = build_points(3000, 4, 2);
+    let centers: Vec<Point> = data.iter().step_by(300).cloned().collect();
+    let expected: Vec<Vec<(u64, f64)>> = {
+        let tree = hybrid(&data, 0);
+        centers
+            .iter()
+            .map(|c| tree.knn(c, 5, &L2).unwrap())
+            .collect()
+    };
+    for cache in [0, SMALL_CACHE] {
+        let tree = Arc::new(hybrid(&data, cache));
+        assert!(tree.structure_stats().unwrap().data_nodes > 2 * SMALL_CACHE);
+        let mut handles = Vec::new();
+        for _ in 0..4 {
+            let tree = Arc::clone(&tree);
+            let centers = centers.clone();
+            handles.push(std::thread::spawn(move || {
+                let mut answers = Vec::new();
+                for c in &centers {
+                    answers.push(tree.knn(c, 5, &L2).unwrap());
+                }
+                // A streaming cursor shares the tree with the other threads.
+                let mut cursor = tree
+                    .knn_stream(&centers[0], &L2, QueryContext::unlimited())
+                    .unwrap();
+                let first = cursor.next().unwrap();
+                (answers, first)
+            }));
+        }
+        for h in handles {
+            let (answers, first) = h.join().unwrap();
+            assert_eq!(answers, expected, "cache {cache}");
+            assert_eq!(first.0, expected[0][0].0);
+            assert!((first.1 - expected[0][0].1).abs() < 1e-12);
+        }
+        if cache > 0 {
+            let s = tree.cache_stats();
+            assert!(s.hits > 0 && s.evictions > 0, "cache {cache}: {s:?}");
+        }
     }
 }
 
 /// Per-query `logical_reads` summed over a parallel run equals the
-/// pool-global counter delta: nothing double-counted, nothing dropped.
+/// pool-global counter delta: nothing double-counted, nothing dropped,
+/// also when a small decoded-node cache serves some of the visits.
 #[test]
 fn per_query_io_sums_to_global_counters() {
     let data = build_points(5000, 5, 3);
-    let mut tree = HybridTree::new(5, HybridTreeConfig::default()).unwrap();
-    for (i, p) in data.iter().enumerate() {
-        tree.insert(p.clone(), i as u64).unwrap();
-    }
     let queries = mixed_queries(&data, 32);
-    tree.reset_io_stats();
-    let answers = unlimited(&tree, &queries, 4);
-    let per_query = total_io(&answers);
-    let global = tree.io_stats();
-    assert_eq!(per_query.logical_reads, global.logical_reads);
-    assert_eq!(per_query.seq_reads, global.seq_reads);
-    assert!(per_query.logical_reads > 0);
+    let mut uncached_reads = None;
+    for cache in [0, SMALL_CACHE] {
+        let tree = hybrid(&data, cache);
+        tree.reset_io_stats();
+        let answers = unlimited(&tree, &queries, 4);
+        let per_query = total_io(&answers);
+        let global = tree.io_stats();
+        assert_eq!(
+            per_query.logical_reads, global.logical_reads,
+            "cache {cache}"
+        );
+        assert_eq!(per_query.seq_reads, global.seq_reads, "cache {cache}");
+        assert!(per_query.logical_reads > 0);
+        // A visit the cache serves still counts as a page read.
+        assert_eq!(
+            *uncached_reads.get_or_insert(per_query.logical_reads),
+            per_query.logical_reads,
+            "cache {cache}"
+        );
+        if cache > 0 {
+            assert!(
+                tree.cache_stats().hits > 0,
+                "cache {cache}: no visit was cached"
+            );
+        }
+    }
 }

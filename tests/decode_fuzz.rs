@@ -5,12 +5,13 @@
 //! been torn, rotted, or overwritten by another program.
 
 use hybridtree_repro::core::{scrub_index, ElsTable, HybridTree, HybridTreeConfig, KdTree, Node};
-use hybridtree_repro::geom::Point;
+use hybridtree_repro::geom::{Point, Rect};
 use hybridtree_repro::index::{leaf, MultidimIndex};
 use hybridtree_repro::page::{
     inspect_frame, inspect_header, ByteReader, ByteWriter, DurableStorage, FrameStatus, PageError,
-    FRAME_HEADER_BYTES,
+    PageId, FRAME_HEADER_BYTES,
 };
+use hybridtree_repro::srtree::{ChildEntry, SrNode};
 use proptest::prelude::*;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -44,6 +45,23 @@ fn valid_leaf(dim: usize, n: usize) -> Vec<u8> {
     let mut w = ByteWriter::new();
     leaf::encode(&mut w, dim, entries.iter().map(|(p, oid)| (p, *oid)));
     w.into_inner()
+}
+
+/// A valid encoded SR-tree index node to mutate.
+fn valid_sr_index_node(dim: usize, n: usize) -> Vec<u8> {
+    let entries = (0..n)
+        .map(|i| {
+            let lo: Vec<f32> = (0..dim).map(|d| (i * dim + d) as f32 / 64.0).collect();
+            ChildEntry {
+                pid: PageId(i as u32),
+                weight: 3,
+                radius: 0.25,
+                centroid: Point::new(lo.iter().map(|x| x + 0.25).collect()),
+                rect: Rect::new(lo.clone(), lo.iter().map(|x| x + 0.5).collect()),
+            }
+        })
+        .collect();
+    SrNode::Index { level: 1, entries }.encode(dim)
 }
 
 /// Runs the shared leaf decoder, which every engine's data pages go
@@ -139,6 +157,24 @@ proptest! {
         buf[pos] ^= 1 << bit;
         let _ = Node::decode(&buf, dim);
         let _ = Node::decode(&buf, other_dim);
+    }
+
+    // Bit flips in a valid SR-tree index node, decoded at the same dim
+    // and at a different one: a flipped rectangle bound or centroid
+    // coordinate is a typed error, not an assertion in `Rect::new` or
+    // `Point::new`.
+    #[test]
+    fn sr_index_decode_survives_bit_flips(
+        pos in 0usize..600,
+        bit in 0u8..8,
+        dim in 1usize..9,
+        other_dim in 1usize..9,
+    ) {
+        let mut buf = valid_sr_index_node(dim, 4);
+        let pos = pos % buf.len();
+        buf[pos] ^= 1 << bit;
+        let _ = SrNode::decode(&buf, dim);
+        let _ = SrNode::decode(&buf, other_dim);
     }
 
     // The kd-tree decoder walks a recursive format — hostile bytes must

@@ -2,15 +2,16 @@
 //! cache-on ≡ cache-off equivalence property across the hybrid tree's
 //! variants, the only engine with the cache.
 //!
-//! The cache memoizes *decoded* nodes keyed by `(page, write epoch)`;
-//! enabling it must be invisible in every observable except decode
-//! counts — same answers, same logical read accounting, same
-//! degradation points under read budgets. These tests pin that
-//! contract, plus the invalidation rules (rewrite bumps the epoch, free
-//! evicts, stale-epoch inserts are discarded).
+//! The cache keeps *decoded* data pages keyed by page id and is dropped
+//! page by page by the tree's own writes and frees; enabling it must be
+//! invisible in every observable except decode counts — same answers,
+//! same logical read accounting, same degradation points under read
+//! budgets. These tests pin that contract, plus the invalidation rules
+//! (a rewrite drops the entry, a freed and reallocated page is decoded
+//! afresh).
 
 use hybridtree_repro::eval::{run_batch, BatchPolicy, BatchQuery, Engine};
-use hybridtree_repro::page::{BufferPool, IoStats, MemStorage, NodeCache, PageId};
+use hybridtree_repro::page::MemStorage;
 use hybridtree_repro::prelude::*;
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -47,67 +48,101 @@ fn build(engine: Engine, data: &[Point], node_cache_entries: usize) -> HybridTre
 }
 
 // ---------------------------------------------------------------------
-// Pool-level invalidation regression
+// Tree-level invalidation: page rewrites and frees
 // ---------------------------------------------------------------------
 
-fn decoded_first_byte(pool: &BufferPool<MemStorage>, id: PageId) -> u8 {
-    let mut io = IoStats::default();
-    let node: std::sync::Arc<u8> = pool
-        .read_decoded(id, &mut io, QueryContext::unlimited(), |buf| {
-            Ok::<_, hybridtree_repro::page::PageError>(buf[0])
-        })
-        .unwrap();
-    *node
+/// Small pages (about 15 two-dimensional entries each) and a cache that
+/// holds every data page of the trees below.
+fn small_pages(node_cache_entries: usize) -> HybridTreeConfig {
+    HybridTreeConfig {
+        page_size: 256,
+        node_cache_entries,
+        ..HybridTreeConfig::default()
+    }
 }
 
 #[test]
 fn rewrite_invalidates_cached_decode() {
-    let pool = BufferPool::with_node_cache(MemStorage::new(), 8, 16);
-    let id = pool.allocate().unwrap();
-    pool.write(id, &[1u8; 8]).unwrap();
-    assert_eq!(decoded_first_byte(&pool, id), 1);
-    assert!(pool.node_cache().contains(id), "decode populated the cache");
-    // Rewriting the page must drop the decoded form; the next read
-    // decodes the *new* bytes, never the memoized old ones.
-    pool.write(id, &[2u8; 8]).unwrap();
-    assert!(!pool.node_cache().contains(id), "rewrite evicts the entry");
-    assert_eq!(decoded_first_byte(&pool, id), 2, "stale decode served");
-    let s = pool.node_cache_stats();
-    assert!(s.invalidations >= 1);
+    let mut tree = HybridTree::new(2, small_pages(16)).unwrap();
+    tree.insert(Point::new(vec![0.1, 0.1]), 1).unwrap();
+    tree.insert(Point::new(vec![0.9, 0.9]), 2).unwrap();
+    let q = Point::new(vec![0.5, 0.5]);
+    // The root is the only data page: the first kNN decodes it, the
+    // second is served from the cache.
+    let before = tree.knn(&q, 1, &L2).unwrap();
+    assert_eq!(tree.knn(&q, 1, &L2).unwrap(), before);
+    assert_eq!(tree.cache_stats().hits, 1, "the leaf was cached");
+    tree.reset_io_stats();
+    // Inserting rewrites the cached leaf, which must drop its decode...
+    tree.insert(q.clone(), 3).unwrap();
+    assert_eq!(
+        tree.cache_stats().invalidations,
+        1,
+        "rewrite evicts the entry"
+    );
+    // ...so the next query decodes the new bytes and sees the new entry.
+    assert_eq!(
+        tree.knn(&q, 1, &L2).unwrap(),
+        vec![(3, 0.0)],
+        "stale decode served"
+    );
+    let s = tree.cache_stats();
+    assert_eq!((s.hits, s.misses), (0, 1));
 }
 
 #[test]
 fn free_evicts_and_reallocation_cannot_alias() {
-    let pool = BufferPool::with_node_cache(MemStorage::new(), 8, 16);
-    let id = pool.allocate().unwrap();
-    pool.write(id, &[7u8; 8]).unwrap();
-    assert_eq!(decoded_first_byte(&pool, id), 7);
-    let epoch_before = pool.node_cache().epoch(id);
-    pool.free(id).unwrap();
-    assert!(!pool.node_cache().contains(id), "free evicts the entry");
-    assert!(
-        pool.node_cache().epoch(id) > epoch_before,
-        "free advances the page epoch so a reallocated id cannot alias"
-    );
-    // Reallocate the same slot and write different content: the decode
-    // must see the new bytes.
-    let id2 = pool.allocate().unwrap();
-    pool.write(id2, &[9u8; 8]).unwrap();
-    assert_eq!(decoded_first_byte(&pool, id2), 9);
-}
-
-#[test]
-fn stale_epoch_insert_never_publishes() {
-    let cache = NodeCache::new(8);
-    let id = PageId(3);
-    let observed = cache.epoch(id);
-    // A writer intervenes between the epoch snapshot and the insert.
-    cache.invalidate(id);
-    cache.insert(id, observed, std::sync::Arc::new(41u32));
-    assert!(
-        cache.get_as::<u32>(id).is_none(),
-        "insert carrying a superseded epoch must be discarded"
-    );
+    let data = hybridtree_repro::data::uniform(400, 2, 7);
+    let mut cached = HybridTree::new(2, small_pages(64)).unwrap();
+    let mut plain = HybridTree::new(2, small_pages(0)).unwrap();
+    for (i, p) in data.iter().enumerate() {
+        cached.insert(p.clone(), i as u64).unwrap();
+        plain.insert(p.clone(), i as u64).unwrap();
+    }
+    let probe = |t: &HybridTree<MemStorage>, c: &Point| {
+        let mut hits = t.distance_range(c, 0.15, &L2).unwrap();
+        hits.sort_unstable();
+        (hits, t.knn(c, 10, &L2).unwrap())
+    };
+    // Queries around every 7th point keep every data page decoded in the
+    // cache, and check the cached tree against its cache-off twin.
+    let warm_and_compare = |cached: &HybridTree<MemStorage>, plain: &HybridTree<MemStorage>| {
+        for c in data.iter().step_by(7) {
+            assert_eq!(probe(cached, c), probe(plain, c));
+        }
+    };
+    let pages = |t: &HybridTree<MemStorage>| t.structure_stats().unwrap().total_nodes;
+    warm_and_compare(&cached, &plain);
+    let full = pages(&cached);
+    // Emptying the left half of the space dissolves cached leaves: their
+    // pages are freed while their decodes sit in the cache.
+    for (i, p) in data.iter().enumerate().filter(|(_, p)| p.coord(0) < 0.5) {
+        assert!(cached.delete(p, i as u64).unwrap());
+        assert!(plain.delete(p, i as u64).unwrap());
+        if i % 10 == 0 {
+            warm_and_compare(&cached, &plain);
+        }
+    }
+    let shrunk = pages(&cached);
+    assert!(shrunk < full, "deletes freed no page ({full} -> {shrunk})");
+    warm_and_compare(&cached, &plain);
+    // New points in the emptied half split pages again, and the store
+    // hands freed page ids out first: each reused id must be decoded
+    // from its new bytes, never served from the freed page's decode.
+    let fresh = hybridtree_repro::data::uniform(200, 2, 8);
+    for (i, p) in fresh.iter().enumerate() {
+        let p = Point::new(vec![p.coord(0) * 0.5, p.coord(1)]);
+        let oid = 1_000 + i as u64;
+        cached.insert(p.clone(), oid).unwrap();
+        plain.insert(p, oid).unwrap();
+        if i % 10 == 0 {
+            warm_and_compare(&cached, &plain);
+        }
+    }
+    assert!(pages(&cached) > shrunk, "inserts reallocated no page");
+    warm_and_compare(&cached, &plain);
+    assert!(cached.cache_stats().invalidations > 0);
+    cached.check_invariants().unwrap();
 }
 
 // ---------------------------------------------------------------------
