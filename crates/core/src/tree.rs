@@ -719,11 +719,12 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
             }
             return Ok(NodeKind::Leaf);
         }
-        // Directory pages are walked in place. With ELS on, each child is
-        // bounded by its quantized live box; with ELS off, by its
-        // kd-region, handed down the tree.
-        let mut ids = Vec::new();
-        let mut regioned = Vec::new();
+        // Directory pages are walked in place, skipping kd subtrees beyond
+        // the kernel's bound. Each surviving child is bounded after the
+        // frame is released: with ELS on by its quantized live box, with
+        // ELS off by its kd-region, handed down the tree.
+        let depth = r.depth + 1;
+        let first = children.len();
         t.pool
             .read_with(r.pid, false, io, ctx, |buf| -> PageResult<()> {
                 let NodeView::Index(view) = NodeView::parse(buf, t.dim)? else {
@@ -732,34 +733,26 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
                         r.pid
                     )));
                 };
-                match &r.region {
-                    None => view.child_ids(&mut ids),
-                    Some(region) => view.children_with_regions(region, &mut regioned),
-                }
+                view.children_near(nq, r.region.as_ref(), &mut |pid, region| {
+                    children.push(Child {
+                        bound: 0.0,
+                        node: HyRef {
+                            pid,
+                            depth,
+                            region: region.cloned(),
+                        },
+                    });
+                })
             })
             .and_then(|x| x)?;
-        let depth = r.depth + 1;
-        children.extend(ids.into_iter().map(|pid| {
-            Child {
-                bound: t
-                    .els
-                    .quant_rect(pid)
-                    .map_or(0.0, |b| nq.metric.min_dist_rect_sq(nq.q, b)),
-                node: HyRef {
-                    pid,
-                    depth,
-                    region: None,
-                },
-            }
-        }));
-        children.extend(regioned.into_iter().map(|(pid, region)| Child {
-            bound: nq.metric.min_dist_rect_sq(nq.q, &region),
-            node: HyRef {
-                pid,
-                depth,
-                region: Some(region),
-            },
-        }));
+        for c in &mut children[first..] {
+            let rect = c
+                .node
+                .region
+                .as_ref()
+                .or_else(|| t.els.quant_rect(c.node.pid));
+            c.bound = rect.map_or(0.0, |b| nq.metric.min_dist_rect_sq(nq.q, b));
+        }
         Ok(NodeKind::Index)
     }
 }

@@ -14,7 +14,8 @@
 //! [`KdTree`](crate::kdtree::KdTree)/[`Node`](crate::node::Node) forms.
 
 use crate::kdtree::{INTERNAL_BYTES, LEAF_BYTES};
-use hyt_geom::{Point, Rect};
+use hyt_exec::NearQuery;
+use hyt_geom::{Metric, Point, Rect};
 use hyt_index::leaf::entry_bytes;
 use hyt_page::{PageError, PageId, PageResult};
 
@@ -123,6 +124,7 @@ impl<'a> DataView<'a> {
 }
 
 /// Zero-copy navigation of a serialized kd-tree.
+#[derive(Clone, Copy)]
 pub struct KdView<'a> {
     buf: &'a [u8],
 }
@@ -180,63 +182,39 @@ impl<'a> KdView<'a> {
         }
     }
 
-    /// Every child page id, in kd order (distance queries with ELS
-    /// enabled bound each child by its quantized live box instead of its
-    /// region).
-    pub fn child_ids(&self, out: &mut Vec<PageId>) -> PageResult<()> {
-        self.walk_all(0, out)
-    }
-
-    fn walk_all(&self, off: usize, out: &mut Vec<PageId>) -> PageResult<()> {
-        match self.buf.get(off) {
-            Some(&KD_LEAF) => {
-                out.push(self.leaf_child(off)?);
-                Ok(())
-            }
-            Some(&KD_INTERNAL) => {
-                let (_, _, _, left_off, right_off) = self.internal_header(off)?;
-                self.walk_all(left_off, out)?;
-                self.walk_all(right_off, out)
-            }
-            Some(&t) => Err(PageError::Corrupt(format!("bad kd tag {t}"))),
-            None => Err(PageError::Corrupt("kd walk out of bounds".into())),
-        }
-    }
-
-    /// Every child page id with its kd-region, in kd order, given the
-    /// node's own region (distance queries with ELS disabled bound each
-    /// child by this region). Same output as
-    /// [`KdTree::children_with_regions`](crate::kdtree::KdTree::children_with_regions).
-    pub fn children_with_regions(
+    /// Children that may hold an entry within `nq.bound` of `nq.q`, in kd
+    /// order, for a distance query. With `region` (the node's own
+    /// kd-region, ELS disabled) each child comes with its kd-region, as
+    /// [`KdTree::children_with_regions`](crate::kdtree::KdTree::children_with_regions)
+    /// computes it; without, with `None`.
+    ///
+    /// The walk tests each split plane against the bound (paper §3.1
+    /// applied to distance search): the left subtree of a split on `d`
+    /// lies in `x_d <= lsp` and the right in `x_d >= rsp`, so the gap
+    /// between `q_d` and that half-space lower-bounds the distance along
+    /// `d` of everything beneath — whether the split overlaps or not.
+    /// Per-dimension gaps are carried down the path and their
+    /// [`Metric::axis_gap_sq`](hyt_geom::Metric::axis_gap_sq) terms
+    /// summed; a subtree is skipped once the sum exceeds the bound,
+    /// relaxed by one part in 10^12 (as
+    /// [`range_bound_sq`](hyt_geom::range_bound_sq) relaxes a radius) so
+    /// rounding in the sum can never skip a child the kernel would keep.
+    /// A NaN gap never skips, a metric without the hook never prunes,
+    /// and an infinite bound yields every child.
+    pub fn children_near(
         &self,
-        region: &Rect,
-        out: &mut Vec<(PageId, Rect)>,
+        nq: NearQuery<'_>,
+        region: Option<&Rect>,
+        emit: &mut impl FnMut(PageId, Option<&Rect>),
     ) -> PageResult<()> {
-        self.walk_regions(0, region, out)
-    }
-
-    fn walk_regions(
-        &self,
-        off: usize,
-        region: &Rect,
-        out: &mut Vec<(PageId, Rect)>,
-    ) -> PageResult<()> {
-        match self.buf.get(off) {
-            Some(&KD_LEAF) => {
-                out.push((self.leaf_child(off)?, region.clone()));
-                Ok(())
-            }
-            Some(&KD_INTERNAL) => {
-                let (dim, lsp, rsp, left_off, right_off) = self.internal_header(off)?;
-                if dim >= region.dim() {
-                    return Err(PageError::Corrupt(format!("kd dim {dim} out of range")));
-                }
-                self.walk_regions(left_off, &region.clamp_above(dim, lsp), out)?;
-                self.walk_regions(right_off, &region.clamp_below(dim, rsp), out)
-            }
-            Some(&t) => Err(PageError::Corrupt(format!("bad kd tag {t}"))),
-            None => Err(PageError::Corrupt("kd walk out of bounds".into())),
-        }
+        let limit = nq.bound * (1.0 + 1e-12);
+        let walk = NearWalk {
+            view: *self,
+            q: nq.q,
+            metric: nq.metric,
+            limit: (limit < f64::INFINITY).then_some(limit),
+        };
+        walk.visit(0, region, 0.0, None, emit)
     }
 
     /// Children on qualifying paths for an exact point probe.
@@ -267,6 +245,137 @@ impl<'a> KdView<'a> {
             Some(&t) => Err(PageError::Corrupt(format!("bad kd tag {t}"))),
             None => Err(PageError::Corrupt("kd walk out of bounds".into())),
         }
+    }
+}
+
+/// The gap one kd split on the current path imposes in its dimension,
+/// with the metric term it contributes, linked to the split above it.
+/// Gaps only widen down a path, so the nearest link on a dimension holds
+/// that dimension's current gap. The chain lives on the walk's call
+/// stack: pruning allocates nothing.
+struct PathGap<'p> {
+    dim: usize,
+    gap: f64,
+    term: f64,
+    up: Option<&'p PathGap<'p>>,
+}
+
+/// Current `(gap, term)` of `dim` on the path ending at `link`.
+fn path_gap(mut link: Option<&PathGap<'_>>, dim: usize) -> (f64, f64) {
+    while let Some(g) = link {
+        if g.dim == dim {
+            return (g.gap, g.term);
+        }
+        link = g.up;
+    }
+    (0.0, 0.0)
+}
+
+/// One [`KdView::children_near`] walk. `limit` is the relaxed prune
+/// bound, `None` when nothing can be pruned.
+struct NearWalk<'a, 'q> {
+    view: KdView<'a>,
+    q: &'q Point,
+    metric: &'q dyn Metric,
+    limit: Option<f64>,
+}
+
+/// One side of a kd split: `x_dim <= pos` when `below`, else
+/// `x_dim >= pos`.
+#[derive(Clone, Copy)]
+struct HalfSpace {
+    dim: usize,
+    pos: f32,
+    below: bool,
+}
+
+impl NearWalk<'_, '_> {
+    /// Emits the children of the kd subtree at `off`; `sum` is the
+    /// summed gap terms of `path`.
+    fn visit(
+        &self,
+        off: usize,
+        region: Option<&Rect>,
+        sum: f64,
+        path: Option<&PathGap<'_>>,
+        emit: &mut impl FnMut(PageId, Option<&Rect>),
+    ) -> PageResult<()> {
+        match self.view.buf.get(off) {
+            Some(&KD_LEAF) => {
+                emit(self.view.leaf_child(off)?, region);
+                Ok(())
+            }
+            Some(&KD_INTERNAL) => {
+                let (dim, lsp, rsp, left_off, right_off) = self.view.internal_header(off)?;
+                if dim >= self.q.dim() {
+                    return Err(PageError::Corrupt(format!("kd dim {dim} out of range")));
+                }
+                let (left, right) = (
+                    HalfSpace {
+                        dim,
+                        pos: lsp,
+                        below: true,
+                    },
+                    HalfSpace {
+                        dim,
+                        pos: rsp,
+                        below: false,
+                    },
+                );
+                self.side(left_off, left, region, sum, path, emit)?;
+                self.side(right_off, right, region, sum, path, emit)
+            }
+            Some(&t) => Err(PageError::Corrupt(format!("bad kd tag {t}"))),
+            None => Err(PageError::Corrupt("kd walk out of bounds".into())),
+        }
+    }
+
+    /// Enters the subtree at `off`, which lies in `half` within the
+    /// parent's `region`, unless the gap to `half` lifts the summed terms
+    /// past the limit.
+    fn side(
+        &self,
+        off: usize,
+        half: HalfSpace,
+        region: Option<&Rect>,
+        mut sum: f64,
+        path: Option<&PathGap<'_>>,
+        emit: &mut impl FnMut(PageId, Option<&Rect>),
+    ) -> PageResult<()> {
+        let HalfSpace { dim, pos, below } = half;
+        let mut link = None;
+        if let Some(limit) = self.limit {
+            let x = f64::from(self.q.coord(dim));
+            let gap = if below {
+                x - f64::from(pos)
+            } else {
+                f64::from(pos) - x
+            };
+            let (old_gap, old_term) = path_gap(path, dim);
+            // `>` is false for a NaN gap: a NaN split position never skips.
+            if gap > old_gap {
+                if let Some(term) = self.metric.axis_gap_sq(dim, gap) {
+                    sum = sum - old_term + term;
+                    if sum > limit {
+                        return Ok(());
+                    }
+                    link = Some(PathGap {
+                        dim,
+                        gap,
+                        term,
+                        up: path,
+                    });
+                }
+            }
+        }
+        let region = region.map(|r| {
+            if below {
+                r.clamp_above(dim, pos)
+            } else {
+                r.clamp_below(dim, pos)
+            }
+        });
+        self.visit(off, region.as_ref(), sum, link.as_ref().or(path), emit)
     }
 }
 

@@ -4,7 +4,8 @@
 //! a semantic change.
 
 use hybrid_tree::{KdTree, Node, NodeView};
-use hyt_geom::{Point, Rect};
+use hyt_exec::NearQuery;
+use hyt_geom::{Chebyshev, Lp, Metric, Point, Rect, L1, L2};
 use hyt_page::PageId;
 use proptest::prelude::*;
 
@@ -15,6 +16,72 @@ fn kd_strategy(dim: u16, depth: u32) -> impl Strategy<Value = KdTree> {
         (0..dim, -1.0f32..2.0, -1.0f32..2.0, inner.clone(), inner)
             .prop_map(|(d, lsp, rsp, l, r)| KdTree::split(d, lsp, rsp, l, r))
     })
+}
+
+/// A distance walk that prunes nothing: every child, in kd order.
+fn unbounded(q: &Point) -> NearQuery<'_> {
+    NearQuery {
+        q,
+        metric: &L2,
+        bound: f64::INFINITY,
+    }
+}
+
+/// `kd` with its leaves numbered 0, 1, .. in kd order.
+fn relabel(kd: &KdTree, next: &mut u32) -> KdTree {
+    match kd {
+        KdTree::Leaf { .. } => {
+            *next += 1;
+            KdTree::leaf(PageId(*next - 1))
+        }
+        KdTree::Internal {
+            dim,
+            lsp,
+            rsp,
+            left,
+            right,
+        } => {
+            let left = relabel(left, next);
+            KdTree::split(*dim, *lsp, *rsp, left, relabel(right, next))
+        }
+    }
+}
+
+/// Every child of `kd` with the exact region it may hold entries in:
+/// `region` intersected with the half-spaces on its path (`x_d <= lsp`
+/// to the left, `x_d >= rsp` to the right), or `None` where that
+/// intersection is empty. Unlike the clamped regions of
+/// [`KdTree::children_with_regions`], an empty intersection is not
+/// approximated by a box on its boundary: nothing lies in it.
+fn exact_regions(
+    kd: &KdTree,
+    lo: &mut [f32],
+    hi: &mut [f32],
+    out: &mut Vec<(PageId, Option<Rect>)>,
+) {
+    match kd {
+        KdTree::Leaf { child } => {
+            let live = lo.iter().zip(hi.iter()).all(|(l, h)| l <= h);
+            out.push((*child, live.then(|| Rect::new(lo.to_vec(), hi.to_vec()))));
+        }
+        KdTree::Internal {
+            dim,
+            lsp,
+            rsp,
+            left,
+            right,
+        } => {
+            let d = usize::from(*dim);
+            let saved = hi[d];
+            hi[d] = hi[d].min(*lsp);
+            exact_regions(left, lo, hi, out);
+            hi[d] = saved;
+            let saved = lo[d];
+            lo[d] = lo[d].max(*rsp);
+            exact_regions(right, lo, hi, out);
+            lo[d] = saved;
+        }
+    }
 }
 
 proptest! {
@@ -62,8 +129,10 @@ proptest! {
         let NodeView::Index(view) = NodeView::parse(&buf, 6).unwrap() else {
             panic!("expected index view");
         };
+        let q = Point::origin(6);
         let mut from_view = Vec::new();
-        view.child_ids(&mut from_view).unwrap();
+        view.children_near(unbounded(&q), None, &mut |pid, _| from_view.push(pid))
+            .unwrap();
         prop_assert_eq!(from_view, kd.child_ids());
     }
 
@@ -82,9 +151,80 @@ proptest! {
         let NodeView::Index(view) = NodeView::parse(&buf, 4).unwrap() else {
             panic!("expected index view");
         };
+        let q = Point::origin(4);
         let mut from_view = Vec::new();
-        view.children_with_regions(&region, &mut from_view).unwrap();
+        view.children_near(unbounded(&q), Some(&region), &mut |pid, r| {
+            from_view.push((pid, r.cloned().unwrap()))
+        })
+        .unwrap();
         prop_assert_eq!(from_view, kd.children_with_regions(&region));
+    }
+
+    /// At a finite bound the distance walk keeps an order-preserving
+    /// subsequence of the children, and never drops one whose region
+    /// could hold an entry within the bound — for every metric with the
+    /// axis-gap hook, with and without a region handed down. A metric
+    /// without the hook (`L∞`) prunes nothing.
+    #[test]
+    fn bounded_walk_keeps_every_child_within_the_bound(
+        kd in kd_strategy(4, 6),
+        q in proptest::collection::vec(-1.5f32..2.5, 4),
+        lo in proptest::collection::vec(-1.0f32..0.5, 4),
+        ext in proptest::collection::vec(0.5f32..3.0, 4),
+        bound in 0.0f64..2.0,
+        with_region in 0u8..2,
+    ) {
+        // Distinct leaf ids, so a kept child matches one position only.
+        let kd = relabel(&kd, &mut 0);
+        let q = Point::new(q);
+        let hi: Vec<f32> = lo.iter().zip(&ext).map(|(l, e)| l + e).collect();
+        let region = Rect::new(lo.clone(), hi.clone());
+        let region = (with_region == 1).then_some(&region);
+        let buf = Node::Index { level: 1, kd: kd.clone() }.encode(4);
+        let NodeView::Index(view) = NodeView::parse(&buf, 4).unwrap() else {
+            panic!("expected index view");
+        };
+        let mut all = Vec::new();
+        view.children_near(unbounded(&q), region, &mut |pid, r| all.push((pid, r.cloned())))
+            .unwrap();
+        // The exact regions, starting from the handed-down region or
+        // from the whole space.
+        let (mut elo, mut ehi) = match region {
+            Some(_) => (lo.clone(), hi.clone()),
+            None => (vec![f32::MIN; 4], vec![f32::MAX; 4]),
+        };
+        let mut exact = Vec::new();
+        exact_regions(&kd, &mut elo, &mut ehi, &mut exact);
+        prop_assert_eq!(exact.len(), all.len());
+        let metrics: [&dyn Metric; 4] = [&L1, &L2, &Lp::new(3.0), &Chebyshev];
+        for metric in metrics {
+            let nq = NearQuery { q: &q, metric, bound };
+            let mut kept = Vec::new();
+            view.children_near(nq, region, &mut |pid, r| kept.push((pid, r.cloned())))
+                .unwrap();
+            // Greedy match of `kept` into `all`: a subsequence in order.
+            let mut matched = vec![false; all.len()];
+            let mut next = 0;
+            for k in &kept {
+                while next < all.len() && &all[next] != k {
+                    next += 1;
+                }
+                prop_assert!(next < all.len(), "{}: {:?} out of order", metric.name(), k);
+                matched[next] = true;
+                next += 1;
+            }
+            for (i, (pid, exact)) in exact.iter().enumerate() {
+                let Some(r) = exact else { continue };
+                if !matched[i] {
+                    let b = metric.min_dist_rect_sq(&q, r);
+                    prop_assert!(b > bound, "{}: dropped {:?} at bound {} <= {}",
+                        metric.name(), pid, b, bound);
+                }
+            }
+            if metric.axis_gap_sq(0, 1.0).is_none() {
+                prop_assert_eq!(&kept, &all);
+            }
+        }
     }
 
     #[test]
@@ -109,10 +249,11 @@ proptest! {
         let _ = Node::decode(truncated, 3);
         if let Ok(NodeView::Index(view)) = NodeView::parse(truncated, 3) {
             let mut out = Vec::new();
-            let _ = view.child_ids(&mut out);
+            let q = Point::origin(3);
+            let _ = view.children_near(unbounded(&q), None, &mut |_, _| {});
             let _ = view.children_overlapping_box(&Rect::unit(3), &mut out);
-            let _ = view.children_containing_point(&Point::origin(3), &mut out);
-            let _ = view.children_with_regions(&Rect::unit(3), &mut Vec::new());
+            let _ = view.children_containing_point(&q, &mut out);
+            let _ = view.children_near(unbounded(&q), Some(&Rect::unit(3)), &mut |_, _| {});
         }
     }
 }

@@ -23,6 +23,10 @@
 //!   [`Metric::distance_from_sq`] on the way out.
 //! * **Early abandon** — kNN candidate scans go through a sink that
 //!   applies [`Metric::distance_sq_within`] against the current k-th best.
+//! * **Prune bound** — every distance expansion is handed the bound the
+//!   kernel will prune its children against ([`NearQuery::bound`]), so an
+//!   engine can skip whole groups of children it would otherwise bound
+//!   one by one and see dropped.
 //!
 //! The kernel is *bit-identical* to the per-engine loops it replaced:
 //! same answers, same logical/sequential read accounting, same degradation
@@ -67,8 +71,9 @@ pub struct Child<R> {
     pub node: R,
 }
 
-/// The query point and metric threaded through distance-bounded
-/// expansion, bundled so engine adapters take one query argument.
+/// The query point, metric and prune bound threaded through
+/// distance-bounded expansion, bundled so engine adapters take one query
+/// argument.
 #[derive(Clone, Copy)]
 pub struct NearQuery<'a> {
     /// The query point.
@@ -76,6 +81,13 @@ pub struct NearQuery<'a> {
     /// The distance function (chosen per query — the paper's trees are
     /// feature-based, so the structure never depends on it).
     pub metric: &'a dyn Metric,
+    /// The kernel's comparator-space prune bound when the expansion
+    /// starts: a child whose lower bound exceeds it is dropped unread.
+    /// An engine may skip such children before bounding them (the hybrid
+    /// tree tests kd split planes against it); it never has to. Infinite
+    /// while nothing can be pruned (kNN before the best-k list fills, the
+    /// streaming cursor).
+    pub bound: f64,
 }
 
 /// Receives candidate leaf entries during distance-bounded expansion.
@@ -261,7 +273,11 @@ pub fn run_distance_range<E: NodeExpand>(
         children.clear();
         match ex.expand_near(
             r,
-            NearQuery { q, metric },
+            NearQuery {
+                q,
+                metric,
+                bound: bound_sq,
+            },
             &mut io,
             ctx,
             &mut sink,
@@ -480,7 +496,12 @@ pub fn run_knn<E: NodeExpand>(
     let mut acc = KnnAcc::new(q, metric, k);
     let mut children: Vec<Child<E::Ref>> = Vec::new();
     while let Some(item) = pq.pop() {
-        if acc.full() && item.bound > acc.prune_bound(epsilon) {
+        let bound = if acc.full() {
+            acc.prune_bound(epsilon)
+        } else {
+            f64::INFINITY
+        };
+        if item.bound > bound {
             break;
         }
         if dedup && !visited.insert(item.id) {
@@ -489,7 +510,7 @@ pub fn run_knn<E: NodeExpand>(
         children.clear();
         if let Err(e) = ex.expand_near(
             item.node,
-            NearQuery { q, metric },
+            NearQuery { q, metric, bound },
             &mut io,
             ctx,
             &mut acc,
@@ -663,6 +684,7 @@ impl<'m, E: NodeExpand> KnnCursor<'m, E> {
                 NearQuery {
                     q: &self.q,
                     metric: self.metric,
+                    bound: f64::INFINITY,
                 },
                 &mut self.io,
                 &self.ctx,

@@ -105,6 +105,24 @@ pub trait Metric: Sync {
         (d_sq <= bound_sq).then_some(d_sq)
     }
 
+    /// Comparator-space term of dimension `dim` for a rectangle whose
+    /// `dim` interval lies `gap >= 0` away from the query's coordinate:
+    /// the per-dimension piece of [`min_dist_rect_sq`](Metric::min_dist_rect_sq).
+    ///
+    /// The contract is additive: for distinct dimensions `d_1..d_n` and
+    /// any rectangle `R` whose `d_i` interval lies at least `g_i` from
+    /// the query, `Σ axis_gap_sq(d_i, g_i) <= min_dist_rect_sq(q, R)`.
+    /// Index nodes use it to prune a kd subtree against a running bound
+    /// by summing the gaps its split planes impose, one term per
+    /// dimension, without building the subtree's rectangle.
+    ///
+    /// `None` (the default) means the metric does not decompose that way
+    /// (`L∞`, most user metrics): nothing is pruned through this hook and
+    /// traversal is exactly what it is without it.
+    fn axis_gap_sq(&self, _dim: usize, _gap: f64) -> Option<f64> {
+        None
+    }
+
     /// Human-readable name for reports.
     fn name(&self) -> &'static str {
         "custom"
@@ -190,6 +208,10 @@ impl Metric for L1 {
             }
         }
         Some(acc)
+    }
+
+    fn axis_gap_sq(&self, _dim: usize, gap: f64) -> Option<f64> {
+        Some(gap)
     }
 
     fn name(&self) -> &'static str {
@@ -282,6 +304,10 @@ impl Metric for L2 {
             }
         }
         Some(acc)
+    }
+
+    fn axis_gap_sq(&self, _dim: usize, gap: f64) -> Option<f64> {
+        Some(gap * gap)
     }
 
     fn name(&self) -> &'static str {
@@ -400,6 +426,10 @@ impl Metric for Lp {
             }
         }
         Some(acc)
+    }
+
+    fn axis_gap_sq(&self, _dim: usize, gap: f64) -> Option<f64> {
+        Some(gap.powf(self.p))
     }
 
     fn name(&self) -> &'static str {
@@ -574,6 +604,10 @@ impl Metric for WeightedEuclidean {
             }
         }
         Some(acc)
+    }
+
+    fn axis_gap_sq(&self, dim: usize, gap: f64) -> Option<f64> {
+        self.weights.get(dim).map(|w| w * gap * gap)
     }
 
     fn name(&self) -> &'static str {
@@ -777,6 +811,54 @@ mod tests {
                     "{}: squared mindist must lower-bound squared distance",
                     m.name()
                 );
+            }
+        }
+
+        /// The axis-gap hook is additive: over distinct dimensions, the
+        /// terms of gaps no wider than a rectangle's own per-dimension
+        /// gaps sum to at most its squared MINDIST. `L∞` does not
+        /// decompose and keeps the default `None`.
+        #[test]
+        fn axis_gap_terms_sum_below_rect_bound(
+            q in proptest::collection::vec(-2.0f32..3.0, 6),
+            lo in proptest::collection::vec(0.0f32..0.5, 6),
+            ext in proptest::collection::vec(0.0f32..0.5, 6),
+            shrink in proptest::collection::vec(0.0f64..1.0, 6),
+            pick in proptest::collection::vec(0u8..3, 6),
+        ) {
+            let hi: Vec<f32> = lo.iter().zip(&ext).map(|(l, e)| l + e).collect();
+            let rect = Rect::new(lo, hi);
+            let qp = Point::new(q);
+            // Each picked dimension gets a gap no wider than the
+            // rectangle's own gap there; one in three is left out.
+            let gaps: Vec<(usize, f64)> = (0..6)
+                .filter(|&d| pick[d] > 0)
+                .map(|d| {
+                    let g = axis_gap(
+                        f64::from(qp.coord(d)),
+                        f64::from(rect.lo(d)),
+                        f64::from(rect.hi(d)),
+                    );
+                    (d, if pick[d] == 1 { g } else { g * shrink[d] })
+                })
+                .collect();
+            let metrics: Vec<Box<dyn Metric>> = vec![
+                Box::new(L1), Box::new(L2),
+                Box::new(Lp::new(1.5)), Box::new(Lp::new(3.0)),
+                Box::new(WeightedEuclidean::new(vec![0.1, 2.0, 1.0, 0.5, 0.0, 3.0])),
+            ];
+            for m in &metrics {
+                let mut sum = 0.0;
+                for &(d, g) in &gaps {
+                    let term = m.axis_gap_sq(d, g);
+                    prop_assert!(term.is_some(), "{} must decompose", m.name());
+                    sum += term.unwrap_or(0.0);
+                }
+                let bound = m.min_dist_rect_sq(&qp, &rect);
+                prop_assert!(sum <= bound, "{}: terms {} > bound {}", m.name(), sum, bound);
+            }
+            for &(d, g) in &gaps {
+                prop_assert_eq!(Chebyshev.axis_gap_sq(d, g), None);
             }
         }
 

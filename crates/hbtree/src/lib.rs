@@ -94,9 +94,9 @@ impl Constraint {
         });
     }
 
-    fn decode(r: &mut ByteReader<'_>) -> PageResult<Self> {
-        let dim = r.get_u16()?;
-        let pos = r.get_f32()?;
+    /// Decodes a constraint of a `dims`-dimensional tree.
+    fn decode(r: &mut ByteReader<'_>, dims: usize) -> PageResult<Self> {
+        let (dim, pos) = decode_split(r, dims)?;
         let side = match r.get_u8()? {
             0 => Side::Lower,
             1 => Side::Upper,
@@ -104,6 +104,19 @@ impl Constraint {
         };
         Ok(Constraint { dim, pos, side })
     }
+}
+
+/// Reads a split's `(dimension, position)` for a `dims`-dimensional
+/// tree: a dimension past it or a non-finite position is corruption.
+fn decode_split(r: &mut ByteReader<'_>, dims: usize) -> PageResult<(u16, Coord)> {
+    let dim = r.get_u16()?;
+    let pos = r.get_f32()?;
+    if usize::from(dim) >= dims || !pos.is_finite() {
+        return Err(PageError::Corrupt(format!(
+            "hB split on dim {dim} at {pos} in a {dims}-d tree"
+        )));
+    }
+    Ok((dim, pos))
 }
 
 /// A redirect left behind by a data-corner extraction: entries matching
@@ -179,15 +192,15 @@ impl Kd {
         }
     }
 
-    fn decode(r: &mut ByteReader<'_>) -> PageResult<Self> {
+    /// Decodes the kd-tree of a `dims`-dimensional tree's index page.
+    fn decode(r: &mut ByteReader<'_>, dims: usize) -> PageResult<Self> {
         match r.get_u8()? {
             KD_CHILD => Ok(Kd::Child(PageId(r.get_u32()?))),
             KD_SIBLING => Ok(Kd::Sibling(PageId(r.get_u32()?))),
             KD_INTERNAL => {
-                let dim = r.get_u16()?;
-                let pos = r.get_f32()?;
-                let left = Box::new(Kd::decode(r)?);
-                let right = Box::new(Kd::decode(r)?);
+                let (dim, pos) = decode_split(r, dims)?;
+                let left = Box::new(Kd::decode(r, dims)?);
+                let right = Box::new(Kd::decode(r, dims)?);
                 Ok(Kd::Internal {
                     dim,
                     pos,
@@ -365,7 +378,7 @@ impl HbNode {
                     let nc = r.get_u8()? as usize;
                     let mut constraints = Vec::with_capacity(nc);
                     for _ in 0..nc {
-                        constraints.push(Constraint::decode(&mut r)?);
+                        constraints.push(Constraint::decode(&mut r, dim)?);
                     }
                     let target = PageId(r.get_u32()?);
                     redirects.push(Redirect {
@@ -377,7 +390,7 @@ impl HbNode {
             }
             TAG_INDEX => {
                 let level = r.get_u16()?;
-                let kd = Kd::decode(&mut r)?;
+                let kd = Kd::decode(&mut r, dim)?;
                 Ok(HbNode::Index { level, kd })
             }
             t => Err(PageError::Corrupt(format!("bad hB node tag {t}"))),

@@ -89,14 +89,21 @@ impl Kd {
         }
     }
 
-    fn decode(r: &mut ByteReader<'_>) -> PageResult<Self> {
+    /// Decodes the kd-tree of a `dims`-dimensional tree's index page: a
+    /// split dimension past it or a non-finite position is corruption.
+    fn decode(r: &mut ByteReader<'_>, dims: usize) -> PageResult<Self> {
         match r.get_u8()? {
             KD_LEAF => Ok(Kd::Leaf(PageId(r.get_u32()?))),
             KD_INTERNAL => {
                 let dim = r.get_u16()?;
                 let pos = r.get_f32()?;
-                let left = Box::new(Kd::decode(r)?);
-                let right = Box::new(Kd::decode(r)?);
+                if usize::from(dim) >= dims || !pos.is_finite() {
+                    return Err(PageError::Corrupt(format!(
+                        "kdb split on dim {dim} at {pos} in a {dims}-d tree"
+                    )));
+                }
+                let left = Box::new(Kd::decode(r, dims)?);
+                let right = Box::new(Kd::decode(r, dims)?);
                 Ok(Kd::Internal {
                     dim,
                     pos,
@@ -231,7 +238,7 @@ impl KdbNode {
             TAG_DATA => Ok(KdbNode::Data(leaf::decode(&mut r, dim, |p, oid| (p, oid))?)),
             TAG_INDEX => {
                 let level = r.get_u16()?;
-                let kd = Kd::decode(&mut r)?;
+                let kd = Kd::decode(&mut r, dim)?;
                 Ok(KdbNode::Index { level, kd })
             }
             t => Err(PageError::Corrupt(format!("bad kdb node tag {t}"))),

@@ -5,14 +5,17 @@
 //! been torn, rotted, or overwritten by another program.
 
 use hybridtree_repro::core::{scrub_index, ElsTable, HybridTree, HybridTreeConfig, KdTree, Node};
-use hybridtree_repro::geom::{Point, Rect};
+use hybridtree_repro::geom::{Point, Rect, L2};
+use hybridtree_repro::hbtree::{HbTree, HbTreeConfig};
 use hybridtree_repro::index::{leaf, MultidimIndex};
+use hybridtree_repro::kdbtree::{KdbTree, KdbTreeConfig};
 use hybridtree_repro::page::{
-    inspect_frame, inspect_header, ByteReader, ByteWriter, DurableStorage, FrameStatus, PageError,
-    PageId, FRAME_HEADER_BYTES,
+    inspect_frame, inspect_header, ByteReader, ByteWriter, DurableStorage, FaultScript,
+    FaultStorage, FrameStatus, MemStorage, PageError, PageId, FRAME_HEADER_BYTES,
 };
 use hybridtree_repro::srtree::{ChildEntry, SrNode};
 use proptest::prelude::*;
+use std::sync::{Arc, OnceLock};
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("hyt_fuzz_{}", std::process::id()));
@@ -62,6 +65,74 @@ fn valid_sr_index_node(dim: usize, n: usize) -> Vec<u8> {
         })
         .collect();
     SrNode::Index { level: 1, entries }.encode(dim)
+}
+
+/// Page size of the baseline trees whose directory pages get bit flips:
+/// small enough that 600 3-d points need a directory level.
+const FLIP_PAGE: usize = 512;
+
+/// 600 seeded 3-d points in the unit cube.
+fn flip_points() -> Vec<Point> {
+    (0..600u32)
+        .map(|i| {
+            let h = i.wrapping_mul(2_654_435_761);
+            Point::new(vec![
+                (h % 1000) as f32 / 1000.0,
+                (h / 1000 % 1000) as f32 / 1000.0,
+                i as f32 / 600.0,
+            ])
+        })
+        .collect()
+}
+
+/// A baseline tree over storage that can flip a bit in a page as it is
+/// read; it has no buffer pool frames, so every visit reads storage.
+type Flippable<T> = (T, Arc<FaultScript>);
+
+/// Builds `T` over flippable storage from [`flip_points`].
+fn flippable<T: MultidimIndex>(build: impl FnOnce(FaultStorage<MemStorage>) -> T) -> Flippable<T> {
+    let (storage, script) = FaultStorage::new(MemStorage::with_page_size(FLIP_PAGE));
+    let mut t = build(storage);
+    for (i, p) in flip_points().into_iter().enumerate() {
+        t.insert(p, i as u64).unwrap();
+    }
+    let height = t.structure_stats().unwrap().height;
+    assert!(height >= 2, "the root must be a directory page");
+    (t, script)
+}
+
+fn hb_tree() -> &'static Flippable<HbTree<FaultStorage<MemStorage>>> {
+    static TREE: OnceLock<Flippable<HbTree<FaultStorage<MemStorage>>>> = OnceLock::new();
+    TREE.get_or_init(|| {
+        flippable(|s| {
+            let cfg = HbTreeConfig {
+                page_size: FLIP_PAGE,
+            };
+            HbTree::with_storage(3, cfg, s).unwrap()
+        })
+    })
+}
+
+fn kdb_tree() -> &'static Flippable<KdbTree<FaultStorage<MemStorage>>> {
+    static TREE: OnceLock<Flippable<KdbTree<FaultStorage<MemStorage>>>> = OnceLock::new();
+    TREE.get_or_init(|| {
+        flippable(|s| {
+            let cfg = KdbTreeConfig {
+                page_size: FLIP_PAGE,
+            };
+            KdbTree::with_storage(3, cfg, s).unwrap()
+        })
+    })
+}
+
+/// Runs `query` with one bit flipped in the first page it reads (the
+/// root, a directory page). The flipped page must come back as answers
+/// or a typed error; a panic fails the test.
+fn with_root_flip<R>(script: &FaultScript, pos: usize, bit: u8, query: impl FnOnce() -> R) -> R {
+    script.flip_on_read(script.reads_seen(), pos, 1 << bit);
+    let out = query();
+    script.disarm();
+    out
 }
 
 /// Runs the shared leaf decoder, which every engine's data pages go
@@ -175,6 +246,37 @@ proptest! {
         buf[pos] ^= 1 << bit;
         let _ = SrNode::decode(&buf, dim);
         let _ = SrNode::decode(&buf, other_dim);
+    }
+
+    // Bit flips in an hB-tree directory page: a split or redirect
+    // dimension past the tree's, or a non-finite position, is a typed
+    // error, not an out-of-range `Rect` index.
+    #[test]
+    fn hb_directory_survives_bit_flips(
+        pos in 0usize..320,
+        bit in 0u8..8,
+        lo in proptest::collection::vec(0.0f32..0.8, 3),
+    ) {
+        let (t, script) = hb_tree();
+        let query = Rect::new(lo.clone(), lo.iter().map(|x| x + 0.2).collect());
+        let _ = with_root_flip(script, pos, bit, || t.box_query_counted(&query));
+        let _ = with_root_flip(script, pos, bit, || t.box_query_counted(&Rect::unit(3)));
+    }
+
+    // Bit flips in a kDB-tree directory page: a split dimension past the
+    // tree's or a NaN position is a typed error, not a panic in
+    // `f32::clamp` while kd-regions are derived.
+    #[test]
+    fn kdb_directory_survives_bit_flips(
+        pos in 0usize..320,
+        bit in 0u8..8,
+        c in proptest::collection::vec(0.0f32..1.0, 3),
+    ) {
+        let (t, script) = kdb_tree();
+        let center = Point::new(c);
+        let _ = with_root_flip(script, pos, bit, || t.box_query_counted(&Rect::unit(3)));
+        let _ = with_root_flip(script, pos, bit, || t.distance_range_counted(&center, 0.2, &L2));
+        let _ = with_root_flip(script, pos, bit, || t.knn_counted(&center, 5, &L2));
     }
 
     // The kd-tree decoder walks a recursive format — hostile bytes must
