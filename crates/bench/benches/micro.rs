@@ -167,7 +167,7 @@ fn bench_decoded_cache(c: &mut Criterion) {
 }
 
 /// Unified-executor group: pins the refactored kNN hot loop (now the
-/// shared `hyt-exec` best-first driver) against the `query/knn10_l2_16d_20k`
+/// shared `hyt-exec` best-first cursor, bounded by k) against the `query/knn10_l2_16d_20k`
 /// trajectory, and measures the incremental cursor draining the same k —
 /// the executor refactor must not make either slower than the engine-local
 /// loops it replaced.

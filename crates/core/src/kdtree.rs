@@ -14,6 +14,9 @@
 //! internal node with region `R` has region `R ∩ {x_d <= lsp}` and the
 //! right child `R ∩ {x_d >= rsp}`.
 
+// Page bytes are untrusted: a malformed page must come back `Corrupt`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use hyt_geom::{Coord, Point, Rect};
 use hyt_page::{ByteReader, ByteWriter, PageError, PageId, PageResult};
 
@@ -143,6 +146,10 @@ impl KdTree {
                 let dim = r.get_u16()?;
                 let lsp = r.get_f32()?;
                 let rsp = r.get_f32()?;
+                // ±∞ is a legal position (splits fold from it); NaN is not.
+                if lsp.is_nan() || rsp.is_nan() {
+                    return Err(PageError::Corrupt("kd split position is NaN".into()));
+                }
                 let _left_len = r.get_u16()?; // navigation hint only
                 let left = Box::new(KdTree::decode(r)?);
                 let right = Box::new(KdTree::decode(r)?);
@@ -535,8 +542,25 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        let buf = [9u8, 0, 0, 0, 0];
-        assert!(KdTree::decode(&mut ByteReader::new(&buf)).is_err());
+        let nan_split = |lsp, rsp| {
+            let mut w = ByteWriter::new();
+            KdTree::split(
+                0,
+                lsp,
+                rsp,
+                KdTree::leaf(PageId(1)),
+                KdTree::leaf(PageId(2)),
+            )
+            .encode(&mut w);
+            w.into_inner()
+        };
+        for buf in [
+            vec![9u8, 0, 0, 0, 0],
+            nan_split(f32::NAN, 0.5),
+            nan_split(0.5, f32::NAN),
+        ] {
+            assert!(KdTree::decode(&mut ByteReader::new(&buf)).is_err());
+        }
     }
 
     #[test]

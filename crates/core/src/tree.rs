@@ -213,7 +213,7 @@ impl<S: Storage> HybridTree<S> {
         check_dim(self.dim, q.dim())?;
         assert!(epsilon >= 0.0, "epsilon must be non-negative");
         let (outcome, _) = hyt_exec::run_knn(
-            &HyExpand { tree: self },
+            HyExpand { tree: self },
             q,
             k,
             epsilon,
@@ -827,7 +827,7 @@ impl<S: Storage> MultidimIndex for HybridTree<S> {
         ctx: &QueryContext,
     ) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
         check_dim(self.dim, q.dim())?;
-        hyt_exec::run_knn(&HyExpand { tree: self }, q, k, 0.0, metric, ctx)
+        hyt_exec::run_knn(HyExpand { tree: self }, q, k, 0.0, metric, ctx)
     }
 
     fn knn_stream<'a>(

@@ -13,6 +13,9 @@
 //! Mutating operations (insert, delete, splits) still use the owned
 //! [`KdTree`](crate::kdtree::KdTree)/[`Node`](crate::node::Node) forms.
 
+// Page bytes are untrusted: a malformed page must come back `Corrupt`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::kdtree::{INTERNAL_BYTES, LEAF_BYTES};
 use hyt_exec::NearQuery;
 use hyt_geom::{Metric, Point, Rect};
@@ -40,7 +43,7 @@ impl<'a> NodeView<'a> {
                 if buf.len() < 5 {
                     return Err(PageError::Corrupt("truncated data node".into()));
                 }
-                let count = u32::from_le_bytes(buf[1..5].try_into().unwrap()) as usize;
+                let count = u32::from_le_bytes([buf[1], buf[2], buf[3], buf[4]]) as usize;
                 let need = 5 + count * entry_bytes(dim);
                 if buf.len() < need {
                     return Err(PageError::Corrupt(format!(
@@ -87,13 +90,15 @@ impl<'a> DataView<'a> {
     #[inline]
     fn coord(&self, entry: usize, d: usize) -> f32 {
         let off = entry * entry_bytes(self.dim) + 4 * d;
-        f32::from_le_bytes(self.entries[off..off + 4].try_into().unwrap())
+        let b = &self.entries[off..off + 4];
+        f32::from_le_bytes([b[0], b[1], b[2], b[3]])
     }
 
     #[inline]
     fn oid(&self, entry: usize) -> u64 {
         let off = entry * entry_bytes(self.dim) + 4 * self.dim;
-        u64::from_le_bytes(self.entries[off..off + 8].try_into().unwrap())
+        let b = &self.entries[off..off + 8];
+        u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
     }
 
     /// Appends the oids of entries inside `rect`, reading coordinates in
@@ -131,23 +136,28 @@ pub struct KdView<'a> {
 
 impl<'a> KdView<'a> {
     fn leaf_child(&self, off: usize) -> PageResult<PageId> {
-        let s = self
+        let s: &[u8; LEAF_BYTES - 1] = self
             .buf
-            .get(off + 1..off + LEAF_BYTES)
+            .get(off + 1..)
+            .and_then(<[u8]>::first_chunk)
             .ok_or_else(|| PageError::Corrupt("kd leaf out of bounds".into()))?;
-        Ok(PageId(u32::from_le_bytes(s.try_into().unwrap())))
+        Ok(PageId(u32::from_le_bytes(*s)))
     }
 
     #[inline]
     fn internal_header(&self, off: usize) -> PageResult<(usize, f32, f32, usize, usize)> {
-        let s = self
+        let s: &[u8; INTERNAL_BYTES - 1] = self
             .buf
-            .get(off + 1..off + INTERNAL_BYTES)
+            .get(off + 1..)
+            .and_then(<[u8]>::first_chunk)
             .ok_or_else(|| PageError::Corrupt("kd internal out of bounds".into()))?;
-        let dim = u16::from_le_bytes(s[0..2].try_into().unwrap()) as usize;
-        let lsp = f32::from_le_bytes(s[2..6].try_into().unwrap());
-        let rsp = f32::from_le_bytes(s[6..10].try_into().unwrap());
-        let left_len = u16::from_le_bytes(s[10..12].try_into().unwrap()) as usize;
+        let dim = u16::from_le_bytes([s[0], s[1]]) as usize;
+        let lsp = f32::from_le_bytes([s[2], s[3], s[4], s[5]]);
+        let rsp = f32::from_le_bytes([s[6], s[7], s[8], s[9]]);
+        let left_len = u16::from_le_bytes([s[10], s[11]]) as usize;
+        if lsp.is_nan() || rsp.is_nan() {
+            return Err(PageError::Corrupt("kd split position is NaN".into()));
+        }
         let left_off = off + INTERNAL_BYTES;
         let right_off = left_off + left_len;
         Ok((dim, lsp, rsp, left_off, right_off))

@@ -27,6 +27,37 @@ fn unbounded(q: &Point) -> NearQuery<'_> {
     }
 }
 
+/// A directory page with a NaN split position is `Corrupt` to the
+/// decoder and to every in-place walk, never a panic: handing a region
+/// down through a NaN `lsp` to a second split on the same dimension
+/// would reach `f32::clamp` with a NaN bound.
+#[test]
+fn nan_split_pages_are_corrupt() {
+    for (lsp, rsp) in [(f32::NAN, 0.5), (0.5, f32::NAN)] {
+        let inner = KdTree::split(
+            0,
+            0.25,
+            0.25,
+            KdTree::leaf(PageId(1)),
+            KdTree::leaf(PageId(2)),
+        );
+        let kd = KdTree::split(0, lsp, rsp, inner.clone(), inner);
+        let buf = Node::Index { level: 1, kd }.encode(2);
+        assert!(Node::decode(&buf, 2).is_err());
+        let Ok(NodeView::Index(view)) = NodeView::parse(&buf, 2) else {
+            panic!("an index page must parse into a view");
+        };
+        let q = Point::new(vec![0.4, 0.4]);
+        let region = Rect::unit(2);
+        let mut out = Vec::new();
+        assert!(view
+            .children_near(unbounded(&q), Some(&region), &mut |_, _| {})
+            .is_err());
+        assert!(view.children_overlapping_box(&region, &mut out).is_err());
+        assert!(view.children_containing_point(&q, &mut out).is_err());
+    }
+}
+
 /// `kd` with its leaves numbered 0, 1, .. in kd order.
 fn relabel(kd: &KdTree, next: &mut u32) -> KdTree {
     match kd {

@@ -5,9 +5,11 @@
 //! answer box / distance-range / kNN queries with the *same* guided
 //! traversal: maintain a frontier of node references, expand the best (or
 //! next) one, collect leaf entries, prune children by a lower bound. This
-//! crate hoists that loop out of the five engines into three shared
-//! drivers — [`run_box_query`], [`run_distance_range`], [`run_knn`] — plus
-//! an incremental distance-browsing cursor ([`KnnCursor`]). Engines
+//! crate hoists that loop out of the five engines into two depth-first
+//! drivers — [`run_box_query`], [`run_distance_range`] — and one
+//! best-first kNN loop, the distance-browsing cursor [`KnnCursor`]:
+//! streaming kNN opens it unbounded, and batch kNN ([`run_knn`]) is the
+//! same cursor bounded by k. Engines
 //! implement the [`NodeExpand`] trait once: "given one node reference,
 //! read it (attributing I/O, honoring the [`QueryContext`]) and emit leaf
 //! entries and/or bounded children". Everything cross-cutting lives here:
@@ -35,8 +37,10 @@
 //! replacement at the k boundary is now ordered by `(distance, oid)`
 //! rather than distance alone, which changes *which* oid survives an exact
 //! distance tie (answers' distance multisets, I/O, and pruning are
-//! unaffected) and is what makes [`KnnCursor`] prefixes equal batch
-//! results exactly.
+//! unaffected). Because batch kNN is the bounded cursor, a streaming
+//! prefix and the batch answer come out of one loop in one order:
+//! ascending `(comparator distance, oid)`, which equals `(distance, oid)`
+//! order unless two distinct comparator values root to the same `f64`.
 
 use hyt_geom::{range_bound_sq, Metric, Point, Rect};
 use hyt_index::{
@@ -44,7 +48,8 @@ use hyt_index::{
     QueryContext, QueryOutcome,
 };
 use hyt_page::IoStats;
-use std::cmp::Ordering;
+use std::borrow::Cow;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
 
 /// What kind of node a [`NodeExpand::expand_box`] or
@@ -84,9 +89,11 @@ pub struct NearQuery<'a> {
     /// The kernel's comparator-space prune bound when the expansion
     /// starts: a child whose lower bound exceeds it is dropped unread.
     /// An engine may skip such children before bounding them (the hybrid
-    /// tree tests kd split planes against it); it never has to. Infinite
-    /// while nothing can be pruned (kNN before the best-k list fills, the
-    /// streaming cursor).
+    /// tree tests kd split planes against it); it never has to. The
+    /// range driver passes the radius bound; batch kNN passes the k-th
+    /// best distance (its `ε` image) once k candidates are held.
+    /// Infinite while nothing can be pruned: batch kNN before the best-k
+    /// list fills, and the unbounded streaming cursor.
     pub bound: f64,
 }
 
@@ -121,21 +128,24 @@ pub trait NodeExpand {
     type Ref;
 
     /// A stable identifier for `r` (the page id): priority-queue
-    /// tie-break (smallest first) and visited-set key.
+    /// tie-break (smallest first) and box search's visited-set key.
     fn node_id(&self, r: &Self::Ref) -> u64;
 
     /// Initial frontier, in visit order. Empty for an empty index.
     fn roots(&self) -> Vec<Self::Ref>;
 
     /// Whether a node can be reached through more than one path (hB-tree
-    /// redirect graph): the kernel then visits each node id once.
+    /// redirect graph): box search then visits each node id once. Box
+    /// search only; the distance paths never consult it, since the one
+    /// engine that sets it has no distance search.
     fn dedup_visits(&self) -> bool {
         false
     }
 
     /// Whether the engine cannot tell how much work remains after a leaf
     /// (hB-tree: the redirect graph hides it). Landing exactly on the
-    /// result cap then conservatively degrades.
+    /// result cap then conservatively degrades. Box search only, like
+    /// [`dedup_visits`](Self::dedup_visits).
     fn opaque_remaining_work(&self) -> bool {
         false
     }
@@ -153,8 +163,8 @@ pub trait NodeExpand {
         children: &mut Vec<Self::Ref>,
     ) -> IndexResult<NodeKind>;
 
-    /// Distance-bounded expansion, shared by the distance-range driver,
-    /// the best-first kNN driver and the streaming cursor: offer every
+    /// Distance-bounded expansion, shared by the distance-range driver
+    /// and the best-first kNN cursor (batch or streaming): offer every
     /// entry of a data page to `sink`, or emit children with squared
     /// lower bounds (the kernel prunes against its own comparator-space
     /// bound).
@@ -263,13 +273,8 @@ pub fn run_distance_range<E: NodeExpand>(
     };
     let mut stack = ex.roots();
     stack.reverse();
-    let dedup = ex.dedup_visits();
-    let mut visited: HashSet<u64> = HashSet::new();
     let mut children: Vec<Child<E::Ref>> = Vec::new();
     while let Some(r) = stack.pop() {
-        if dedup && !visited.insert(ex.node_id(&r)) {
-            continue;
-        }
         children.clear();
         match ex.expand_near(
             r,
@@ -285,12 +290,7 @@ pub fn run_distance_range<E: NodeExpand>(
         ) {
             Err(e) => return settle_interrupt(e, sink.out, io),
             Ok(kind) => {
-                if kind == NodeKind::Leaf
-                    && apply_result_cap(
-                        ctx,
-                        &mut sink.out,
-                        ex.opaque_remaining_work() || !stack.is_empty(),
-                    )
+                if kind == NodeKind::Leaf && apply_result_cap(ctx, &mut sink.out, !stack.is_empty())
                 {
                     return Ok((
                         QueryOutcome::degraded(sink.out, DegradeReason::BudgetExhausted),
@@ -310,41 +310,43 @@ pub fn run_distance_range<E: NodeExpand>(
 }
 
 // ---------------------------------------------------------------------
-// Best-first kNN driver
+// Best-first kNN: the distance-browsing cursor, bounded by k for batch
 // ---------------------------------------------------------------------
 
-/// Min-heap entry for the best-first node frontier: smallest bound first,
-/// ties broken by smallest node id (deterministic traversal).
-struct PqNode<R> {
+/// Min-heap entry for the cursor's unexpanded nodes: smallest squared
+/// lower bound first, ties broken by smallest node id (deterministic
+/// traversal).
+struct NodeEntry<R> {
     bound: f64,
     id: u64,
     node: R,
 }
 
-impl<R> PartialEq for PqNode<R> {
+impl<R> PartialEq for NodeEntry<R> {
     fn eq(&self, other: &Self) -> bool {
-        self.bound == other.bound && self.id == other.id
+        self.cmp(other) == Ordering::Equal
     }
 }
-impl<R> Eq for PqNode<R> {}
-impl<R> PartialOrd for PqNode<R> {
+impl<R> Eq for NodeEntry<R> {}
+impl<R> PartialOrd for NodeEntry<R> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<R> Ord for PqNode<R> {
+impl<R> Ord for NodeEntry<R> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want smallest bound first.
         other
             .bound
             .total_cmp(&self.bound)
-            .then(other.id.cmp(&self.id))
+            .then_with(|| other.id.cmp(&self.id))
     }
 }
 
-/// Max-heap entry for the current best-k candidates, ordered by
-/// `(comparator-space distance, oid)` so the candidate evicted at the k
-/// boundary is deterministic.
+/// A candidate object, ordered by `(comparator-space distance, oid)`:
+/// the best-k list keeps them in a max-heap, so the candidate evicted at
+/// the k boundary is deterministic, and the cursor's object queue in a
+/// min-heap.
 #[derive(Clone, Copy)]
 struct HeapHit {
     dist: f64,
@@ -369,32 +371,17 @@ impl Ord for HeapHit {
     }
 }
 
-/// The kNN best-k collector: an [`EntrySink`] applying the early-abandon
-/// candidate scan (partial distances against the current k-th best) and
-/// the deterministic `(distance, oid)` replacement rule.
-struct KnnAcc<'a> {
-    q: &'a Point,
-    metric: &'a dyn Metric,
+/// The bound that turns a cursor into batch kNN: the best `k`
+/// candidates so far, by `(comparator-space distance, oid)`, and the `ε`
+/// of approximate search.
+struct BestK {
     k: usize,
+    epsilon: f64,
     best: BinaryHeap<HeapHit>,
 }
 
-impl<'a> KnnAcc<'a> {
-    fn new(q: &'a Point, metric: &'a dyn Metric, k: usize) -> Self {
-        KnnAcc {
-            q,
-            metric,
-            k,
-            best: BinaryHeap::new(),
-        }
-    }
-
-    fn full(&self) -> bool {
-        self.best.len() == self.k
-    }
-
-    /// Current comparator-space pruning bound: the k-th best distance, or
-    /// infinity while the candidate set is not yet full.
+impl BestK {
+    /// The k-th best distance, or infinity while fewer than k are held.
     fn worst(&self) -> f64 {
         if self.best.len() < self.k {
             f64::INFINITY
@@ -404,24 +391,36 @@ impl<'a> KnnAcc<'a> {
     }
 
     /// The comparator-space bound a node must not exceed to be expanded
-    /// (ties admitted): the k-th best distance `d_k`, or for
-    /// `(1 + ε)`-approximate search the image of `d_k / (1 + ε)`. Exact
-    /// search (`epsilon == 0.0`) compares against [`worst`](Self::worst)
-    /// directly, with no extra metric call.
-    fn prune_bound(&self, epsilon: f64) -> f64 {
+    /// (ties admitted): infinite until k candidates are held, then the
+    /// k-th best distance `d_k`, or for `(1 + ε)`-approximate search the
+    /// image of `d_k / (1 + ε)`. Exact search (`epsilon == 0.0`) pays no
+    /// metric call.
+    fn prune_bound(&self, metric: &dyn Metric) -> f64 {
         let worst = self.worst();
-        if epsilon == 0.0 {
+        if self.epsilon == 0.0 || worst == f64::INFINITY {
             worst
         } else {
-            self.metric
-                .distance_to_sq(self.metric.distance_from_sq(worst) / (1.0 + epsilon))
+            metric.distance_to_sq(metric.distance_from_sq(worst) / (1.0 + self.epsilon))
         }
+    }
+
+    /// Offers a candidate; `true` if it entered the best k (evicting the
+    /// current k-th best once k are held).
+    fn admit(&mut self, hit: HeapHit) -> bool {
+        if self.best.len() < self.k {
+            self.best.push(hit);
+        } else if self.best.peek().is_some_and(|peek| hit < *peek) {
+            self.best.pop();
+            self.best.push(hit);
+        } else {
+            return false;
+        }
+        true
     }
 
     /// Drains into `(oid, distance)` sorted ascending (ties by oid),
     /// paying the single per-result root.
-    fn into_sorted_hits(self) -> Vec<(u64, f64)> {
-        let metric = self.metric;
+    fn into_sorted_hits(self, metric: &dyn Metric) -> Vec<(u64, f64)> {
         let mut hits: Vec<(u64, f64)> = self
             .best
             .into_iter()
@@ -432,189 +431,57 @@ impl<'a> KnnAcc<'a> {
     }
 }
 
-impl EntrySink for KnnAcc<'_> {
-    fn offer(&mut self, oid: u64, p: &Point) {
-        let worst = self.worst();
-        if let Some(c) = self.metric.distance_sq_within(self.q, p, worst) {
-            let hit = HeapHit { dist: c, oid };
-            if self.best.len() < self.k {
-                self.best.push(hit);
-            } else if self
-                .best
-                .peek()
-                .is_some_and(|peek| hit.cmp(peek) == Ordering::Less)
-            {
-                self.best.pop();
-                self.best.push(hit);
-            }
-        }
-    }
-}
-
-/// Runs a governed k-nearest-neighbor query over any [`NodeExpand`]
-/// engine: best-first over `(bound, node id)`, terminating when the
-/// closest unexpanded node is strictly farther than the k-th best
-/// candidate. A `max_results` cap below `k` clamps `k` — the traversal
-/// then finds the true cap-nearest neighbors, reported as
-/// budget-degraded. A denied read settles into the best candidates found
-/// so far, sorted.
-///
-/// `epsilon > 0` asks for `(1 + ε)`-approximate neighbors: a node is
-/// pruned once its bound exceeds the k-th best distance divided by
-/// `1 + ε`, so every reported neighbor is within a factor `1 + ε` of the
-/// true neighbor of the same rank while fewer pages are read. `0.0` is
-/// exact search.
-#[allow(clippy::type_complexity)]
-pub fn run_knn<E: NodeExpand>(
-    ex: &E,
-    q: &Point,
-    k: usize,
-    epsilon: f64,
-    metric: &dyn Metric,
-    ctx: &QueryContext,
-) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
-    let mut io = IoStats::default();
-    let clamped = ctx.max_results.is_some_and(|m| m < k);
-    let k = ctx.max_results.map_or(k, |m| k.min(m));
-    if k == 0 {
-        return Ok((QueryOutcome::Complete(Vec::new()), io));
-    }
-    let mut pq: BinaryHeap<PqNode<E::Ref>> = ex
-        .roots()
-        .into_iter()
-        .map(|r| PqNode {
-            bound: 0.0,
-            id: ex.node_id(&r),
-            node: r,
-        })
-        .collect();
-    if pq.is_empty() {
-        return Ok((QueryOutcome::Complete(Vec::new()), io));
-    }
-    let dedup = ex.dedup_visits();
-    let mut visited: HashSet<u64> = HashSet::new();
-    let mut acc = KnnAcc::new(q, metric, k);
-    let mut children: Vec<Child<E::Ref>> = Vec::new();
-    while let Some(item) = pq.pop() {
-        let bound = if acc.full() {
-            acc.prune_bound(epsilon)
-        } else {
-            f64::INFINITY
-        };
-        if item.bound > bound {
-            break;
-        }
-        if dedup && !visited.insert(item.id) {
-            continue;
-        }
-        children.clear();
-        if let Err(e) = ex.expand_near(
-            item.node,
-            NearQuery { q, metric, bound },
-            &mut io,
-            ctx,
-            &mut acc,
-            &mut children,
-        ) {
-            return settle_interrupt(e, acc.into_sorted_hits(), io);
-        }
-        let bound = acc.prune_bound(epsilon);
-        for c in children.drain(..) {
-            if !acc.full() || c.bound <= bound {
-                pq.push(PqNode {
-                    bound: c.bound,
-                    id: ex.node_id(&c.node),
-                    node: c.node,
-                });
-            }
-        }
-    }
-    let hits = acc.into_sorted_hits();
-    if clamped {
-        return Ok((
-            QueryOutcome::degraded(hits, DegradeReason::BudgetExhausted),
-            io,
-        ));
-    }
-    Ok((QueryOutcome::Complete(hits), io))
-}
-
-// ---------------------------------------------------------------------
-// Streaming kNN cursor (distance browsing)
-// ---------------------------------------------------------------------
-
-/// One priority-queue entry of the cursor: either an unexpanded node
-/// (keyed by its squared lower bound) or a discovered object (keyed by
-/// its exact squared distance). At equal keys nodes sort before objects,
-/// so an object is only yielded once every node that could hide a
-/// same-distance, smaller-oid object has been expanded — this is what
-/// makes cursor prefixes equal batch results under exact distance ties.
-struct CursorEntry<R> {
-    key: f64,
-    /// 0 = node, 1 = object (nodes first at equal keys).
-    rank: u8,
-    /// Page id for nodes, oid for objects.
-    id: u64,
-    node: Option<R>,
-}
-
-impl<R> PartialEq for CursorEntry<R> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.rank == other.rank && self.id == other.id
-    }
-}
-impl<R> Eq for CursorEntry<R> {}
-impl<R> PartialOrd for CursorEntry<R> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<R> Ord for CursorEntry<R> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed for min-heap behavior on (key, rank, id).
-        other
-            .key
-            .total_cmp(&self.key)
-            .then(other.rank.cmp(&self.rank))
-            .then(other.id.cmp(&self.id))
-    }
-}
-
-/// [`EntrySink`] staging discovered objects with their exact squared
-/// distances; the cursor moves them onto its priority queue after the
-/// expansion returns. No early abandon: a cursor has no k.
+/// [`EntrySink`] staging discovered objects, with their exact squared
+/// distances, on the cursor's object queue. Bounded, it applies the
+/// early-abandon scan against the k-th best and stages only candidates
+/// that enter the best k.
 struct StageSink<'a> {
     q: &'a Point,
     metric: &'a dyn Metric,
-    staged: Vec<(u64, f64)>,
+    best: Option<&'a mut BestK>,
+    objects: &'a mut BinaryHeap<Reverse<HeapHit>>,
 }
 
 impl EntrySink for StageSink<'_> {
     fn offer(&mut self, oid: u64, p: &Point) {
-        self.staged.push((oid, self.metric.distance_sq(self.q, p)));
+        let dist = match self.best.as_deref_mut() {
+            None => self.metric.distance_sq(self.q, p),
+            Some(best) => match self.metric.distance_sq_within(self.q, p, best.worst()) {
+                Some(dist) if best.admit(HeapHit { dist, oid }) => dist,
+                _ => return,
+            },
+        };
+        self.objects.push(Reverse(HeapHit { dist, oid }));
     }
 }
 
 /// Incremental k-nearest-neighbor cursor (Hjaltason–Samet distance
-/// browsing) over any [`NodeExpand`] engine: one priority queue holds
-/// both unexpanded nodes (by lower bound) and discovered objects (by
-/// exact distance); [`next`](Self::next) pops until an object surfaces.
+/// browsing) over any [`NodeExpand`] engine, and the crate's one
+/// best-first kNN loop: unexpanded nodes (by lower bound) and discovered
+/// objects (by exact distance) wait in two priority queues read as one,
+/// and [`KnnStream::next`] pops the smaller front until an object
+/// surfaces.
 ///
-/// Yields neighbors in ascending `(distance, oid)` order without a fixed
-/// `k` — pulling `n` results reads no more pages than a batch
-/// `knn_ctx(q, n, ..)` would, and the yield sequence is exactly the batch
-/// answer's prefix (see `tests/executor.rs`). Governance carries over:
-/// every page read is admitted by the [`QueryContext`]; a denied read or
-/// an exhausted `max_results` cap ends the stream with
-/// [`degrade_reason`](Self::degrade_reason) set. Hard storage failures
-/// also end the stream and are surfaced by [`take_error`](Self::take_error).
+/// Opened with [`new`](Self::new), it has no `k` and yields neighbors in
+/// ascending `(comparator distance, oid)` order. Pulling `n` results
+/// reads exactly as many pages as a batch `knn_ctx(q, n, ..)` does, and
+/// the yield sequence is exactly the batch answer's prefix (see
+/// `tests/executor.rs`). [`run_knn`] is this cursor bounded by k.
+/// Governance carries over: every page read is admitted by the
+/// [`QueryContext`]; a denied read or an exhausted `max_results` cap
+/// ends the stream with [`KnnStream::degrade_reason`] set. Hard storage
+/// failures also end the stream and are surfaced by
+/// [`KnnStream::take_error`].
 pub struct KnnCursor<'m, E: NodeExpand> {
     ex: E,
-    q: Point,
+    q: Cow<'m, Point>,
     metric: &'m dyn Metric,
-    ctx: QueryContext,
-    pq: BinaryHeap<CursorEntry<E::Ref>>,
-    visited: HashSet<u64>,
+    ctx: Cow<'m, QueryContext>,
+    pq: BinaryHeap<NodeEntry<E::Ref>>,
+    objects: BinaryHeap<Reverse<HeapHit>>,
+    /// Batch kNN's bound; `None` for an open-ended stream.
+    best: Option<BestK>,
+    children: Vec<Child<E::Ref>>,
     io: IoStats,
     yielded: usize,
     stopped: Option<DegradeReason>,
@@ -624,14 +491,23 @@ pub struct KnnCursor<'m, E: NodeExpand> {
 impl<'m, E: NodeExpand> KnnCursor<'m, E> {
     /// Opens a cursor positioned before the nearest neighbor.
     pub fn new(ex: E, q: Point, metric: &'m dyn Metric, ctx: QueryContext) -> Self {
+        Self::open(ex, Cow::Owned(q), metric, Cow::Owned(ctx), None)
+    }
+
+    fn open(
+        ex: E,
+        q: Cow<'m, Point>,
+        metric: &'m dyn Metric,
+        ctx: Cow<'m, QueryContext>,
+        best: Option<BestK>,
+    ) -> Self {
         let pq = ex
             .roots()
             .into_iter()
-            .map(|r| CursorEntry {
-                key: 0.0,
-                rank: 0,
+            .map(|r| NodeEntry {
+                bound: 0.0,
                 id: ex.node_id(&r),
-                node: Some(r),
+                node: r,
             })
             .collect();
         KnnCursor {
@@ -640,7 +516,9 @@ impl<'m, E: NodeExpand> KnnCursor<'m, E> {
             metric,
             ctx,
             pq,
-            visited: HashSet::new(),
+            objects: BinaryHeap::new(),
+            best,
+            children: Vec::new(),
             io: IoStats::default(),
             yielded: 0,
             stopped: None,
@@ -648,110 +526,158 @@ impl<'m, E: NodeExpand> KnnCursor<'m, E> {
         }
     }
 
-    /// The next neighbor in ascending `(distance, oid)` order, or `None`
-    /// when the index is exhausted, a governance limit stopped the stream
-    /// ([`degrade_reason`](Self::degrade_reason)), or a storage failure
-    /// occurred ([`take_error`](Self::take_error)).
-    #[allow(clippy::should_implement_trait)] // fallible, stateful next()
-    pub fn next(&mut self) -> Option<(u64, f64)> {
-        if self.stopped.is_some() || self.error.is_some() {
-            return None;
-        }
-        if let Some(cap) = self.ctx.max_results {
-            if self.yielded >= cap {
-                self.stopped = Some(DegradeReason::BudgetExhausted);
-                return None;
-            }
-        }
-        let dedup = self.ex.dedup_visits();
+    fn prune_bound(&self) -> f64 {
+        self.best
+            .as_ref()
+            .map_or(f64::INFINITY, |b| b.prune_bound(self.metric))
+    }
+
+    /// Pops until an object surfaces; `Ok(None)` once the frontier is
+    /// empty. A node above the prune bound is dropped unread, and a child
+    /// is queued only if its bound is within it (both inert unbounded).
+    /// An `Err` is the failed expansion's, for the caller to settle.
+    fn advance(&mut self) -> IndexResult<Option<(u64, f64)>> {
         loop {
-            let entry = self.pq.pop()?;
-            let Some(node) = entry.node else {
-                self.yielded += 1;
-                return Some((entry.id, self.metric.distance_from_sq(entry.key)));
+            // At equal keys the node goes first, so an object is only
+            // yielded once every node that could hide a same-distance,
+            // smaller-oid object has been expanded: that keeps cursor
+            // prefixes equal to batch answers under exact distance ties.
+            let node_key = self.pq.peek().map(|n| n.bound);
+            if let Some(Reverse(hit)) = self.objects.peek() {
+                if node_key.is_none_or(|key| hit.dist.total_cmp(&key).is_lt()) {
+                    let hit = *hit;
+                    self.objects.pop();
+                    return Ok(Some((hit.oid, self.metric.distance_from_sq(hit.dist))));
+                }
+            }
+            let Some(entry) = self.pq.pop() else {
+                return Ok(None);
             };
-            if dedup && !self.visited.insert(entry.id) {
+            let bound = self.prune_bound();
+            if entry.bound > bound {
                 continue;
             }
+            self.children.clear();
             let mut sink = StageSink {
                 q: &self.q,
                 metric: self.metric,
-                staged: Vec::new(),
+                best: self.best.as_mut(),
+                objects: &mut self.objects,
             };
-            let mut children: Vec<Child<E::Ref>> = Vec::new();
-            match self.ex.expand_near(
-                node,
+            self.ex.expand_near(
+                entry.node,
                 NearQuery {
                     q: &self.q,
                     metric: self.metric,
-                    bound: f64::INFINITY,
+                    bound,
                 },
                 &mut self.io,
                 &self.ctx,
                 &mut sink,
-                &mut children,
-            ) {
-                Ok(_) => {
-                    for (oid, d) in sink.staged {
-                        self.pq.push(CursorEntry {
-                            key: d,
-                            rank: 1,
-                            id: oid,
-                            node: None,
-                        });
-                    }
-                    for c in children {
-                        self.pq.push(CursorEntry {
-                            key: c.bound,
-                            rank: 0,
-                            id: self.ex.node_id(&c.node),
-                            node: Some(c.node),
-                        });
-                    }
-                }
-                Err(e) => {
-                    match e.interrupt() {
-                        Some(i) => self.stopped = Some(i.into()),
-                        None => self.error = Some(e),
-                    }
-                    return None;
+                &mut self.children,
+            )?;
+            let bound = self.prune_bound();
+            for c in self.children.drain(..) {
+                if c.bound <= bound {
+                    self.pq.push(NodeEntry {
+                        bound: c.bound,
+                        id: self.ex.node_id(&c.node),
+                        node: c.node,
+                    });
                 }
             }
         }
-    }
-
-    /// I/O incurred by this cursor so far.
-    pub fn io(&self) -> IoStats {
-        self.io
-    }
-
-    /// Why the stream degraded (stopped early), if it did.
-    pub fn degrade_reason(&self) -> Option<DegradeReason> {
-        self.stopped
-    }
-
-    /// Takes the hard storage failure that ended the stream, if any.
-    pub fn take_error(&mut self) -> Option<IndexError> {
-        self.error.take()
     }
 }
 
 impl<E: NodeExpand> KnnStream for KnnCursor<'_, E> {
     fn next(&mut self) -> Option<(u64, f64)> {
-        KnnCursor::next(self)
+        if self.stopped.is_some() || self.error.is_some() {
+            return None;
+        }
+        if self.ctx.max_results.is_some_and(|cap| self.yielded >= cap) {
+            self.stopped = Some(DegradeReason::BudgetExhausted);
+            return None;
+        }
+        match self.advance() {
+            Ok(hit) => {
+                self.yielded += usize::from(hit.is_some());
+                hit
+            }
+            Err(e) => {
+                match e.interrupt() {
+                    Some(i) => self.stopped = Some(i.into()),
+                    None => self.error = Some(e),
+                }
+                None
+            }
+        }
     }
 
     fn io(&self) -> IoStats {
-        KnnCursor::io(self)
+        self.io
     }
 
     fn degrade_reason(&self) -> Option<DegradeReason> {
-        KnnCursor::degrade_reason(self)
+        self.stopped
     }
 
     fn take_error(&mut self) -> Option<IndexError> {
-        KnnCursor::take_error(self)
+        self.error.take()
     }
+}
+
+/// Runs a governed k-nearest-neighbor query over any [`NodeExpand`]
+/// engine: a [`KnnCursor`] bounded by k, pulled k times. The traversal
+/// is best-first over `(bound, node id)` and ends once k neighbors are
+/// proven; a node farther than the k-th best candidate is never read. A
+/// `max_results` cap below `k` clamps `k` — the traversal then finds the
+/// true cap-nearest neighbors, reported as budget-degraded. A complete
+/// answer is in ascending `(comparator distance, oid)` order; a denied
+/// read settles into the best candidates found so far, sorted by
+/// `(distance, oid)`.
+///
+/// `epsilon > 0` asks for `(1 + ε)`-approximate neighbors: a node is
+/// pruned once its bound exceeds the k-th best distance divided by
+/// `1 + ε`, so every reported neighbor is within a factor `1 + ε` of the
+/// true neighbor of the same rank while fewer pages are read. `0.0` is
+/// exact search.
+#[allow(clippy::type_complexity)]
+pub fn run_knn<E: NodeExpand>(
+    ex: E,
+    q: &Point,
+    k: usize,
+    epsilon: f64,
+    metric: &dyn Metric,
+    ctx: &QueryContext,
+) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
+    let clamped = ctx.max_results.is_some_and(|m| m < k);
+    let k = ctx.max_results.map_or(k, |m| k.min(m));
+    let best = BestK {
+        k,
+        epsilon,
+        best: BinaryHeap::new(),
+    };
+    let mut cur = KnnCursor::open(ex, Cow::Borrowed(q), metric, Cow::Borrowed(ctx), Some(best));
+    let mut hits = Vec::with_capacity(k);
+    while hits.len() < k {
+        match cur.advance() {
+            Ok(Some(hit)) => hits.push(hit),
+            Ok(None) => break,
+            Err(e) => {
+                let held = cur
+                    .best
+                    .map_or_else(Vec::new, |b| b.into_sorted_hits(metric));
+                return settle_interrupt(e, held, cur.io);
+            }
+        }
+    }
+    let outcome = if clamped {
+        QueryOutcome::degraded(hits, DegradeReason::BudgetExhausted)
+    } else {
+        QueryOutcome::Complete(hits)
+    };
+    Ok((outcome, cur.io))
 }
 
 #[cfg(test)]
@@ -872,7 +798,7 @@ mod tests {
     fn knn_prunes_far_nodes_and_sorts_hits() {
         let m = mock();
         let q = Point::new(vec![0.0, 0.0]);
-        let (outcome, io) = run_knn(&m, &q, 3, 0.0, &L2, QueryContext::unlimited()).unwrap();
+        let (outcome, io) = run_knn(m, &q, 3, 0.0, &L2, QueryContext::unlimited()).unwrap();
         let hits = outcome.into_results();
         assert_eq!(
             hits.iter().map(|(o, _)| *o).collect::<Vec<_>>(),
@@ -888,7 +814,7 @@ mod tests {
         let mut m = mock();
         m.fail_at = Some(3); // root, leaf 1 ok; leaf 2 denied
         let q = Point::new(vec![0.0, 0.0]);
-        let (outcome, io) = run_knn(&m, &q, 3, 0.0, &L2, QueryContext::unlimited()).unwrap();
+        let (outcome, io) = run_knn(m, &q, 3, 0.0, &L2, QueryContext::unlimited()).unwrap();
         assert_eq!(
             outcome.degrade_reason(),
             Some(DegradeReason::BudgetExhausted)
@@ -930,7 +856,7 @@ mod tests {
     fn cursor_yields_batch_prefix_in_order() {
         let m = mock();
         let q = Point::new(vec![0.0, 0.0]);
-        let (batch, _) = run_knn(&m, &q, 5, 0.0, &L2, QueryContext::unlimited()).unwrap();
+        let (batch, _) = run_knn(m, &q, 5, 0.0, &L2, QueryContext::unlimited()).unwrap();
         let batch = batch.into_results();
         let mut cur = KnnCursor::new(mock(), q, &L2, QueryContext::unlimited().clone());
         let mut streamed = Vec::new();
@@ -960,7 +886,7 @@ mod tests {
             visits: std::cell::Cell::new(0),
         };
         let q = Point::new(vec![0.0, 0.0]);
-        let (outcome, io) = run_knn(&m, &q, 3, 0.0, &L2, QueryContext::unlimited()).unwrap();
+        let (outcome, io) = run_knn(m, &q, 3, 0.0, &L2, QueryContext::unlimited()).unwrap();
         assert!(outcome.is_complete());
         assert!(outcome.into_results().is_empty());
         assert_eq!(io.logical_reads, 0);

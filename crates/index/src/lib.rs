@@ -243,8 +243,8 @@ pub fn settle_interrupt<T>(
 /// Governance carries over from the batch path: every page read is
 /// admitted by the stream's [`QueryContext`], and a triggered limit ends
 /// the stream with [`degrade_reason`](Self::degrade_reason) set instead
-/// of surfacing an error. Pulling `n` results reads no more pages than a
-/// batch `knn_ctx(q, n, ..)` would, and the yielded sequence is exactly
+/// of surfacing an error. Pulling `n` results reads exactly the pages a
+/// batch `knn_ctx(q, n, ..)` reads, and the yielded sequence is exactly
 /// that batch answer's prefix.
 pub trait KnnStream {
     /// The next neighbor in ascending `(distance, oid)` order, or `None`

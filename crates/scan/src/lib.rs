@@ -248,7 +248,7 @@ impl<S: Storage> MultidimIndex for SeqScan<S> {
         ctx: &QueryContext,
     ) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
         check_dim(self.dim, q.dim())?;
-        hyt_exec::run_knn(&ScanExpand { tree: self }, q, k, 0.0, metric, ctx)
+        hyt_exec::run_knn(ScanExpand { tree: self }, q, k, 0.0, metric, ctx)
     }
 
     fn knn_stream<'a>(

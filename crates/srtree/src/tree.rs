@@ -651,7 +651,7 @@ impl<S: Storage> MultidimIndex for SrTree<S> {
         ctx: &QueryContext,
     ) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
         check_dim(self.dim, q.dim())?;
-        hyt_exec::run_knn(&SrExpand { tree: self }, q, k, 0.0, metric, ctx)
+        hyt_exec::run_knn(SrExpand { tree: self }, q, k, 0.0, metric, ctx)
     }
 
     fn knn_stream<'a>(

@@ -40,19 +40,6 @@ fn query_points(data: &[Point], n: usize, seed: u64) -> Vec<Point> {
         .collect()
 }
 
-/// Drains at most `k` hits from a fresh cursor, returning the hits and
-/// the degradation reason (if the budget stopped the stream early).
-fn drain(
-    idx: &dyn MultidimIndex,
-    q: &Point,
-    k: usize,
-    metric: &dyn Metric,
-    ctx: &QueryContext,
-) -> (Vec<(u64, f64)>, Option<DegradeReason>) {
-    let (hits, _, reason) = run_knn_stream(idx, q, k, metric, ctx).unwrap();
-    (hits, reason)
-}
-
 #[test]
 fn cursor_prefixes_equal_batch_knn_on_all_engines() {
     for (name, data) in datasets() {
@@ -63,24 +50,42 @@ fn cursor_prefixes_equal_batch_knn_on_all_engines() {
             // in ascending distance.
             for (metric, k) in [(&L1 as &dyn Metric, 10), (&L2, 10), (&L2, data.len())] {
                 for q in &queries {
-                    let (outcome, _) = idx
+                    let (outcome, batch_io) = idx
                         .knn_ctx(q, k, metric, QueryContext::unlimited())
                         .unwrap();
                     let batch = outcome.into_results();
                     // Full drain reproduces the batch answer bit for bit:
-                    // same oids, same order (ties broken identically).
-                    let (stream, reason) = drain(&*idx, q, k, metric, QueryContext::unlimited());
+                    // same oids, same order (ties broken identically),
+                    // reading exactly the pages the batch query reads.
+                    let (stream, stream_io, reason) =
+                        run_knn_stream(&*idx, q, k, metric, QueryContext::unlimited()).unwrap();
                     assert_eq!(reason, None, "{} on {name}", engine.name());
                     assert_eq!(stream, batch, "{} on {name}", engine.name());
+                    assert_eq!(
+                        (stream_io.logical_reads, stream_io.seq_reads),
+                        (batch_io.logical_reads, batch_io.seq_reads),
+                        "{} on {name} (k={k}): cursor vs batch reads",
+                        engine.name()
+                    );
                     // Every shorter drain is a strict prefix — the cursor
                     // never reorders later knowledge into earlier yields.
                     for prefix_len in [1usize, 3, 7] {
-                        let (prefix, _) =
-                            drain(&*idx, q, prefix_len, metric, QueryContext::unlimited());
+                        let (prefix, prefix_io, _) =
+                            run_knn_stream(&*idx, q, prefix_len, metric, QueryContext::unlimited())
+                                .unwrap();
                         assert_eq!(
                             prefix,
                             batch[..prefix_len.min(batch.len())].to_vec(),
                             "{} on {name} (k={prefix_len})",
+                            engine.name()
+                        );
+                        let (_, short_io) = idx
+                            .knn_ctx(q, prefix_len, metric, QueryContext::unlimited())
+                            .unwrap();
+                        assert_eq!(
+                            (prefix_io.logical_reads, prefix_io.seq_reads),
+                            (short_io.logical_reads, short_io.seq_reads),
+                            "{} on {name} (k={prefix_len}): cursor vs batch reads",
                             engine.name()
                         );
                     }
