@@ -136,14 +136,19 @@ impl KdTree {
         }
     }
 
-    /// Parses a tree serialized by [`encode`](Self::encode).
-    pub fn decode(r: &mut ByteReader<'_>) -> PageResult<Self> {
+    /// Parses a tree serialized by [`encode`](Self::encode) for a
+    /// `dims`-dimensional space; a split on a dimension past it is
+    /// `Corrupt`.
+    pub fn decode(r: &mut ByteReader<'_>, dims: usize) -> PageResult<Self> {
         match r.get_u8()? {
             TAG_LEAF => Ok(KdTree::Leaf {
                 child: PageId(r.get_u32()?),
             }),
             TAG_INTERNAL => {
                 let dim = r.get_u16()?;
+                if usize::from(dim) >= dims {
+                    return Err(PageError::Corrupt(format!("kd dim {dim} out of range")));
+                }
                 let lsp = r.get_f32()?;
                 let rsp = r.get_f32()?;
                 // ±∞ is a legal position (splits fold from it); NaN is not.
@@ -151,8 +156,8 @@ impl KdTree {
                     return Err(PageError::Corrupt("kd split position is NaN".into()));
                 }
                 let _left_len = r.get_u16()?; // navigation hint only
-                let left = Box::new(KdTree::decode(r)?);
-                let right = Box::new(KdTree::decode(r)?);
+                let left = Box::new(KdTree::decode(r, dims)?);
+                let right = Box::new(KdTree::decode(r, dims)?);
                 Ok(KdTree::Internal {
                     dim,
                     lsp,
@@ -536,16 +541,16 @@ mod tests {
         t.encode(&mut w);
         let buf = w.into_inner();
         assert_eq!(buf.len(), t.encoded_size());
-        let got = KdTree::decode(&mut ByteReader::new(&buf)).unwrap();
+        let got = KdTree::decode(&mut ByteReader::new(&buf), 2).unwrap();
         assert_eq!(got, t);
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        let nan_split = |lsp, rsp| {
+        let split = |dim, lsp, rsp| {
             let mut w = ByteWriter::new();
             KdTree::split(
-                0,
+                dim,
                 lsp,
                 rsp,
                 KdTree::leaf(PageId(1)),
@@ -556,10 +561,11 @@ mod tests {
         };
         for buf in [
             vec![9u8, 0, 0, 0, 0],
-            nan_split(f32::NAN, 0.5),
-            nan_split(0.5, f32::NAN),
+            split(0, f32::NAN, 0.5),
+            split(0, 0.5, f32::NAN),
+            split(2, 0.5, 0.5),
         ] {
-            assert!(KdTree::decode(&mut ByteReader::new(&buf)).is_err());
+            assert!(KdTree::decode(&mut ByteReader::new(&buf), 2).is_err());
         }
     }
 

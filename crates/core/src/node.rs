@@ -1,5 +1,8 @@
 //! On-page node formats of the hybrid tree.
 
+// Page bytes are untrusted: a malformed page must come back `Corrupt`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::kdtree::KdTree;
 use hyt_geom::Point;
 use hyt_index::leaf;
@@ -83,7 +86,7 @@ impl Node {
             })?)),
             TAG_INDEX => {
                 let level = r.get_u16()?;
-                let kd = KdTree::decode(&mut r)?;
+                let kd = KdTree::decode(&mut r, dim)?;
                 Ok(Node::Index { level, kd })
             }
             t => Err(PageError::Corrupt(format!("bad node tag {t}"))),

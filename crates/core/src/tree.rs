@@ -720,9 +720,12 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
             return Ok(NodeKind::Leaf);
         }
         // Directory pages are walked in place, skipping kd subtrees beyond
-        // the kernel's bound. Each surviving child is bounded after the
-        // frame is released: with ELS on by its quantized live box, with
-        // ELS off by its kd-region, handed down the tree.
+        // the kernel's bound. Before a bound exists (kNN's first
+        // expansions) a child whose kd path lies away from the query is
+        // keyed by its path's gap sum, relaxed as the walk relaxes its
+        // limit, and bounded only if it reaches the front of the queue.
+        // Every other child is bounded after the frame is released.
+        let defer = nq.bound == f64::INFINITY;
         let depth = r.depth + 1;
         let first = children.len();
         t.pool
@@ -733,9 +736,15 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
                         r.pid
                     )));
                 };
-                view.children_near(nq, r.region.as_ref(), &mut |pid, region| {
+                view.children_near(nq, r.region.as_ref(), &mut |pid, region, sum| {
+                    let provisional = defer && sum > 0.0;
                     children.push(Child {
-                        bound: 0.0,
+                        bound: if provisional {
+                            sum * (1.0 - 1e-12)
+                        } else {
+                            0.0
+                        },
+                        provisional,
                         node: HyRef {
                             pid,
                             depth,
@@ -746,14 +755,21 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
             })
             .and_then(|x| x)?;
         for c in &mut children[first..] {
-            let rect = c
-                .node
-                .region
-                .as_ref()
-                .or_else(|| t.els.quant_rect(c.node.pid));
-            c.bound = rect.map_or(0.0, |b| nq.metric.min_dist_rect_sq(nq.q, b));
+            if !c.provisional {
+                c.bound = self.settle_bound(&c.node, nq);
+            }
         }
         Ok(NodeKind::Index)
+    }
+
+    /// A child's bound: with ELS on by its quantized live box, with ELS
+    /// off by its kd-region, handed down the tree. Both are in memory.
+    fn settle_bound(&self, r: &HyRef, nq: NearQuery<'_>) -> f64 {
+        let rect = r
+            .region
+            .as_ref()
+            .or_else(|| self.tree.els.quant_rect(r.pid));
+        rect.map_or(0.0, |b| nq.metric.min_dist_rect_sq(nq.q, b))
     }
 }
 

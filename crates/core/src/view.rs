@@ -211,18 +211,22 @@ impl<'a> KdView<'a> {
     /// rounding in the sum can never skip a child the kernel would keep.
     /// A NaN gap never skips, a metric without the hook never prunes,
     /// and an infinite bound yields every child.
+    ///
+    /// Each child is emitted with its path's sum, which lower-bounds its
+    /// distance up to that rounding, whatever the bound: kNN keys children
+    /// by it before a bound exists. The sum is `0.0` for a metric without
+    /// the hook.
     pub fn children_near(
         &self,
         nq: NearQuery<'_>,
         region: Option<&Rect>,
-        emit: &mut impl FnMut(PageId, Option<&Rect>),
+        emit: &mut impl FnMut(PageId, Option<&Rect>, f64),
     ) -> PageResult<()> {
-        let limit = nq.bound * (1.0 + 1e-12);
         let walk = NearWalk {
             view: *self,
             q: nq.q,
             metric: nq.metric,
-            limit: (limit < f64::INFINITY).then_some(limit),
+            limit: nq.bound * (1.0 + 1e-12),
         };
         walk.visit(0, region, 0.0, None, emit)
     }
@@ -282,12 +286,12 @@ fn path_gap(mut link: Option<&PathGap<'_>>, dim: usize) -> (f64, f64) {
 }
 
 /// One [`KdView::children_near`] walk. `limit` is the relaxed prune
-/// bound, `None` when nothing can be pruned.
+/// bound, infinite when nothing can be pruned.
 struct NearWalk<'a, 'q> {
     view: KdView<'a>,
     q: &'q Point,
     metric: &'q dyn Metric,
-    limit: Option<f64>,
+    limit: f64,
 }
 
 /// One side of a kd split: `x_dim <= pos` when `below`, else
@@ -308,11 +312,11 @@ impl NearWalk<'_, '_> {
         region: Option<&Rect>,
         sum: f64,
         path: Option<&PathGap<'_>>,
-        emit: &mut impl FnMut(PageId, Option<&Rect>),
+        emit: &mut impl FnMut(PageId, Option<&Rect>, f64),
     ) -> PageResult<()> {
         match self.view.buf.get(off) {
             Some(&KD_LEAF) => {
-                emit(self.view.leaf_child(off)?, region);
+                emit(self.view.leaf_child(off)?, region, sum);
                 Ok(())
             }
             Some(&KD_INTERNAL) => {
@@ -350,32 +354,30 @@ impl NearWalk<'_, '_> {
         region: Option<&Rect>,
         mut sum: f64,
         path: Option<&PathGap<'_>>,
-        emit: &mut impl FnMut(PageId, Option<&Rect>),
+        emit: &mut impl FnMut(PageId, Option<&Rect>, f64),
     ) -> PageResult<()> {
         let HalfSpace { dim, pos, below } = half;
         let mut link = None;
-        if let Some(limit) = self.limit {
-            let x = f64::from(self.q.coord(dim));
-            let gap = if below {
-                x - f64::from(pos)
-            } else {
-                f64::from(pos) - x
-            };
-            let (old_gap, old_term) = path_gap(path, dim);
-            // `>` is false for a NaN gap: a NaN split position never skips.
-            if gap > old_gap {
-                if let Some(term) = self.metric.axis_gap_sq(dim, gap) {
-                    sum = sum - old_term + term;
-                    if sum > limit {
-                        return Ok(());
-                    }
-                    link = Some(PathGap {
-                        dim,
-                        gap,
-                        term,
-                        up: path,
-                    });
+        let x = f64::from(self.q.coord(dim));
+        let gap = if below {
+            x - f64::from(pos)
+        } else {
+            f64::from(pos) - x
+        };
+        let (old_gap, old_term) = path_gap(path, dim);
+        // `>` is false for a NaN gap: a NaN split position never skips.
+        if gap > old_gap {
+            if let Some(term) = self.metric.axis_gap_sq(dim, gap) {
+                sum = sum - old_term + term;
+                if sum > self.limit {
+                    return Ok(());
                 }
+                link = Some(PathGap {
+                    dim,
+                    gap,
+                    term,
+                    up: path,
+                });
             }
         }
         let region = region.map(|r| {

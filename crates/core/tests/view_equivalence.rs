@@ -51,7 +51,7 @@ fn nan_split_pages_are_corrupt() {
         let region = Rect::unit(2);
         let mut out = Vec::new();
         assert!(view
-            .children_near(unbounded(&q), Some(&region), &mut |_, _| {})
+            .children_near(unbounded(&q), Some(&region), &mut |_, _, _| {})
             .is_err());
         assert!(view.children_overlapping_box(&region, &mut out).is_err());
         assert!(view.children_containing_point(&q, &mut out).is_err());
@@ -162,7 +162,7 @@ proptest! {
         };
         let q = Point::origin(6);
         let mut from_view = Vec::new();
-        view.children_near(unbounded(&q), None, &mut |pid, _| from_view.push(pid))
+        view.children_near(unbounded(&q), None, &mut |pid, _, _| from_view.push(pid))
             .unwrap();
         prop_assert_eq!(from_view, kd.child_ids());
     }
@@ -184,7 +184,7 @@ proptest! {
         };
         let q = Point::origin(4);
         let mut from_view = Vec::new();
-        view.children_near(unbounded(&q), Some(&region), &mut |pid, r| {
+        view.children_near(unbounded(&q), Some(&region), &mut |pid, r, _| {
             from_view.push((pid, r.cloned().unwrap()))
         })
         .unwrap();
@@ -216,7 +216,7 @@ proptest! {
             panic!("expected index view");
         };
         let mut all = Vec::new();
-        view.children_near(unbounded(&q), region, &mut |pid, r| all.push((pid, r.cloned())))
+        view.children_near(unbounded(&q), region, &mut |pid, r, _| all.push((pid, r.cloned())))
             .unwrap();
         // The exact regions, starting from the handed-down region or
         // from the whole space.
@@ -231,7 +231,7 @@ proptest! {
         for metric in metrics {
             let nq = NearQuery { q: &q, metric, bound };
             let mut kept = Vec::new();
-            view.children_near(nq, region, &mut |pid, r| kept.push((pid, r.cloned())))
+            view.children_near(nq, region, &mut |pid, r, _| kept.push((pid, r.cloned())))
                 .unwrap();
             // Greedy match of `kept` into `all`: a subsequence in order.
             let mut matched = vec![false; all.len()];
@@ -258,6 +258,60 @@ proptest! {
         }
     }
 
+    /// The gap sum the walk emits with each child lower-bounds the
+    /// child's exact region, up to the relaxation the hybrid keys kNN
+    /// children with; an infinite bound emits the same children and sums
+    /// as a finite bound that prunes nothing; a metric without the hook
+    /// sums nothing.
+    #[test]
+    fn walk_sums_lower_bound_every_child(
+        kd in kd_strategy(4, 6),
+        q in proptest::collection::vec(-1.5f32..2.5, 4),
+        lo in proptest::collection::vec(-1.0f32..0.5, 4),
+        ext in proptest::collection::vec(0.5f32..3.0, 4),
+        with_region in 0u8..2,
+    ) {
+        let q = Point::new(q);
+        let hi: Vec<f32> = lo.iter().zip(&ext).map(|(l, e)| l + e).collect();
+        let region = Rect::new(lo.clone(), hi.clone());
+        let region = (with_region == 1).then_some(&region);
+        let buf = Node::Index { level: 1, kd: kd.clone() }.encode(4);
+        let NodeView::Index(view) = NodeView::parse(&buf, 4).unwrap() else {
+            panic!("expected index view");
+        };
+        let (mut elo, mut ehi) = match region {
+            Some(_) => (lo.clone(), hi.clone()),
+            None => (vec![f32::MIN; 4], vec![f32::MAX; 4]),
+        };
+        let mut exact = Vec::new();
+        exact_regions(&kd, &mut elo, &mut ehi, &mut exact);
+        let metrics: [&dyn Metric; 4] = [&L1, &L2, &Lp::new(3.0), &Chebyshev];
+        for metric in metrics {
+            let walk = |bound| {
+                let mut out = Vec::new();
+                let nq = NearQuery { q: &q, metric, bound };
+                view.children_near(nq, region, &mut |pid, r, sum| {
+                    out.push((pid, r.cloned(), sum))
+                })
+                .unwrap();
+                out
+            };
+            let all = walk(f64::INFINITY);
+            prop_assert_eq!(all.len(), exact.len());
+            for ((pid, _, sum), (_, exact)) in all.iter().zip(&exact) {
+                if metric.axis_gap_sq(0, 1.0).is_none() {
+                    prop_assert_eq!(*sum, 0.0);
+                }
+                let Some(r) = exact else { continue };
+                let b = metric.min_dist_rect_sq(&q, r);
+                prop_assert!(sum * (1.0 - 1e-12) <= b, "{}: {:?} sums {} > bound {}",
+                    metric.name(), pid, sum, b);
+            }
+            let top = all.iter().map(|c| c.2).fold(0.0, f64::max);
+            prop_assert_eq!(walk(2.0 * top + 1.0), all);
+        }
+    }
+
     #[test]
     fn kd_roundtrips_through_bytes(kd in kd_strategy(8, 6)) {
         let node = Node::Index { level: 3, kd: kd.clone() };
@@ -281,10 +335,10 @@ proptest! {
         if let Ok(NodeView::Index(view)) = NodeView::parse(truncated, 3) {
             let mut out = Vec::new();
             let q = Point::origin(3);
-            let _ = view.children_near(unbounded(&q), None, &mut |_, _| {});
+            let _ = view.children_near(unbounded(&q), None, &mut |_, _, _| {});
             let _ = view.children_overlapping_box(&Rect::unit(3), &mut out);
             let _ = view.children_containing_point(&q, &mut out);
-            let _ = view.children_near(unbounded(&q), Some(&Rect::unit(3)), &mut |_, _| {});
+            let _ = view.children_near(unbounded(&q), Some(&Rect::unit(3)), &mut |_, _, _| {});
         }
     }
 }

@@ -28,7 +28,9 @@
 //! * **Prune bound** — every distance expansion is handed the bound the
 //!   kernel will prune its children against ([`NearQuery::bound`]), so an
 //!   engine can skip whole groups of children it would otherwise bound
-//!   one by one and see dropped.
+//!   one by one and see dropped. Before a kNN bound exists, an engine may
+//!   key children provisionally; the cursor bounds one
+//!   ([`NodeExpand::settle_bound`]) only when it reaches the queue front.
 //!
 //! The kernel is *bit-identical* to the per-engine loops it replaced:
 //! same answers, same logical/sequential read accounting, same degradation
@@ -70,8 +72,15 @@ pub enum NodeKind {
 #[derive(Clone, Debug)]
 pub struct Child<R> {
     /// Squared lower bound (`MINDIST`-style); `0.0` when the engine has no
-    /// bounding information for this child.
+    /// bounding information for this child. When `provisional`, a cheaper
+    /// key that is itself a lower bound on that bound.
     pub bound: f64,
+    /// Whether `bound` is a provisional key: the kernel settles it through
+    /// [`NodeExpand::settle_bound`] only if the child reaches the front of
+    /// the kNN queue within the prune bound, and drops it unsettled
+    /// otherwise. Only an expansion at an infinite [`NearQuery::bound`]
+    /// may defer.
+    pub provisional: bool,
     /// The engine-specific node reference.
     pub node: R,
 }
@@ -93,7 +102,9 @@ pub struct NearQuery<'a> {
     /// range driver passes the radius bound; batch kNN passes the k-th
     /// best distance (its `ε` image) once k candidates are held.
     /// Infinite while nothing can be pruned: batch kNN before the best-k
-    /// list fills, and the unbounded streaming cursor.
+    /// list fills, and the unbounded streaming cursor. Only then may an
+    /// engine emit [`Child::provisional`] keys, deferring each child's
+    /// real bound until the kernel needs it.
     pub bound: f64,
 }
 
@@ -120,6 +131,10 @@ pub trait EntrySink {
 ///   best-first termination and pruning are correct under exactly this
 ///   contract — bounds need not be monotone along a path (quantized
 ///   live-space boxes are not), only valid.
+/// * A [`Child::provisional`] key must be a lower bound on what
+///   [`settle_bound`](NodeExpand::settle_bound) returns for that child.
+///   Settling reads no page: it pays no I/O and no admission, so
+///   deferring a bound cannot move a read or a degradation point.
 /// * An `Err` whose [`IndexError::interrupt`] is `Some` means a governed
 ///   read was denied *before* any of this node's entries were emitted;
 ///   the kernel settles it into a degraded answer.
@@ -177,6 +192,14 @@ pub trait NodeExpand {
         sink: &mut dyn EntrySink,
         children: &mut Vec<Child<Self::Ref>>,
     ) -> IndexResult<NodeKind>;
+
+    /// The real lower bound of a child that [`expand_near`](Self::expand_near)
+    /// emitted with a [`Child::provisional`] key, computed from what the
+    /// engine holds in memory (no page read). Engines that never defer
+    /// keep the default, which is never called for them.
+    fn settle_bound(&self, _r: &Self::Ref, _nq: NearQuery<'_>) -> f64 {
+        0.0
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -254,7 +277,9 @@ impl EntrySink for RangeSink<'_> {
 /// Same depth-first shape as [`run_box_query`]; children survive only if
 /// their squared lower bound is within the query's comparator-space bound
 /// (`range_bound_sq`, slightly relaxed so boundary entries are never
-/// pruned — survivors are verified exactly).
+/// pruned — survivors are verified exactly). A provisional key needs no
+/// settling here: only an infinite radius lets an engine defer, and every
+/// key, like every real bound, is within it.
 pub fn run_distance_range<E: NodeExpand>(
     ex: &E,
     q: &Point,
@@ -315,9 +340,11 @@ pub fn run_distance_range<E: NodeExpand>(
 
 /// Min-heap entry for the cursor's unexpanded nodes: smallest squared
 /// lower bound first, ties broken by smallest node id (deterministic
-/// traversal).
+/// traversal). A `provisional` bound is a key no larger than the real
+/// one, which is computed only when the entry reaches the front.
 struct NodeEntry<R> {
     bound: f64,
+    provisional: bool,
     id: u64,
     node: R,
 }
@@ -506,6 +533,7 @@ impl<'m, E: NodeExpand> KnnCursor<'m, E> {
             .into_iter()
             .map(|r| NodeEntry {
                 bound: 0.0,
+                provisional: false,
                 id: ex.node_id(&r),
                 node: r,
             })
@@ -535,7 +563,10 @@ impl<'m, E: NodeExpand> KnnCursor<'m, E> {
     /// Pops until an object surfaces; `Ok(None)` once the frontier is
     /// empty. A node above the prune bound is dropped unread, and a child
     /// is queued only if its bound is within it (both inert unbounded).
-    /// An `Err` is the failed expansion's, for the caller to settle.
+    /// A provisional entry at the front is settled and queued again under
+    /// its real bound, never below its key; one already above the prune
+    /// bound is dropped unsettled. An `Err` is the failed expansion's, for
+    /// the caller to settle.
     fn advance(&mut self) -> IndexResult<Option<(u64, f64)>> {
         loop {
             // At equal keys the node goes first, so an object is only
@@ -557,6 +588,25 @@ impl<'m, E: NodeExpand> KnnCursor<'m, E> {
             if entry.bound > bound {
                 continue;
             }
+            let nq = NearQuery {
+                q: &self.q,
+                metric: self.metric,
+                bound,
+            };
+            if entry.provisional {
+                // Raised to the key, so settled keys never fall below
+                // provisional ones and nodes expand in real (bound, id)
+                // order.
+                let real = self.ex.settle_bound(&entry.node, nq).max(entry.bound);
+                if real <= bound {
+                    self.pq.push(NodeEntry {
+                        bound: real,
+                        provisional: false,
+                        ..entry
+                    });
+                }
+                continue;
+            }
             self.children.clear();
             let mut sink = StageSink {
                 q: &self.q,
@@ -566,11 +616,7 @@ impl<'m, E: NodeExpand> KnnCursor<'m, E> {
             };
             self.ex.expand_near(
                 entry.node,
-                NearQuery {
-                    q: &self.q,
-                    metric: self.metric,
-                    bound,
-                },
+                nq,
                 &mut self.io,
                 &self.ctx,
                 &mut sink,
@@ -581,6 +627,7 @@ impl<'m, E: NodeExpand> KnnCursor<'m, E> {
                 if c.bound <= bound {
                     self.pq.push(NodeEntry {
                         bound: c.bound,
+                        provisional: c.provisional,
                         id: self.ex.node_id(&c.node),
                         node: c.node,
                     });
@@ -685,17 +732,23 @@ mod tests {
     use super::*;
     use hyt_geom::L2;
     use hyt_page::{Interrupt, PageError};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// A leaf's lower bound and its `(oid, coords)` entries.
     type MockLeaf = (f64, Vec<(u64, Vec<f32>)>);
 
     /// A synthetic two-level engine: one root with `leaves` children,
     /// each leaf holding points. `fail_at` trips an interrupt on the
-    /// n-th node visit to exercise settlement.
+    /// n-th node visit to exercise settlement. Leaf `i` with `keys[i]`
+    /// set is emitted under that provisional key at an infinite bound;
+    /// `settled` records every `settle_bound` call.
     struct Mock {
         leaves: Vec<MockLeaf>,
         fail_at: Option<usize>,
         visits: std::cell::Cell<usize>,
+        keys: Vec<Option<f64>>,
+        settled: Rc<RefCell<Vec<usize>>>,
     }
 
     impl Mock {
@@ -760,7 +813,7 @@ mod tests {
         fn expand_near(
             &self,
             r: usize,
-            _nq: NearQuery<'_>,
+            nq: NearQuery<'_>,
             io: &mut IoStats,
             _ctx: &QueryContext,
             sink: &mut dyn EntrySink,
@@ -768,9 +821,14 @@ mod tests {
         ) -> IndexResult<NodeKind> {
             self.admit(io)?;
             if r == 0 {
-                children.extend(self.leaves.iter().enumerate().map(|(i, (bound, _))| Child {
-                    bound: *bound,
-                    node: i + 1,
+                let defer = nq.bound == f64::INFINITY;
+                children.extend(self.leaves.iter().enumerate().map(|(i, (bound, _))| {
+                    let key = self.keys.get(i).copied().flatten().filter(|_| defer);
+                    Child {
+                        bound: key.unwrap_or(*bound),
+                        provisional: key.is_some(),
+                        node: i + 1,
+                    }
                 }));
                 return Ok(NodeKind::Index);
             }
@@ -778,6 +836,11 @@ mod tests {
                 sink.offer(oid, &p);
             }
             Ok(NodeKind::Leaf)
+        }
+
+        fn settle_bound(&self, r: &usize, _nq: NearQuery<'_>) -> f64 {
+            self.settled.borrow_mut().push(*r);
+            self.leaves[*r - 1].0
         }
     }
 
@@ -791,7 +854,18 @@ mod tests {
             ],
             fail_at: None,
             visits: std::cell::Cell::new(0),
+            keys: Vec::new(),
+            settled: Rc::default(),
         }
+    }
+
+    /// [`mock`] with provisional keys below the leaves' real bounds.
+    fn deferring(keys: Vec<Option<f64>>) -> Mock {
+        Mock { keys, ..mock() }
+    }
+
+    fn oids(hits: &[(u64, f64)]) -> Vec<u64> {
+        hits.iter().map(|(o, _)| *o).collect()
     }
 
     #[test]
@@ -882,13 +956,68 @@ mod tests {
     fn empty_roots_complete_without_io() {
         let m = Mock {
             leaves: Vec::new(),
-            fail_at: None,
-            visits: std::cell::Cell::new(0),
+            ..mock()
         };
         let q = Point::new(vec![0.0, 0.0]);
         let (outcome, io) = run_knn(m, &q, 3, 0.0, &L2, QueryContext::unlimited()).unwrap();
         assert!(outcome.is_complete());
         assert!(outcome.into_results().is_empty());
         assert_eq!(io.logical_reads, 0);
+    }
+
+    #[test]
+    fn deferred_child_settled_past_the_kth_best_is_never_read() {
+        let q = Point::new(vec![0.0, 0.0]);
+        let mut m = deferring(vec![None, Some(0.2), Some(0.05)]);
+        m.leaves[0].1.push((6, vec![0.3, 0.0]));
+        let settled = Rc::clone(&m.settled);
+        // Leaf 1 fills the best 3 (0.01, 0.04, 0.09). Leaf 3's key 0.05
+        // reaches the front within that bound and settles to 4.0: dropped
+        // unread. Leaf 2's key 0.2 never reaches the front.
+        let (outcome, io) = run_knn(m, &q, 3, 0.0, &L2, QueryContext::unlimited()).unwrap();
+        assert_eq!(oids(&outcome.into_results()), vec![1, 2, 6]);
+        assert_eq!(io.logical_reads, 2);
+        assert_eq!(*settled.borrow(), vec![3]);
+    }
+
+    #[test]
+    fn deferred_key_above_the_prune_bound_is_dropped_unsettled() {
+        let q = Point::new(vec![0.0, 0.0]);
+        let m = deferring(vec![None, Some(0.02), None]);
+        let settled = Rc::clone(&m.settled);
+        // ε = 1 and k = 2: leaf 1 yields 0.01 and 0.04, so the prune bound
+        // is 0.04 / 4 = 0.01. Leaf 2's key 0.02 reaches the front before
+        // the object at 0.04 and is dropped without a settle call.
+        let (outcome, io) = run_knn(m, &q, 2, 1.0, &L2, QueryContext::unlimited()).unwrap();
+        assert_eq!(oids(&outcome.into_results()), vec![1, 2]);
+        assert_eq!(io.logical_reads, 2);
+        assert!(settled.borrow().is_empty());
+    }
+
+    #[test]
+    fn deferring_cursor_yields_the_batch_answer() {
+        let q = Point::new(vec![0.0, 0.0]);
+        let keys = vec![Some(0.0), Some(0.1), Some(1.0)];
+        let (plain, plain_io) =
+            run_knn(mock(), &q, 5, 0.0, &L2, QueryContext::unlimited()).unwrap();
+        let (batch, io) = run_knn(
+            deferring(keys.clone()),
+            &q,
+            5,
+            0.0,
+            &L2,
+            QueryContext::unlimited(),
+        )
+        .unwrap();
+        let batch = batch.into_results();
+        assert_eq!(batch, plain.into_results());
+        assert_eq!(io.logical_reads, plain_io.logical_reads);
+        let mut cur = KnnCursor::new(deferring(keys), q, &L2, QueryContext::unlimited().clone());
+        let mut streamed = Vec::new();
+        while let Some(hit) = cur.next() {
+            streamed.push(hit);
+        }
+        assert_eq!(streamed, batch);
+        assert_eq!(cur.io().logical_reads, io.logical_reads);
     }
 }

@@ -748,6 +748,7 @@ impl<S: Storage> NodeExpand for KdbExpand<'_, S> {
                 kd.children_with_regions(&region, &mut kids);
                 children.extend(kids.into_iter().map(|(child, creg)| Child {
                     bound: nq.metric.min_dist_rect_sq(nq.q, &creg),
+                    provisional: false,
                     node: (child, creg),
                 }));
                 Ok(NodeKind::Index)

@@ -566,6 +566,7 @@ impl<S: Storage> NodeExpand for SrExpand<'_, S> {
             SrNode::Index { entries, .. } => {
                 children.extend(entries.iter().map(|e| Child {
                     bound: self.tree.min_dist_entry_sq(nq.q, e, nq.metric),
+                    provisional: false,
                     node: e.pid,
                 }));
                 Ok(NodeKind::Index)

@@ -284,7 +284,7 @@ proptest! {
     #[test]
     fn kdtree_decode_never_panics(raw in proptest::collection::vec(0u16..256, 0..400)) {
         let bytes: Vec<u8> = raw.iter().map(|&v| v as u8).collect();
-        let _ = KdTree::decode(&mut ByteReader::new(&bytes));
+        let _ = KdTree::decode(&mut ByteReader::new(&bytes), 4);
     }
 
     // The ELS side-table decoder (catalog section).
@@ -343,6 +343,32 @@ proptest! {
         let _ = HybridTree::open(&pages, &meta);
         let _ = scrub_index(&pages, &meta);
     }
+}
+
+/// A hybrid directory page whose split dimension is past the tree's is
+/// `Corrupt` on the write paths too: they decode the owned kd-tree and
+/// would index the child regions with that dimension.
+#[test]
+fn hybrid_split_dim_past_the_tree_fails_writes_cleanly() {
+    let (storage, script) = FaultStorage::new(MemStorage::with_page_size(FLIP_PAGE));
+    let cfg = HybridTreeConfig {
+        page_size: FLIP_PAGE,
+        ..HybridTreeConfig::default()
+    };
+    let mut t = HybridTree::with_storage(3, cfg, storage).unwrap();
+    let points = flip_points();
+    for (i, p) in points.iter().enumerate() {
+        t.insert(p.clone(), i as u64).unwrap();
+    }
+    assert!(t.height() >= 2, "the root must be a directory page");
+    // Byte 5 is the high byte of the root split's dimension (node tag,
+    // u16 level, kd tag, u16 dim): its top bit puts the split on
+    // dimension 32768 or above.
+    let p = Point::new(vec![0.5; 3]);
+    assert!(with_root_flip(&script, 5, 7, || t.insert(p.clone(), 600)).is_err());
+    assert!(with_root_flip(&script, 5, 7, || t.delete(&points[0], 0)).is_err());
+    // Unflipped, the tree is intact.
+    assert!(t.delete(&points[0], 0).unwrap());
 }
 
 /// Zeroed page file regions: a page file of all zeros is all free slots —

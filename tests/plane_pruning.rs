@@ -2,12 +2,15 @@
 //!
 //! The hybrid tree's distance walk tests each kd split plane against the
 //! kernel's running bound and skips subtrees that lie too far away,
-//! using the metric's per-dimension [`Metric::axis_gap_sq`] terms. The
-//! skip is exact: it drops only children the kernel would have bounded
-//! and then discarded. So on COLHIST 64-d, with a counting metric that
-//! forwards the hook and one that keeps the default `None`, answers and
-//! logical reads must be identical, and rectangle bounds must be strictly
-//! fewer with the hook. Both counts are pinned, ELS on and ELS off.
+//! using the metric's per-dimension [`Metric::axis_gap_sq`] terms. kNN
+//! prunes from the root: before its best-k list fills there is no bound,
+//! so each child is keyed by its path's summed gap terms and bounded only
+//! if it reaches the front of the queue. Both are exact: they drop only
+//! children the kernel would have bounded and then discarded. So on
+//! COLHIST 64-d, with a counting metric that forwards the hook and one
+//! that keeps the default `None`, answers and logical reads must be
+//! identical, and rectangle bounds must be strictly fewer with the hook.
+//! Both counts are pinned, ELS on and ELS off.
 
 use hybridtree_repro::data::colhist;
 use hybridtree_repro::eval::{build_engine, Engine};
@@ -125,7 +128,7 @@ fn split_planes_prune_bounds_not_answers_on_colhist_64d() {
                 range: 9042,
             },
             Bounds {
-                knn: 7896,
+                knn: 1662,
                 range: 3060,
             },
         ),
@@ -136,7 +139,7 @@ fn split_planes_prune_bounds_not_answers_on_colhist_64d() {
                 range: 9124,
             },
             Bounds {
-                knn: 7563,
+                knn: 2596,
                 range: 3081,
             },
         ),
