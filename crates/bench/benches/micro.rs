@@ -6,9 +6,9 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hybrid_tree::{bipartition_1d, HybridTree, HybridTreeConfig};
 use hyt_data::{colhist, uniform, BoxWorkload};
-use hyt_eval::{run_batch, BatchPolicy, BatchQuery};
+use hyt_eval::{run_batch, BatchPolicy};
 use hyt_geom::{Metric, Point, Rect, L1, L2};
-use hyt_index::{MultidimIndex, QueryContext};
+use hyt_index::{MultidimIndex, Query, QueryContext};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -110,11 +110,15 @@ fn bench_batch(c: &mut Criterion) {
     for (i, p) in data.iter().enumerate() {
         tree.insert(p.clone(), i as u64).unwrap();
     }
-    let queries: Vec<BatchQuery> = data
+    let queries: Vec<Query> = data
         .iter()
         .step_by(250)
         .take(64)
-        .map(|p| BatchQuery::Knn(p.clone(), 10))
+        .map(|p| Query::Knn {
+            q: p.clone(),
+            k: 10,
+            epsilon: 0.0,
+        })
         .collect();
     g.throughput(Throughput::Elements(queries.len() as u64));
     for threads in [1usize, 2, 4] {

@@ -319,6 +319,18 @@ impl ElsTable {
                 qlo.push(r.get_f32()?);
                 qhi.push(r.get_f32()?);
             }
+            // `Rect::new` asserts what a damaged catalog can break: check
+            // both boxes here and report them typed.
+            let ordered = |lo: &[Coord], hi: &[Coord]| {
+                lo.iter()
+                    .zip(hi)
+                    .all(|(l, h)| l.is_finite() && h.is_finite() && l <= h)
+            };
+            if !ordered(&exact_lo, &exact_hi) || !ordered(&qlo, &qhi) {
+                return Err(hyt_page::PageError::Corrupt(format!(
+                    "ELS entry for {pid}: live box bounds not finite and ordered"
+                )));
+            }
             live.insert(
                 pid,
                 LiveEntry {
@@ -348,6 +360,23 @@ mod tests {
 
     fn pid(n: u32) -> PageId {
         PageId(n)
+    }
+
+    #[test]
+    fn decode_rejects_an_inverted_quantized_box() {
+        // A CRC-valid 1-d table, 4 bits, one entry whose exact box is
+        // sound but whose quantized box runs from 1.0 down to 0.0.
+        let mut w = hyt_page::ByteWriter::new();
+        w.put_u8(4);
+        w.put_u32(1);
+        w.put_u32(1);
+        w.put_u32(7);
+        for x in [0.25f32, 0.5, 1.0, 0.0] {
+            w.put_f32(x);
+        }
+        let bytes = w.into_inner();
+        let got = ElsTable::decode(&mut hyt_page::ByteReader::new(&bytes));
+        assert!(matches!(got, Err(hyt_page::PageError::Corrupt(_))));
     }
 
     #[test]

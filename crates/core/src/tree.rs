@@ -11,8 +11,8 @@ use crate::view::NodeView;
 use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Coord, Metric, Point, Rect};
 use hyt_index::{
-    check_dim, IndexError, IndexResult, KnnStream, MultidimIndex, NodeCacheStats, QueryContext,
-    QueryOutcome, StructureStats,
+    check_dim, Answer, IndexError, IndexResult, KnnStream, MultidimIndex, NodeCacheStats, Query,
+    QueryContext, QueryOutcome, StructureStats,
 };
 use hyt_page::{BufferPool, IoStats, MemStorage, PageError, PageId, PageResult, Storage};
 use std::sync::Arc;
@@ -195,32 +195,6 @@ impl<S: Storage> HybridTree<S> {
             stack.extend(kids.iter().filter(|c| self.els.may_contain(**c, p)));
         }
         Ok(out)
-    }
-
-    /// `(1 + epsilon)`-approximate k-nearest-neighbor search (the paper's
-    /// conclusion names approximate NN as future work): every returned
-    /// neighbor's distance is at most `1 + epsilon` times the distance of
-    /// the true neighbor of the same rank. `epsilon == 0` is exact kNN;
-    /// larger values prune more aggressively and read fewer pages. Runs
-    /// the shared best-first kernel ([`hyt_exec::run_knn`]) ungoverned.
-    pub fn knn_approximate(
-        &self,
-        q: &Point,
-        k: usize,
-        epsilon: f64,
-        metric: &dyn Metric,
-    ) -> IndexResult<Vec<(u64, f64)>> {
-        check_dim(self.dim, q.dim())?;
-        assert!(epsilon >= 0.0, "epsilon must be non-negative");
-        let (outcome, _) = hyt_exec::run_knn(
-            HyExpand { tree: self },
-            q,
-            k,
-            epsilon,
-            metric,
-            QueryContext::unlimited(),
-        )?;
-        Ok(outcome.into_results())
     }
 
     /// Runs the full structural invariant checker (containment,
@@ -815,35 +789,14 @@ impl<S: Storage> MultidimIndex for HybridTree<S> {
         }
     }
 
-    fn box_query_ctx(
+    fn execute(
         &self,
-        rect: &Rect,
-        ctx: &QueryContext,
-    ) -> IndexResult<(QueryOutcome<Vec<u64>>, IoStats)> {
-        check_dim(self.dim, rect.dim())?;
-        hyt_exec::run_box_query(&HyExpand { tree: self }, rect, ctx)
-    }
-
-    fn distance_range_ctx(
-        &self,
-        q: &Point,
-        radius: f64,
+        query: &Query,
         metric: &dyn Metric,
         ctx: &QueryContext,
-    ) -> IndexResult<(QueryOutcome<Vec<u64>>, IoStats)> {
-        check_dim(self.dim, q.dim())?;
-        hyt_exec::run_distance_range(&HyExpand { tree: self }, q, radius, metric, ctx)
-    }
-
-    fn knn_ctx(
-        &self,
-        q: &Point,
-        k: usize,
-        metric: &dyn Metric,
-        ctx: &QueryContext,
-    ) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
-        check_dim(self.dim, q.dim())?;
-        hyt_exec::run_knn(HyExpand { tree: self }, q, k, 0.0, metric, ctx)
+    ) -> IndexResult<(QueryOutcome<Answer>, IoStats)> {
+        check_dim(self.dim, query.dim())?;
+        hyt_exec::execute(HyExpand { tree: self }, query, metric, ctx)
     }
 
     fn knn_stream<'a>(
@@ -1057,83 +1010,6 @@ mod tests {
         let t = build(&pts, small_cfg());
         let got = t.knn(&Point::new(vec![0.5, 0.5]), 50, &L2).unwrap();
         assert_eq!(got.len(), 10);
-    }
-
-    #[test]
-    fn approximate_with_zero_epsilon_is_exact() {
-        let t = build(&rand_points(600, 3, 3), small_cfg());
-        let q = Point::new(vec![0.7, 0.1, 0.5]);
-        let exact = t.knn(&q, 10, &L2).unwrap();
-        let approx = t.knn_approximate(&q, 10, 0.0, &L2).unwrap();
-        for (a, e) in approx.iter().zip(&exact) {
-            assert!((a.1 - e.1).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn approximate_at_zero_epsilon_equals_knn_exactly() {
-        let pts = rand_points(800, 4, 24);
-        let mut rng = StdRng::seed_from_u64(25);
-        for els_bits in [0, 4] {
-            let t = build(
-                &pts,
-                HybridTreeConfig {
-                    els_bits,
-                    ..small_cfg()
-                },
-            );
-            for _ in 0..10 {
-                let q = Point::new((0..4).map(|_| rng.gen::<f32>()).collect());
-                for metric in [&L1 as &dyn Metric, &L2] {
-                    t.reset_io_stats();
-                    let exact = t.knn(&q, 8, metric).unwrap();
-                    let exact_reads = t.io_stats().logical_reads;
-                    t.reset_io_stats();
-                    let approx = t.knn_approximate(&q, 8, 0.0, metric).unwrap();
-                    // Same oids, same order, same distances, same pages.
-                    assert_eq!(approx, exact, "els_bits={els_bits}");
-                    assert_eq!(t.io_stats().logical_reads, exact_reads);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn approximate_respects_the_epsilon_guarantee() {
-        let t = build(&rand_points(800, 4, 4), small_cfg());
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..10 {
-            let q = Point::new((0..4).map(|_| rng.gen::<f32>()).collect());
-            let exact = t.knn(&q, 8, &L2).unwrap();
-            for eps in [0.1, 0.5, 2.0] {
-                let approx = t.knn_approximate(&q, 8, eps, &L2).unwrap();
-                assert_eq!(approx.len(), 8);
-                for (rank, (_, d)) in approx.iter().enumerate() {
-                    let bound = exact[rank].1 * (1.0 + eps) + 1e-9;
-                    assert!(
-                        *d <= bound,
-                        "eps={eps} rank={rank}: {d} > (1+eps)*{}",
-                        exact[rank].1
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn larger_epsilon_reads_fewer_pages() {
-        let t = build(&rand_points(3000, 6, 6), small_cfg());
-        let q = Point::new(vec![0.5; 6]);
-        let mut accesses = Vec::new();
-        for eps in [0.0, 0.5, 2.0] {
-            t.reset_io_stats();
-            t.knn_approximate(&q, 10, eps, &L2).unwrap();
-            accesses.push(t.io_stats().logical_reads);
-        }
-        assert!(
-            accesses[2] <= accesses[0],
-            "eps=2 must not read more pages than exact: {accesses:?}"
-        );
     }
 
     #[test]

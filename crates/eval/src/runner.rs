@@ -4,7 +4,9 @@ use crate::admission::{AdmissionGate, Overloaded};
 use hybrid_tree::{HybridTree, HybridTreeConfig, SplitPolicy};
 use hyt_geom::{Metric, Point, Rect};
 use hyt_hbtree::{HbTree, HbTreeConfig};
-use hyt_index::{CancelToken, DegradeReason, IndexError, IndexResult, MultidimIndex, QueryContext};
+use hyt_index::{
+    Answer, CancelToken, DegradeReason, IndexError, IndexResult, MultidimIndex, Query, QueryContext,
+};
 
 use hyt_kdbtree::{KdbTree, KdbTreeConfig};
 use hyt_page::{IoStats, PageError};
@@ -252,41 +254,16 @@ where
 // pool, under resource limits, admission control, and bounded retry of
 // transient storage faults. Queries only need `&dyn MultidimIndex`, so
 // the workers share one index (and one buffer pool) without any
-// cloning; per-query I/O comes from the `*_ctx` trait methods and is
+// cloning; per-query I/O comes from `MultidimIndex::execute` and is
 // therefore identical however the batch is scheduled.
 // ---------------------------------------------------------------------
-
-/// One query of a mixed batch workload.
-#[derive(Clone, Debug)]
-pub enum BatchQuery {
-    /// Bounding-box (window) query.
-    Box(Rect),
-    /// Distance-range query: center and radius.
-    Distance(Point, f64),
-    /// k-nearest-neighbor query: center and k.
-    Knn(Point, usize),
-}
-
-/// One query's answer plus the I/O attributed to it.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BatchAnswer {
-    /// Result oids. Box and distance answers are sorted ascending (the
-    /// trait leaves their order unspecified, and a canonical order makes
-    /// serial and parallel runs bit-comparable); kNN answers keep their
-    /// ascending-distance order.
-    pub oids: Vec<u64>,
-    /// kNN distances, parallel to `oids`; empty for other query kinds.
-    pub distances: Vec<f64>,
-    /// I/O incurred by this one query.
-    pub io: IoStats,
-}
 
 /// Sums the per-query I/O of a batch (e.g. to compare scheduling modes:
 /// `logical_reads`/`seq_reads` totals are schedule-independent).
 pub fn total_io(answers: &[GovernedAnswer]) -> IoStats {
     let mut total = IoStats::default();
     for a in answers {
-        total.merge(&a.answer.io);
+        total.merge(&a.io);
     }
     total
 }
@@ -346,13 +323,18 @@ impl QueryStatus {
     }
 }
 
-/// One governed query's answer, status, and retry count.
+/// One governed query's answer, I/O, status, and retry count.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GovernedAnswer {
-    /// The (possibly partial or empty) answer. `io` accumulates across
-    /// retries: a query that failed twice and succeeded on the third
-    /// attempt is charged for all three traversals.
-    pub answer: BatchAnswer,
+    /// The (possibly partial or empty) answer. Box and range oids are
+    /// sorted ascending (the engines leave their order unspecified, and a
+    /// canonical order makes serial and parallel runs bit-comparable);
+    /// kNN answers keep their ascending-distance order.
+    pub answer: Answer,
+    /// I/O incurred by this query, accumulated across retries: a query
+    /// that failed twice and succeeded on the third attempt is charged
+    /// for all three traversals.
+    pub io: IoStats,
     /// How the query finished.
     pub status: QueryStatus,
     /// How many retries the transient-fault loop consumed.
@@ -365,38 +347,21 @@ pub struct GovernedAnswer {
 fn run_one(
     idx: &dyn MultidimIndex,
     metric: &dyn Metric,
-    q: &BatchQuery,
+    q: &Query,
     ctx: &QueryContext,
 ) -> IndexResult<GovernedAnswer> {
-    let (oids, distances, reason, io) = match q {
-        BatchQuery::Box(rect) => {
-            let (outcome, io) = idx.box_query_ctx(rect, ctx)?;
-            let reason = outcome.degrade_reason();
-            let mut oids = outcome.into_results();
-            oids.sort_unstable();
-            (oids, Vec::new(), reason, io)
-        }
-        BatchQuery::Distance(center, radius) => {
-            let (outcome, io) = idx.distance_range_ctx(center, *radius, metric, ctx)?;
-            let reason = outcome.degrade_reason();
-            let mut oids = outcome.into_results();
-            oids.sort_unstable();
-            (oids, Vec::new(), reason, io)
-        }
-        BatchQuery::Knn(center, k) => {
-            let (outcome, io) = idx.knn_ctx(center, *k, metric, ctx)?;
-            let reason = outcome.degrade_reason();
-            let (oids, distances) = outcome.into_results().into_iter().unzip();
-            (oids, distances, reason, io)
-        }
-    };
+    let (outcome, io) = idx.execute(q, metric, ctx)?;
+    let status = outcome
+        .degrade_reason()
+        .map_or(QueryStatus::Complete, QueryStatus::Degraded);
+    let mut answer = outcome.into_results();
+    if !matches!(q, Query::Knn { .. }) {
+        answer.oids.sort_unstable();
+    }
     Ok(GovernedAnswer {
-        answer: BatchAnswer {
-            oids,
-            distances,
-            io,
-        },
-        status: reason.map_or(QueryStatus::Complete, QueryStatus::Degraded),
+        answer,
+        io,
+        status,
         retries: 0,
     })
 }
@@ -414,7 +379,7 @@ fn is_transient(err: &IndexError) -> bool {
 fn run_one_retrying(
     idx: &dyn MultidimIndex,
     metric: &dyn Metric,
-    q: &BatchQuery,
+    q: &Query,
     policy: &BatchPolicy,
     deadline: Option<Instant>,
 ) -> IndexResult<GovernedAnswer> {
@@ -424,19 +389,16 @@ fn run_one_retrying(
     loop {
         match run_one(idx, metric, q, &ctx) {
             Ok(mut got) => {
-                io.merge(&got.answer.io);
-                got.answer.io = io;
+                io.merge(&got.io);
+                got.io = io;
                 got.retries = attempt;
                 return Ok(got);
             }
             Err(err) if is_transient(&err) => {
                 if attempt >= policy.retry_limit {
                     return Ok(GovernedAnswer {
-                        answer: BatchAnswer {
-                            oids: Vec::new(),
-                            distances: Vec::new(),
-                            io,
-                        },
+                        answer: Answer::default(),
+                        io,
                         status: QueryStatus::Degraded(DegradeReason::RetriesExhausted),
                         retries: attempt,
                     });
@@ -476,23 +438,20 @@ fn run_one_retrying(
 pub fn run_batch(
     idx: &dyn MultidimIndex,
     metric: &dyn Metric,
-    queries: &[BatchQuery],
+    queries: &[Query],
     threads: usize,
     policy: &BatchPolicy,
     gate: Option<&AdmissionGate>,
 ) -> IndexResult<Vec<GovernedAnswer>> {
     let deadline = policy.timeout.map(|t| Instant::now() + t);
-    let run_gated = |q: &BatchQuery| -> IndexResult<GovernedAnswer> {
+    let run_gated = |q: &Query| -> IndexResult<GovernedAnswer> {
         let _permit = match gate {
             Some(g) => match g.admit() {
                 Ok(p) => Some(p),
                 Err(over) => {
                     return Ok(GovernedAnswer {
-                        answer: BatchAnswer {
-                            oids: Vec::new(),
-                            distances: Vec::new(),
-                            io: IoStats::default(),
-                        },
+                        answer: Answer::default(),
+                        io: IoStats::default(),
                         status: QueryStatus::Shed(over),
                         retries: 0,
                     })
@@ -608,15 +567,22 @@ mod tests {
         assert!(hybrid.avg_results > 0.0);
     }
 
-    fn mixed_batch(data: &[Point], n: usize) -> Vec<BatchQuery> {
+    fn mixed_batch(data: &[Point], n: usize) -> Vec<Query> {
         let wl = BoxWorkload::calibrated(data, n, 0.02, 7);
         wl.queries
             .iter()
             .enumerate()
             .map(|(i, q)| match i % 3 {
-                0 => BatchQuery::Box(q.clone()),
-                1 => BatchQuery::Distance(data[i].clone(), 0.4),
-                _ => BatchQuery::Knn(data[i].clone(), 5),
+                0 => Query::Box(q.clone()),
+                1 => Query::Range {
+                    q: data[i].clone(),
+                    radius: 0.4,
+                },
+                _ => Query::Knn {
+                    q: data[i].clone(),
+                    k: 5,
+                    epsilon: 0.0,
+                },
             })
             .collect()
     }
@@ -624,7 +590,7 @@ mod tests {
     /// Runs `batch` with no limits and no gate on `threads` workers.
     fn unlimited(
         idx: &dyn MultidimIndex,
-        batch: &[BatchQuery],
+        batch: &[Query],
         threads: usize,
     ) -> IndexResult<Vec<GovernedAnswer>> {
         run_batch(idx, &L1, batch, threads, &BatchPolicy::default(), None)
@@ -641,12 +607,14 @@ mod tests {
             let parallel = unlimited(idx.as_ref(), &batch, threads).unwrap();
             assert_eq!(serial.len(), parallel.len());
             for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-                let (s, p) = (&s.answer, &p.answer);
                 assert_eq!(
-                    s.oids, p.oids,
+                    s.answer.oids, p.answer.oids,
                     "query {i} answers differ at {threads} threads"
                 );
-                assert_eq!(s.distances, p.distances, "query {i} distances differ");
+                assert_eq!(
+                    s.answer.distances, p.answer.distances,
+                    "query {i} distances differ"
+                );
                 assert_eq!(
                     s.io.logical_reads, p.io.logical_reads,
                     "query {i} logical reads differ at {threads} threads"
@@ -678,7 +646,11 @@ mod tests {
         // hB-tree rejects distance queries; the error must propagate out
         // of the worker pool, not panic it.
         let (idx, _) = build_engine(Engine::Hb, &data).unwrap();
-        let batch = vec![BatchQuery::Distance(data[0].clone(), 0.3); 6];
+        let range = Query::Range {
+            q: data[0].clone(),
+            radius: 0.3,
+        };
+        let batch = vec![range; 6];
         let err = unlimited(idx.as_ref(), &batch, 3).unwrap_err();
         assert!(matches!(err, hyt_index::IndexError::Unsupported(_)));
     }
@@ -759,7 +731,7 @@ mod tests {
         let data = uniform(4000, 4, 37);
         let (idx, _) = build_engine(Engine::Hybrid, &data).unwrap();
         let wl = BoxWorkload::calibrated(&data, 6, 0.2, 41);
-        let batch: Vec<BatchQuery> = wl.queries.iter().cloned().map(BatchQuery::Box).collect();
+        let batch: Vec<Query> = wl.queries.iter().cloned().map(Query::Box).collect();
         let full = unlimited(idx.as_ref(), &batch, 1).unwrap();
         let policy = BatchPolicy {
             max_reads: Some(2),
@@ -771,7 +743,7 @@ mod tests {
             assert!(f.status.is_complete());
             // Partial box answers are true subsets of the full answer.
             assert!(g.answer.oids.iter().all(|o| f.answer.oids.contains(o)));
-            assert!(g.answer.io.logical_reads + g.answer.io.seq_reads <= 2);
+            assert!(g.io.logical_reads + g.io.seq_reads <= 2);
             if let QueryStatus::Degraded(r) = &g.status {
                 assert_eq!(*r, DegradeReason::BudgetExhausted);
                 saw_degraded = true;
@@ -785,7 +757,7 @@ mod tests {
         let data = uniform(2500, 3, 43);
         let (idx, _) = build_engine(Engine::Kdb, &data).unwrap();
         let wl = BoxWorkload::calibrated(&data, 4, 0.3, 47);
-        let batch: Vec<BatchQuery> = wl.queries.iter().cloned().map(BatchQuery::Box).collect();
+        let batch: Vec<Query> = wl.queries.iter().cloned().map(Query::Box).collect();
         let policy = BatchPolicy {
             max_results: Some(3),
             ..BatchPolicy::default()

@@ -5,14 +5,17 @@
 //! answer box / distance-range / kNN queries with the *same* guided
 //! traversal: maintain a frontier of node references, expand the best (or
 //! next) one, collect leaf entries, prune children by a lower bound. This
-//! crate hoists that loop out of the five engines into two depth-first
-//! drivers — [`run_box_query`], [`run_distance_range`] — and one
-//! best-first kNN loop, the distance-browsing cursor [`KnnCursor`]:
-//! streaming kNN opens it unbounded, and batch kNN ([`run_knn`]) is the
-//! same cursor bounded by k. Engines
-//! implement the [`NodeExpand`] trait once: "given one node reference,
-//! read it (attributing I/O, honoring the [`QueryContext`]) and emit leaf
-//! entries and/or bounded children". Everything cross-cutting lives here:
+//! crate hoists that loop out of the five engines. [`execute`] is the one
+//! governed entry point: it matches a [`Query`] once and runs one of two
+//! depth-first drivers (box, distance range) or the one best-first kNN
+//! loop, the distance-browsing cursor [`KnnCursor`]: streaming kNN opens
+//! it unbounded, and batch kNN is the same cursor bounded by k, exact or
+//! `(1 + ε)`-approximate on every engine. Engines implement the
+//! [`NodeExpand`] trait once: "given one node reference, read it
+//! (attributing I/O, honoring the [`QueryContext`]) and emit leaf entries
+//! and/or bounded children", and their `MultidimIndex::execute` is a
+//! dimension check and a call to [`execute`]. Everything cross-cutting
+//! lives here:
 //!
 //! * **Governance** — per-read admission happens inside the engines' pool
 //!   reads (unchanged from PR 3); this kernel owns the *settlement*: an
@@ -46,8 +49,8 @@
 
 use hyt_geom::{range_bound_sq, Metric, Point, Rect};
 use hyt_index::{
-    apply_result_cap, settle_interrupt, DegradeReason, IndexError, IndexResult, KnnStream,
-    QueryContext, QueryOutcome,
+    apply_result_cap, settle_interrupt, Answer, DegradeReason, IndexError, IndexResult, KnnStream,
+    Query, QueryContext, QueryOutcome,
 };
 use hyt_page::IoStats;
 use std::borrow::Cow;
@@ -202,6 +205,43 @@ pub trait NodeExpand {
     }
 }
 
+/// Runs one governed [`Query`] over any [`NodeExpand`] engine: the body
+/// of every engine's `MultidimIndex::execute`, after its dimension check.
+/// Box and range answers carry oids in traversal order; a kNN answer
+/// carries oids and distances in ascending `(distance, oid)` order. A kNN
+/// `epsilon` that is negative or not finite is an
+/// [`IndexError::InvalidQuery`]: below −1 it would make the prune bound
+/// negative and drop true neighbors.
+pub fn execute<E: NodeExpand>(
+    ex: E,
+    query: &Query,
+    metric: &dyn Metric,
+    ctx: &QueryContext,
+) -> IndexResult<(QueryOutcome<Answer>, IoStats)> {
+    let (outcome, io) = match query {
+        Query::Box(rect) => run_box_query(&ex, rect, ctx)?,
+        Query::Range { q, radius } => run_distance_range(&ex, q, *radius, metric, ctx)?,
+        Query::Knn { q, k, epsilon } => {
+            if !(epsilon.is_finite() && *epsilon >= 0.0) {
+                return Err(IndexError::InvalidQuery(
+                    "kNN epsilon must be finite and non-negative",
+                ));
+            }
+            let (outcome, io) = run_knn(ex, q, *k, *epsilon, metric, ctx)?;
+            let answer = |hits: Vec<(u64, f64)>| {
+                let (oids, distances) = hits.into_iter().unzip();
+                Answer { oids, distances }
+            };
+            return Ok((outcome.map(answer), io));
+        }
+    };
+    let answer = |oids| Answer {
+        oids,
+        distances: Vec::new(),
+    };
+    Ok((outcome.map(answer), io))
+}
+
 // ---------------------------------------------------------------------
 // Depth-first drivers: box and distance-range
 // ---------------------------------------------------------------------
@@ -213,7 +253,7 @@ pub trait NodeExpand {
 /// per-engine stacks; the root list is visited front to back). After
 /// every leaf the result cap is checked; a denied read settles into a
 /// degraded outcome carrying the oids found so far.
-pub fn run_box_query<E: NodeExpand>(
+fn run_box_query<E: NodeExpand>(
     ex: &E,
     rect: &Rect,
     ctx: &QueryContext,
@@ -280,7 +320,7 @@ impl EntrySink for RangeSink<'_> {
 /// pruned — survivors are verified exactly). A provisional key needs no
 /// settling here: only an infinite radius lets an engine defer, and every
 /// key, like every real bound, is within it.
-pub fn run_distance_range<E: NodeExpand>(
+fn run_distance_range<E: NodeExpand>(
     ex: &E,
     q: &Point,
     radius: f64,
@@ -491,9 +531,10 @@ impl EntrySink for StageSink<'_> {
 ///
 /// Opened with [`new`](Self::new), it has no `k` and yields neighbors in
 /// ascending `(comparator distance, oid)` order. Pulling `n` results
-/// reads exactly as many pages as a batch `knn_ctx(q, n, ..)` does, and
-/// the yield sequence is exactly the batch answer's prefix (see
-/// `tests/executor.rs`). [`run_knn`] is this cursor bounded by k.
+/// reads exactly as many pages as an exact batch kNN [`Query`] for `n`
+/// neighbors does, and the yield sequence is exactly the batch answer's
+/// prefix (see `tests/executor.rs`). Batch kNN is this cursor bounded by
+/// k.
 /// Governance carries over: every page read is admitted by the
 /// [`QueryContext`]; a denied read or an exhausted `max_results` cap
 /// ends the stream with [`KnnStream::degrade_reason`] set. Hard storage
@@ -690,7 +731,7 @@ impl<E: NodeExpand> KnnStream for KnnCursor<'_, E> {
 /// true neighbor of the same rank while fewer pages are read. `0.0` is
 /// exact search.
 #[allow(clippy::type_complexity)]
-pub fn run_knn<E: NodeExpand>(
+fn run_knn<E: NodeExpand>(
     ex: E,
     q: &Point,
     k: usize,

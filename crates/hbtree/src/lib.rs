@@ -30,11 +30,15 @@
 //! * per the paper's §4 footnote 2, distance-based queries are
 //!   unsupported.
 
+// Page bytes are untrusted: a damaged page must surface as an error on
+// every path, never as a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use hyt_exec::{Child, EntrySink, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Coord, Metric, Point, Rect};
 use hyt_index::{
-    check_dim, leaf, IndexError, IndexResult, MultidimIndex, QueryContext, QueryOutcome,
-    StatsTally, StructureStats,
+    check_dim, leaf, Answer, IndexError, IndexResult, MultidimIndex, Query, QueryContext,
+    QueryOutcome, StatsTally, StructureStats,
 };
 use hyt_page::{
     BufferPool, ByteReader, ByteWriter, IoStats, MemStorage, PageError, PageId, PageResult,
@@ -915,7 +919,9 @@ impl<S: Storage> MultidimIndex for HbTree<S> {
             let old_root = self.root;
             let mut kd = Kd::Child(old_root);
             let mut remaining = posts.into_iter();
-            let first = remaining.next().unwrap();
+            let Some(first) = remaining.next() else {
+                break;
+            };
             let grafted = Self::graft(&mut kd, old_root, &first);
             debug_assert!(grafted);
             let mut dropped = 0;
@@ -1001,39 +1007,23 @@ impl<S: Storage> MultidimIndex for HbTree<S> {
         Ok(false)
     }
 
-    fn box_query_ctx(
+    fn execute(
         &self,
-        rect: &Rect,
+        query: &Query,
+        metric: &dyn Metric,
         ctx: &QueryContext,
-    ) -> IndexResult<(QueryOutcome<Vec<u64>>, IoStats)> {
-        check_dim(self.dim, rect.dim())?;
-        hyt_exec::run_box_query(&HbExpand { tree: self }, rect, ctx)
-    }
-
-    fn distance_range_ctx(
-        &self,
-        _q: &Point,
-        _radius: f64,
-        _metric: &dyn Metric,
-        _ctx: &QueryContext,
-    ) -> IndexResult<(QueryOutcome<Vec<u64>>, IoStats)> {
-        // Paper §4, footnote 2: the hB-tree is excluded from the
-        // distance-query experiments because it does not support them.
-        Err(IndexError::Unsupported(
-            "hB-tree does not support distance-based search (paper §4)",
-        ))
-    }
-
-    fn knn_ctx(
-        &self,
-        _q: &Point,
-        _k: usize,
-        _metric: &dyn Metric,
-        _ctx: &QueryContext,
-    ) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
-        Err(IndexError::Unsupported(
-            "hB-tree does not support distance-based search (paper §4)",
-        ))
+    ) -> IndexResult<(QueryOutcome<Answer>, IoStats)> {
+        match query {
+            Query::Box(_) => {
+                check_dim(self.dim, query.dim())?;
+                hyt_exec::execute(HbExpand { tree: self }, query, metric, ctx)
+            }
+            // Paper §4, footnote 2: the hB-tree is excluded from the
+            // distance-query experiments because it does not support them.
+            Query::Range { .. } | Query::Knn { .. } => Err(IndexError::Unsupported(
+                "hB-tree does not support distance-based search (paper §4)",
+            )),
+        }
     }
 
     fn knn_stream<'a>(

@@ -8,7 +8,7 @@
 //! [`StatsTally`]; [`leaf`] is the data-page entry layout all five
 //! engines share.
 
-use hyt_geom::{Metric, Point, Rect};
+use hyt_geom::{Metric, Point, Rect, L2};
 use hyt_page::{IoStats, PageError};
 use std::fmt;
 
@@ -36,6 +36,9 @@ pub enum IndexError {
     EmptyDataset(&'static str),
     /// The structure detected an internal inconsistency.
     Internal(String),
+    /// A query parameter is out of its domain (a negative or non-finite
+    /// kNN `epsilon`).
+    InvalidQuery(&'static str),
 }
 
 /// Convenience alias for fallible index operations.
@@ -54,6 +57,7 @@ impl fmt::Display for IndexError {
             IndexError::Storage(e) => write!(f, "storage error: {e}"),
             IndexError::EmptyDataset(what) => write!(f, "empty dataset: {what}"),
             IndexError::Internal(msg) => write!(f, "internal index error: {msg}"),
+            IndexError::InvalidQuery(what) => write!(f, "invalid query: {what}"),
         }
     }
 }
@@ -202,6 +206,63 @@ impl<T> QueryOutcome<T> {
     }
 }
 
+/// One query of the three kinds the paper's evaluation runs (§4), as
+/// [`MultidimIndex::execute`] takes it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Query {
+    /// Bounding-box (window) query: all oids whose points lie inside the
+    /// closed rectangle.
+    Box(Rect),
+    /// Distance range query: all oids within `radius` of `q`.
+    Range {
+        /// The query center.
+        q: Point,
+        /// The distance bound (inclusive).
+        radius: f64,
+    },
+    /// k-nearest-neighbor query.
+    Knn {
+        /// The query point.
+        q: Point,
+        /// How many neighbors to return.
+        k: usize,
+        /// `0.0` for exact search. A positive `epsilon` asks for
+        /// `(1 + epsilon)`-approximate neighbors (the paper's conclusion
+        /// names approximate NN as future work): every reported distance
+        /// is at most `1 + epsilon` times the true neighbor's of the same
+        /// rank, and fewer pages are read. A negative or non-finite value
+        /// is an [`IndexError::InvalidQuery`].
+        epsilon: f64,
+    },
+}
+
+impl Query {
+    /// Dimensionality of the query's point or rectangle.
+    pub fn dim(&self) -> usize {
+        match self {
+            Query::Box(rect) => rect.dim(),
+            Query::Range { q, .. } | Query::Knn { q, .. } => q.dim(),
+        }
+    }
+}
+
+/// The answer to a [`Query`].
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Answer {
+    /// Result oids, one per matching stored entry. Box and range answers
+    /// come in unspecified order; kNN answers in ascending distance.
+    pub oids: Vec<u64>,
+    /// kNN distances, parallel to `oids`; empty for box and range.
+    pub distances: Vec<f64>,
+}
+
+impl Answer {
+    /// A kNN answer as `(oid, distance)` pairs.
+    pub fn into_hits(self) -> Vec<(u64, f64)> {
+        self.oids.into_iter().zip(self.distances).collect()
+    }
+}
+
 /// Engine-side helper for the result-cardinality cap: truncates `out`
 /// to the cap and reports whether the traversal must stop and degrade.
 /// Landing *exactly* on the cap with no work left is still a complete
@@ -243,9 +304,9 @@ pub fn settle_interrupt<T>(
 /// Governance carries over from the batch path: every page read is
 /// admitted by the stream's [`QueryContext`], and a triggered limit ends
 /// the stream with [`degrade_reason`](Self::degrade_reason) set instead
-/// of surfacing an error. Pulling `n` results reads exactly the pages a
-/// batch `knn_ctx(q, n, ..)` reads, and the yielded sequence is exactly
-/// that batch answer's prefix.
+/// of surfacing an error. Pulling `n` results reads exactly the pages an
+/// exact kNN query for `n` neighbors ([`MultidimIndex::execute`]) reads,
+/// and the yielded sequence is exactly that batch answer's prefix.
 pub trait KnnStream {
     /// The next neighbor in ascending `(distance, oid)` order, or `None`
     /// when the index is exhausted, a governance limit stopped the
@@ -367,10 +428,10 @@ impl StatsTally {
 /// Queries take `&self`: a built index can be shared across threads
 /// (hence the `Send + Sync` supertraits) and searched concurrently —
 /// mutation (`insert`/`delete`) still requires exclusive access, which
-/// the borrow checker enforces. The `*_counted` variants additionally
-/// return the [`IoStats`] incurred by that one query, attributed to the
-/// caller even when many queries share the underlying buffer pool; the
-/// plain variants are convenience wrappers that discard the per-query
+/// the borrow checker enforces. [`execute`](Self::execute) and the
+/// `*_counted` wrappers over it return the [`IoStats`] incurred by that
+/// one query, attributed to the caller even when many queries share the
+/// underlying buffer pool; the plain wrappers discard the per-query
 /// counters (the pool-global counters behind [`io_stats`](Self::io_stats)
 /// always advance either way). A query's `logical_reads`/`seq_reads`
 /// depend only on its own traversal, so they are identical whether the
@@ -397,6 +458,24 @@ pub trait MultidimIndex: Send + Sync {
     /// an entry was removed.
     fn delete(&mut self, point: &Point, oid: u64) -> IndexResult<bool>;
 
+    /// Runs one governed query, the one query method every engine
+    /// implements. The traversal consults `ctx` before every page fetch
+    /// (cancel, deadline, logical-read budget) and after every result
+    /// batch (result-cardinality cap), so any limit is observed within one
+    /// pool read. A triggered limit yields [`QueryOutcome::Degraded`]
+    /// carrying what was found so far: a subset of the true answer for
+    /// box and range queries, and for kNN the best candidates found
+    /// before the interrupt, sorted by distance, which are *not*
+    /// guaranteed to be the true nearest. A `max_results` cap below a kNN
+    /// query's `k` clamps `k`. Storage failures and out-of-domain queries
+    /// surface as [`IndexError`]. `metric` is ignored by box queries.
+    fn execute(
+        &self,
+        query: &Query,
+        metric: &dyn Metric,
+        ctx: &QueryContext,
+    ) -> IndexResult<(QueryOutcome<Answer>, IoStats)>;
+
     /// Bounding-box (window) query: all oids whose points lie inside the
     /// closed rectangle.
     fn box_query(&self, rect: &Rect) -> IndexResult<Vec<u64>> {
@@ -405,21 +484,10 @@ pub trait MultidimIndex: Send + Sync {
 
     /// [`box_query`](Self::box_query) plus the I/O this query incurred.
     fn box_query_counted(&self, rect: &Rect) -> IndexResult<(Vec<u64>, IoStats)> {
-        let (outcome, io) = self.box_query_ctx(rect, QueryContext::unlimited())?;
-        Ok((outcome.into_results(), io))
+        let query = Query::Box(rect.clone());
+        let (outcome, io) = self.execute(&query, &L2, QueryContext::unlimited())?;
+        Ok((outcome.into_results().oids, io))
     }
-
-    /// Governed window query: the traversal consults `ctx` before every
-    /// page fetch (cancel, deadline, logical-read budget) and after
-    /// every result batch (result-cardinality cap), so any limit is
-    /// observed within one pool read. A triggered limit yields
-    /// [`QueryOutcome::Degraded`] carrying the subset of the answer
-    /// found so far; storage failures still surface as [`IndexError`].
-    fn box_query_ctx(
-        &self,
-        rect: &Rect,
-        ctx: &QueryContext,
-    ) -> IndexResult<(QueryOutcome<Vec<u64>>, IoStats)>;
 
     /// Distance range query under an arbitrary metric: all oids within
     /// `radius` of `q`.
@@ -435,21 +503,13 @@ pub trait MultidimIndex: Send + Sync {
         radius: f64,
         metric: &dyn Metric,
     ) -> IndexResult<(Vec<u64>, IoStats)> {
-        let (outcome, io) =
-            self.distance_range_ctx(q, radius, metric, QueryContext::unlimited())?;
-        Ok((outcome.into_results(), io))
+        let query = Query::Range {
+            q: q.clone(),
+            radius,
+        };
+        let (outcome, io) = self.execute(&query, metric, QueryContext::unlimited())?;
+        Ok((outcome.into_results().oids, io))
     }
-
-    /// Governed distance range query (see
-    /// [`box_query_ctx`](Self::box_query_ctx) for the governance
-    /// contract). Degraded results are a subset of the true answer.
-    fn distance_range_ctx(
-        &self,
-        q: &Point,
-        radius: f64,
-        metric: &dyn Metric,
-        ctx: &QueryContext,
-    ) -> IndexResult<(QueryOutcome<Vec<u64>>, IoStats)>;
 
     /// k-nearest-neighbor query; returns `(oid, distance)` sorted by
     /// ascending distance (ties broken arbitrarily).
@@ -464,23 +524,14 @@ pub trait MultidimIndex: Send + Sync {
         k: usize,
         metric: &dyn Metric,
     ) -> IndexResult<(Vec<(u64, f64)>, IoStats)> {
-        let (outcome, io) = self.knn_ctx(q, k, metric, QueryContext::unlimited())?;
-        Ok((outcome.into_results(), io))
+        let query = Query::Knn {
+            q: q.clone(),
+            k,
+            epsilon: 0.0,
+        };
+        let (outcome, io) = self.execute(&query, metric, QueryContext::unlimited())?;
+        Ok((outcome.into_results().into_hits(), io))
     }
-
-    /// Governed kNN query (see [`box_query_ctx`](Self::box_query_ctx)
-    /// for the governance contract). A `max_results` cap below `k`
-    /// clamps `k`. Degraded kNN results are the best candidates found
-    /// before the interrupt, sorted by distance — they are *not*
-    /// guaranteed to be the true nearest neighbors.
-    #[allow(clippy::type_complexity)]
-    fn knn_ctx(
-        &self,
-        q: &Point,
-        k: usize,
-        metric: &dyn Metric,
-        ctx: &QueryContext,
-    ) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)>;
 
     /// Opens an incremental kNN stream (see [`KnnStream`]): neighbors are
     /// pulled one at a time in ascending `(distance, oid)` order, under

@@ -22,11 +22,15 @@
 //! Split convention: a split at `pos` sends `x < pos` left and `x >= pos`
 //! right, everywhere, so clean partitions stay clean under cascades.
 
+// Page bytes are untrusted: a damaged page must surface as an error on
+// every path, never as a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Coord, Metric, Point, Rect};
 use hyt_index::{
-    check_dim, leaf, IndexError, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome,
-    StatsTally, StructureStats,
+    check_dim, leaf, Answer, IndexError, IndexResult, KnnStream, MultidimIndex, Query,
+    QueryContext, QueryOutcome, StatsTally, StructureStats,
 };
 use hyt_page::{
     BufferPool, ByteReader, ByteWriter, IoStats, MemStorage, PageError, PageId, PageResult,
@@ -454,7 +458,7 @@ impl<S: Storage> KdbTree<S> {
                 right,
             } => {
                 if kdim == dim {
-                    match kpos.partial_cmp(&pos).unwrap() {
+                    match kpos.total_cmp(&pos) {
                         Ordering::Equal => Ok((Some(*left), Some(*right))),
                         Ordering::Less => {
                             let (rl, rr) =
@@ -834,35 +838,14 @@ impl<S: Storage> MultidimIndex for KdbTree<S> {
         Ok(false)
     }
 
-    fn box_query_ctx(
+    fn execute(
         &self,
-        rect: &Rect,
-        ctx: &QueryContext,
-    ) -> IndexResult<(QueryOutcome<Vec<u64>>, IoStats)> {
-        check_dim(self.dim, rect.dim())?;
-        hyt_exec::run_box_query(&KdbExpand { tree: self }, rect, ctx)
-    }
-
-    fn distance_range_ctx(
-        &self,
-        q: &Point,
-        radius: f64,
+        query: &Query,
         metric: &dyn Metric,
         ctx: &QueryContext,
-    ) -> IndexResult<(QueryOutcome<Vec<u64>>, IoStats)> {
-        check_dim(self.dim, q.dim())?;
-        hyt_exec::run_distance_range(&KdbExpand { tree: self }, q, radius, metric, ctx)
-    }
-
-    fn knn_ctx(
-        &self,
-        q: &Point,
-        k: usize,
-        metric: &dyn Metric,
-        ctx: &QueryContext,
-    ) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
-        check_dim(self.dim, q.dim())?;
-        hyt_exec::run_knn(KdbExpand { tree: self }, q, k, 0.0, metric, ctx)
+    ) -> IndexResult<(QueryOutcome<Answer>, IoStats)> {
+        check_dim(self.dim, query.dim())?;
+        hyt_exec::execute(KdbExpand { tree: self }, query, metric, ctx)
     }
 
     fn knn_stream<'a>(

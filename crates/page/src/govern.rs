@@ -94,7 +94,7 @@ impl CancelToken {
 /// default context is unlimited.
 ///
 /// The context is *checked* at page-fetch granularity by the pool's
-/// `*_ctx` read methods (cancel/deadline/budget) and at result-append
+/// governed read, `read_with` (cancel/deadline/budget), and at result-append
 /// granularity by the engines (result cap), so every limit is observed
 /// within one page read.
 #[derive(Clone, Debug, Default)]

@@ -7,11 +7,15 @@
 //! by reading the whole file through the buffer pool's *sequential* path,
 //! which the paper's cost model discounts 10x relative to random accesses.
 
+// Page bytes are untrusted: a damaged page must surface as an error on
+// every path, never as a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Metric, Point, Rect};
 use hyt_index::{
-    check_dim, leaf, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome, StatsTally,
-    StructureStats,
+    check_dim, leaf, Answer, IndexResult, KnnStream, MultidimIndex, Query, QueryContext,
+    QueryOutcome, StatsTally, StructureStats,
 };
 use hyt_page::{BufferPool, ByteReader, ByteWriter, IoStats, MemStorage, PageId, Storage};
 
@@ -220,35 +224,14 @@ impl<S: Storage> MultidimIndex for SeqScan<S> {
         Ok(false)
     }
 
-    fn box_query_ctx(
+    fn execute(
         &self,
-        rect: &Rect,
-        ctx: &QueryContext,
-    ) -> IndexResult<(QueryOutcome<Vec<u64>>, IoStats)> {
-        check_dim(self.dim, rect.dim())?;
-        hyt_exec::run_box_query(&ScanExpand { tree: self }, rect, ctx)
-    }
-
-    fn distance_range_ctx(
-        &self,
-        q: &Point,
-        radius: f64,
+        query: &Query,
         metric: &dyn Metric,
         ctx: &QueryContext,
-    ) -> IndexResult<(QueryOutcome<Vec<u64>>, IoStats)> {
-        check_dim(self.dim, q.dim())?;
-        hyt_exec::run_distance_range(&ScanExpand { tree: self }, q, radius, metric, ctx)
-    }
-
-    fn knn_ctx(
-        &self,
-        q: &Point,
-        k: usize,
-        metric: &dyn Metric,
-        ctx: &QueryContext,
-    ) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
-        check_dim(self.dim, q.dim())?;
-        hyt_exec::run_knn(ScanExpand { tree: self }, q, k, 0.0, metric, ctx)
+    ) -> IndexResult<(QueryOutcome<Answer>, IoStats)> {
+        check_dim(self.dim, query.dim())?;
+        hyt_exec::execute(ScanExpand { tree: self }, query, metric, ctx)
     }
 
     fn knn_stream<'a>(

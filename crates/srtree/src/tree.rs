@@ -1,13 +1,17 @@
 //! SR-tree operations.
 
+// Page bytes are untrusted: a damaged page must surface as an error on
+// every path, never as a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use crate::node::{data_capacity, index_capacity, ChildEntry, SrNode, DATA_HEADER_BYTES};
 use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Metric, Point, Rect, L2};
 use hyt_index::{
-    check_dim, IndexError, IndexResult, KnnStream, MultidimIndex, QueryContext, QueryOutcome,
-    StatsTally, StructureStats,
+    check_dim, Answer, IndexError, IndexResult, KnnStream, MultidimIndex, Query, QueryContext,
+    QueryOutcome, StatsTally, StructureStats,
 };
-use hyt_page::{BufferPool, IoStats, MemStorage, PageId, Storage, DEFAULT_PAGE_SIZE};
+use hyt_page::{BufferPool, IoStats, MemStorage, PageError, PageId, Storage, DEFAULT_PAGE_SIZE};
 
 /// Construction parameters of an [`SrTree`].
 #[derive(Clone, Debug)]
@@ -230,7 +234,7 @@ impl<S: Storage> SrTree<S> {
             }
             SrNode::Index { level, mut entries } => {
                 // SS-tree descent: nearest centroid (ties: smaller radius).
-                let (best, _) = entries
+                let Some((best, _)) = entries
                     .iter()
                     .enumerate()
                     .map(|(i, e)| (i, L2.distance(&e.centroid, p)))
@@ -238,7 +242,11 @@ impl<S: Storage> SrTree<S> {
                         a.1.total_cmp(&b.1)
                             .then(entries[a.0].radius.total_cmp(&entries[b.0].radius))
                     })
-                    .expect("index node with no entries");
+                else {
+                    return Err(
+                        PageError::Corrupt(format!("SR index node {pid} has no entries")).into(),
+                    );
+                };
                 let child = entries[best].pid;
                 match self.insert_rec(child, p, oid)? {
                     InsertResult::Updated(e) => {
@@ -624,35 +632,14 @@ impl<S: Storage> MultidimIndex for SrTree<S> {
         }
     }
 
-    fn box_query_ctx(
+    fn execute(
         &self,
-        rect: &Rect,
-        ctx: &QueryContext,
-    ) -> IndexResult<(QueryOutcome<Vec<u64>>, IoStats)> {
-        check_dim(self.dim, rect.dim())?;
-        hyt_exec::run_box_query(&SrExpand { tree: self }, rect, ctx)
-    }
-
-    fn distance_range_ctx(
-        &self,
-        q: &Point,
-        radius: f64,
+        query: &Query,
         metric: &dyn Metric,
         ctx: &QueryContext,
-    ) -> IndexResult<(QueryOutcome<Vec<u64>>, IoStats)> {
-        check_dim(self.dim, q.dim())?;
-        hyt_exec::run_distance_range(&SrExpand { tree: self }, q, radius, metric, ctx)
-    }
-
-    fn knn_ctx(
-        &self,
-        q: &Point,
-        k: usize,
-        metric: &dyn Metric,
-        ctx: &QueryContext,
-    ) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
-        check_dim(self.dim, q.dim())?;
-        hyt_exec::run_knn(SrExpand { tree: self }, q, k, 0.0, metric, ctx)
+    ) -> IndexResult<(QueryOutcome<Answer>, IoStats)> {
+        check_dim(self.dim, query.dim())?;
+        hyt_exec::execute(SrExpand { tree: self }, query, metric, ctx)
     }
 
     fn knn_stream<'a>(

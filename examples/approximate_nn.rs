@@ -1,7 +1,8 @@
 //! Approximate and incremental nearest-neighbor search — the paper's
 //! stated future work ("we intend to support new types of queries like
 //! approximate nearest neighbor queries efficiently using the hybrid
-//! tree"), implemented on top of the same index.
+//! tree"), implemented on top of the same index. The `epsilon` of a kNN
+//! `Query` works the same on every engine with distance search.
 //!
 //! ```sh
 //! cargo run --release --example approximate_nn
@@ -30,20 +31,25 @@ fn main() -> Result<(), IndexError> {
     );
 
     // (1+eps)-approximate kNN: fewer reads, bounded error.
-    for eps in [0.2, 1.0, 3.0] {
-        tree.reset_io_stats();
-        let approx = tree.knn_approximate(&q, 10, eps, &L2)?;
-        let io = tree.io_stats().logical_reads;
+    for epsilon in [0.2, 1.0, 3.0] {
+        let query = Query::Knn {
+            q: q.clone(),
+            k: 10,
+            epsilon,
+        };
+        let (outcome, io) = tree.execute(&query, &L2, QueryContext::unlimited())?;
+        let approx = outcome.into_results().into_hits();
+        let io = io.logical_reads;
         let worst_ratio = approx
             .iter()
             .zip(&exact)
             .map(|(a, e)| if e.1 > 0.0 { a.1 / e.1 } else { 1.0 })
             .fold(1.0f64, f64::max);
         println!(
-            "eps={eps:<4} {io:>4} page reads ({:.0}% of exact); worst rank-distance ratio {:.3} (bound {:.1})",
+            "eps={epsilon:<4} {io:>4} page reads ({:.0}% of exact); worst rank-distance ratio {:.3} (bound {:.1})",
             100.0 * io as f64 / exact_io as f64,
             worst_ratio,
-            1.0 + eps
+            1.0 + epsilon
         );
     }
 

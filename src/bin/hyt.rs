@@ -17,9 +17,9 @@
 
 use hybridtree_repro::core::{scrub_index, scrub_pages, HybridTree, HybridTreeConfig};
 use hybridtree_repro::data::{colhist, fourier, uniform};
-use hybridtree_repro::eval::{run_batch, AdmissionGate, BatchPolicy, BatchQuery, QueryStatus};
+use hybridtree_repro::eval::{run_batch, AdmissionGate, BatchPolicy, QueryStatus};
 use hybridtree_repro::geom::{Chebyshev, Lp, Metric, Point, Rect, L1, L2};
-use hybridtree_repro::index::{MultidimIndex, QueryContext, QueryOutcome};
+use hybridtree_repro::index::{MultidimIndex, Query, QueryContext, QueryOutcome};
 use hybridtree_repro::page::DurableStorage;
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -401,10 +401,11 @@ fn knn(opts: &HashMap<String, String>) -> Result<(), String> {
         eprintln!("[{} page reads]", tree.io_stats().logical_reads);
         return Ok(());
     }
+    let query = Query::Knn { q, k, epsilon: 0.0 };
     let (outcome, _) = tree
-        .knn_ctx(&q, k, metric.as_ref(), &ctx)
+        .execute(&query, metric.as_ref(), &ctx)
         .map_err(|e| e.to_string())?;
-    let hits = settle(outcome);
+    let hits = settle(outcome).into_hits();
     for (oid, d) in &hits {
         println!("{oid}\t{d:.6}");
     }
@@ -420,9 +421,9 @@ fn range(opts: &HashMap<String, String>) -> Result<(), String> {
     let ctx = parse_query_context(opts)?;
     tree.reset_io_stats();
     let (outcome, _) = tree
-        .distance_range_ctx(&q, radius, metric.as_ref(), &ctx)
+        .execute(&Query::Range { q, radius }, metric.as_ref(), &ctx)
         .map_err(|e| e.to_string())?;
-    let mut hits = settle(outcome);
+    let mut hits = settle(outcome).oids;
     hits.sort_unstable();
     for oid in &hits {
         println!("{oid}");
@@ -436,7 +437,7 @@ fn range(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// Parses one batch-file line into a query against a `dim`-d index.
-fn parse_batch_line(line: &str, dim: usize) -> Result<BatchQuery, String> {
+fn parse_batch_line(line: &str, dim: usize) -> Result<Query, String> {
     let mut parts = line.split_whitespace();
     let kind = parts.next().ok_or("empty query line")?;
     let q = match kind {
@@ -449,7 +450,7 @@ fn parse_batch_line(line: &str, dim: usize) -> Result<BatchQuery, String> {
             if lo.iter().zip(&hi).any(|(l, h)| l > h) {
                 return Err("box LO must be <= HI in every dimension".into());
             }
-            BatchQuery::Box(Rect::new(lo, hi))
+            Query::Box(Rect::new(lo, hi))
         }
         "range" => {
             let c = parse_vector(parts.next().ok_or("range needs CENTER and R")?)?;
@@ -461,7 +462,10 @@ fn parse_batch_line(line: &str, dim: usize) -> Result<BatchQuery, String> {
             if c.len() != dim {
                 return Err(format!("range center must have {dim} coordinates"));
             }
-            BatchQuery::Distance(Point::new(c), r)
+            Query::Range {
+                q: Point::new(c),
+                radius: r,
+            }
         }
         "knn" => {
             let c = parse_vector(parts.next().ok_or("knn needs CENTER and K")?)?;
@@ -473,7 +477,11 @@ fn parse_batch_line(line: &str, dim: usize) -> Result<BatchQuery, String> {
             if c.len() != dim {
                 return Err(format!("knn center must have {dim} coordinates"));
             }
-            BatchQuery::Knn(Point::new(c), k)
+            Query::Knn {
+                q: Point::new(c),
+                k,
+                epsilon: 0.0,
+            }
         }
         other => return Err(format!("unknown query kind `{other}`")),
     };
@@ -555,9 +563,9 @@ fn batch(opts: &HashMap<String, String>) -> Result<(), String> {
         println!(
             "#{i}\t{} results\t{} page reads\t{status}",
             a.answer.oids.len(),
-            a.answer.io.logical_reads
+            a.io.logical_reads
         );
-        total.merge(&a.answer.io);
+        total.merge(&a.io);
     }
     eprintln!(
         "[{} queries on {} thread(s) in {:.3}s — {} page reads, {:.1} weighted accesses, \
@@ -586,8 +594,10 @@ fn box_query(opts: &HashMap<String, String>) -> Result<(), String> {
     let rect = Rect::new(lo, hi);
     let ctx = parse_query_context(opts)?;
     tree.reset_io_stats();
-    let (outcome, _) = tree.box_query_ctx(&rect, &ctx).map_err(|e| e.to_string())?;
-    let mut hits = settle(outcome);
+    let (outcome, _) = tree
+        .execute(&Query::Box(rect), &L2, &ctx)
+        .map_err(|e| e.to_string())?;
+    let mut hits = settle(outcome).oids;
     hits.sort_unstable();
     for oid in &hits {
         println!("{oid}");

@@ -31,8 +31,8 @@ pub mod prelude {
     pub use hybrid_tree::{HybridTree, HybridTreeConfig, SplitPolicy};
     pub use hyt_geom::{Chebyshev, Lp, Metric, Point, Rect, WeightedEuclidean, L1, L2};
     pub use hyt_index::{
-        CancelToken, DegradeReason, IndexError, IndexResult, KnnStream, MultidimIndex,
-        QueryContext, QueryOutcome, StructureStats,
+        Answer, CancelToken, DegradeReason, IndexError, IndexResult, KnnStream, MultidimIndex,
+        Query, QueryContext, QueryOutcome, StructureStats,
     };
     pub use hyt_page::IoStats;
 }

@@ -13,11 +13,9 @@
 //!   unfaulted serial run reproduces the reference answers exactly.
 
 use hybridtree_repro::core::{HybridTree, HybridTreeConfig};
-use hybridtree_repro::eval::{
-    run_batch, AdmissionGate, BatchPolicy, BatchQuery, GovernedAnswer, QueryStatus,
-};
+use hybridtree_repro::eval::{run_batch, AdmissionGate, BatchPolicy, GovernedAnswer, QueryStatus};
 use hybridtree_repro::geom::{Point, Rect, L2};
-use hybridtree_repro::index::{CancelToken, MultidimIndex};
+use hybridtree_repro::index::{CancelToken, MultidimIndex, Query};
 use hybridtree_repro::page::{
     ChecksumStorage, FaultScript, FaultStorage, MemStorage, FRAME_HEADER_BYTES,
 };
@@ -55,7 +53,7 @@ fn build_tree() -> (Arc<HybridTree<ChaosStack>>, Arc<FaultScript>, Vec<Point>) {
     (Arc::new(tree), script, pts)
 }
 
-fn mixed_batch(pts: &[Point], n: usize, seed: u64) -> Vec<BatchQuery> {
+fn mixed_batch(pts: &[Point], n: usize, seed: u64) -> Vec<Query> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|i| {
@@ -65,10 +63,17 @@ fn mixed_batch(pts: &[Point], n: usize, seed: u64) -> Vec<BatchQuery> {
                     let half = 0.05 + rng.gen::<f64>() * 0.2;
                     let lo: Vec<f32> = c.coords().iter().map(|&x| x - half as f32).collect();
                     let hi: Vec<f32> = c.coords().iter().map(|&x| x + half as f32).collect();
-                    BatchQuery::Box(Rect::new(lo, hi))
+                    Query::Box(Rect::new(lo, hi))
                 }
-                1 => BatchQuery::Distance(c, 0.2 + rng.gen::<f64>() * 0.3),
-                _ => BatchQuery::Knn(c, rng.gen_range(1..13)),
+                1 => Query::Range {
+                    q: c,
+                    radius: 0.2 + rng.gen::<f64>() * 0.3,
+                },
+                _ => Query::Knn {
+                    q: c,
+                    k: rng.gen_range(1..13),
+                    epsilon: 0.0,
+                },
             }
         })
         .collect()
@@ -114,7 +119,7 @@ fn chaos_concurrent_governed_batches_survive_fault_load() {
 
 /// Runs `batch` serially with no limits and no gate; every query must
 /// complete.
-fn unlimited(tree: &HybridTree<ChaosStack>, batch: &[BatchQuery]) -> Vec<GovernedAnswer> {
+fn unlimited(tree: &HybridTree<ChaosStack>, batch: &[Query]) -> Vec<GovernedAnswer> {
     let answers = run_batch(tree, &L2, batch, 1, &BatchPolicy::default(), None).unwrap();
     for (i, a) in answers.iter().enumerate() {
         assert_eq!(a.status, QueryStatus::Complete, "query {i}");
@@ -128,7 +133,7 @@ fn unlimited(tree: &HybridTree<ChaosStack>, batch: &[BatchQuery]) -> Vec<Governe
 fn chaos_rounds(
     tree: &HybridTree<ChaosStack>,
     script: &Arc<FaultScript>,
-    batch: &[BatchQuery],
+    batch: &[Query],
     reference: &[GovernedAnswer],
 ) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(0xC4A05);

@@ -3,7 +3,7 @@
 //! attribution must be schedule-independent.
 
 use hybridtree_repro::eval::{
-    build_engine, run_batch, total_io, BatchPolicy, BatchQuery, Engine, GovernedAnswer,
+    build_engine, run_batch, total_io, BatchPolicy, Engine, GovernedAnswer,
 };
 use hybridtree_repro::prelude::*;
 use std::sync::Arc;
@@ -17,7 +17,7 @@ fn build_points(n: usize, dim: usize, seed: u64) -> Vec<Point> {
         .collect()
 }
 
-fn mixed_queries(data: &[Point], n: usize) -> Vec<BatchQuery> {
+fn mixed_queries(data: &[Point], n: usize) -> Vec<Query> {
     data.iter()
         .take(n)
         .enumerate()
@@ -25,20 +25,23 @@ fn mixed_queries(data: &[Point], n: usize) -> Vec<BatchQuery> {
             0 => {
                 let lo: Vec<f32> = p.coords().iter().map(|c| (c - 0.2).max(0.0)).collect();
                 let hi: Vec<f32> = p.coords().iter().map(|c| (c + 0.2).min(1.0)).collect();
-                BatchQuery::Box(Rect::new(lo, hi))
+                Query::Box(Rect::new(lo, hi))
             }
-            1 => BatchQuery::Distance(p.clone(), 0.35),
-            _ => BatchQuery::Knn(p.clone(), 7),
+            1 => Query::Range {
+                q: p.clone(),
+                radius: 0.35,
+            },
+            _ => Query::Knn {
+                q: p.clone(),
+                k: 7,
+                epsilon: 0.0,
+            },
         })
         .collect()
 }
 
 /// Runs `queries` with no limits and no gate on `threads` workers.
-fn unlimited(
-    idx: &dyn MultidimIndex,
-    queries: &[BatchQuery],
-    threads: usize,
-) -> Vec<GovernedAnswer> {
+fn unlimited(idx: &dyn MultidimIndex, queries: &[Query], threads: usize) -> Vec<GovernedAnswer> {
     run_batch(idx, &L1, queries, threads, &BatchPolicy::default(), None).unwrap()
 }
 

@@ -4,7 +4,10 @@
 
 use hybridtree_repro::data::{clustered, colhist, fourier, uniform};
 use hybridtree_repro::eval::{build_engine, Engine};
+use hybridtree_repro::kdbtree::{KdbTree, KdbTreeConfig};
 use hybridtree_repro::prelude::*;
+use hybridtree_repro::scan::SeqScan;
+use hybridtree_repro::srtree::{SrTree, SrTreeConfig};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -184,5 +187,166 @@ fn empty_query_results_are_empty_not_errors() {
             "{}",
             engine.name()
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// (1 + ε)-approximate kNN on every engine with distance search, through
+// `MultidimIndex::execute`.
+// ---------------------------------------------------------------------
+
+/// Tiny pages force deep trees from a few hundred points.
+const EPS_PAGE: usize = 256;
+
+fn rand_points(n: usize, dim: usize, seed: u64) -> Vec<Point> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| Point::new((0..dim).map(|_| rng.gen::<f32>()).collect()))
+        .collect()
+}
+
+/// Every distance engine configuration — the hybrid tree with ELS on and
+/// off, the SR-tree, the kDB-tree and the scan — holding `points` under
+/// oids `0..n`.
+fn distance_engines(points: &[Point]) -> Vec<(&'static str, Box<dyn MultidimIndex>)> {
+    let dim = points[0].dim();
+    let hybrid = |els_bits| HybridTreeConfig {
+        page_size: EPS_PAGE,
+        els_bits,
+        ..HybridTreeConfig::default()
+    };
+    let sr = SrTreeConfig {
+        page_size: EPS_PAGE,
+        ..SrTreeConfig::default()
+    };
+    let kdb = KdbTreeConfig {
+        page_size: EPS_PAGE,
+    };
+    let mut engines: Vec<(&'static str, Box<dyn MultidimIndex>)> = vec![
+        ("hybrid", Box::new(HybridTree::new(dim, hybrid(4)).unwrap())),
+        (
+            "hybrid-els0",
+            Box::new(HybridTree::new(dim, hybrid(0)).unwrap()),
+        ),
+        ("sr-tree", Box::new(SrTree::new(dim, sr).unwrap())),
+        ("kdb-tree", Box::new(KdbTree::new(dim, kdb).unwrap())),
+        (
+            "seq-scan",
+            Box::new(SeqScan::with_page_size(dim, EPS_PAGE).unwrap()),
+        ),
+    ];
+    for (_, idx) in &mut engines {
+        for (i, p) in points.iter().enumerate() {
+            idx.insert(p.clone(), i as u64).unwrap();
+        }
+    }
+    engines
+}
+
+/// An ungoverned kNN query with the given `epsilon`, as `(oid, distance)`
+/// pairs.
+fn knn_eps(
+    t: &dyn MultidimIndex,
+    q: &Point,
+    k: usize,
+    epsilon: f64,
+    metric: &dyn Metric,
+) -> IndexResult<Vec<(u64, f64)>> {
+    let query = Query::Knn {
+        q: q.clone(),
+        k,
+        epsilon,
+    };
+    let (outcome, _) = t.execute(&query, metric, QueryContext::unlimited())?;
+    Ok(outcome.into_results().into_hits())
+}
+
+#[test]
+fn approximate_with_zero_epsilon_is_exact() {
+    for (_, t) in distance_engines(&rand_points(600, 3, 3)) {
+        let q = Point::new(vec![0.7, 0.1, 0.5]);
+        let exact = t.knn(&q, 10, &L2).unwrap();
+        let approx = knn_eps(&*t, &q, 10, 0.0, &L2).unwrap();
+        for (a, e) in approx.iter().zip(&exact) {
+            assert!((a.1 - e.1).abs() < 1e-12);
+        }
+    }
+}
+
+#[test]
+fn approximate_at_zero_epsilon_equals_knn_exactly() {
+    let pts = rand_points(800, 4, 24);
+    for (name, t) in distance_engines(&pts) {
+        let mut rng = StdRng::seed_from_u64(25);
+        for _ in 0..10 {
+            let q = Point::new((0..4).map(|_| rng.gen::<f32>()).collect());
+            for metric in [&L1 as &dyn Metric, &L2] {
+                t.reset_io_stats();
+                let exact = t.knn(&q, 8, metric).unwrap();
+                let exact_reads = t.io_stats().logical_reads;
+                t.reset_io_stats();
+                let approx = knn_eps(&*t, &q, 8, 0.0, metric).unwrap();
+                // Same oids, same order, same distances, same pages.
+                assert_eq!(approx, exact, "{name}");
+                assert_eq!(t.io_stats().logical_reads, exact_reads);
+            }
+        }
+    }
+}
+
+#[test]
+fn approximate_respects_the_epsilon_guarantee() {
+    for (_, t) in distance_engines(&rand_points(800, 4, 4)) {
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..10 {
+            let q = Point::new((0..4).map(|_| rng.gen::<f32>()).collect());
+            let exact = t.knn(&q, 8, &L2).unwrap();
+            for eps in [0.1, 0.5, 2.0] {
+                let approx = knn_eps(&*t, &q, 8, eps, &L2).unwrap();
+                assert_eq!(approx.len(), 8);
+                for (rank, (_, d)) in approx.iter().enumerate() {
+                    let bound = exact[rank].1 * (1.0 + eps) + 1e-9;
+                    assert!(
+                        *d <= bound,
+                        "eps={eps} rank={rank}: {d} > (1+eps)*{}",
+                        exact[rank].1
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn larger_epsilon_reads_fewer_pages() {
+    for (_, t) in distance_engines(&rand_points(3000, 6, 6)) {
+        let q = Point::new(vec![0.5; 6]);
+        let mut accesses = Vec::new();
+        for eps in [0.0, 0.5, 2.0] {
+            t.reset_io_stats();
+            knn_eps(&*t, &q, 10, eps, &L2).unwrap();
+            accesses.push(t.io_stats().logical_reads);
+        }
+        assert!(
+            accesses[2] <= accesses[0],
+            "eps=2 must not read more pages than exact: {accesses:?}"
+        );
+    }
+}
+
+/// A negative or non-finite ε is a typed error on every distance engine,
+/// never a panic; below −1 it would turn the kNN prune bound negative.
+#[test]
+fn invalid_epsilon_is_an_error_on_every_distance_engine() {
+    let pts = rand_points(300, 3, 7);
+    let q = Point::new(vec![0.5; 3]);
+    for (name, t) in distance_engines(&pts) {
+        for eps in [-0.5, -2.0, f64::NAN, f64::INFINITY] {
+            let err = knn_eps(&*t, &q, 5, eps, &L2).unwrap_err();
+            assert!(
+                matches!(err, IndexError::InvalidQuery(_)),
+                "{name}: eps={eps}: {err}"
+            );
+        }
     }
 }

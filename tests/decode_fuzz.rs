@@ -13,7 +13,7 @@ use hybridtree_repro::page::{
     inspect_frame, inspect_header, ByteReader, ByteWriter, DurableStorage, FaultScript,
     FaultStorage, FrameStatus, MemStorage, PageError, PageId, FRAME_HEADER_BYTES,
 };
-use hybridtree_repro::srtree::{ChildEntry, SrNode};
+use hybridtree_repro::srtree::{ChildEntry, SrNode, SrTree, SrTreeConfig};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -369,6 +369,36 @@ fn hybrid_split_dim_past_the_tree_fails_writes_cleanly() {
     assert!(with_root_flip(&script, 5, 7, || t.delete(&points[0], 0)).is_err());
     // Unflipped, the tree is intact.
     assert!(t.delete(&points[0], 0).unwrap());
+}
+
+/// An SR-tree directory page whose entry count reads as zero is `Corrupt`
+/// on the insert path, which descends into the nearest child entry.
+#[test]
+fn sr_root_with_no_entries_fails_inserts_cleanly() {
+    let (storage, script) = FaultStorage::new(MemStorage::with_page_size(FLIP_PAGE));
+    let cfg = SrTreeConfig {
+        page_size: FLIP_PAGE,
+        ..SrTreeConfig::default()
+    };
+    let mut t = SrTree::with_storage(3, cfg, storage).unwrap();
+    for (i, p) in flip_points().into_iter().take(120).enumerate() {
+        t.insert(p, i as u64).unwrap();
+    }
+    // A two-level tree: the root is the one directory page, so its
+    // fanout is the average.
+    let st = t.structure_stats().unwrap();
+    assert_eq!((st.height, st.index_nodes), (2, 1));
+    let fanout = st.avg_fanout as u8;
+    assert_eq!(f64::from(fanout), st.avg_fanout);
+    // Byte 3 is the low byte of the root's entry count (node tag, u16
+    // level, u32 count): flipping the count's own bits into it zeroes it.
+    let p = Point::new(vec![0.5; 3]);
+    script.flip_on_read(script.reads_seen(), 3, fanout);
+    assert!(t.insert(p.clone(), 600).is_err());
+    script.disarm();
+    // Unflipped, the tree is intact.
+    t.insert(p, 600).unwrap();
+    assert_eq!(t.len(), 121);
 }
 
 /// Zeroed page file regions: a page file of all zeros is all free slots —

@@ -10,7 +10,7 @@
 //! (a rewrite drops the entry, a freed and reallocated page is decoded
 //! afresh).
 
-use hybridtree_repro::eval::{run_batch, BatchPolicy, BatchQuery, Engine};
+use hybridtree_repro::eval::{run_batch, BatchPolicy, Engine};
 use hybridtree_repro::page::MemStorage;
 use hybridtree_repro::prelude::*;
 use proptest::prelude::*;
@@ -207,28 +207,35 @@ fn observable(a: &hybridtree_repro::eval::GovernedAnswer) -> impl PartialEq + st
     (
         a.answer.oids.clone(),
         a.answer.distances.clone(),
-        a.answer.io.logical_reads,
-        a.answer.io.seq_reads,
+        a.io.logical_reads,
+        a.io.seq_reads,
         a.status.clone(),
         a.retries,
     )
 }
 
-fn mixed_queries(data: &[Point], seed: u64) -> Vec<BatchQuery> {
+fn mixed_queries(data: &[Point], seed: u64) -> Vec<Query> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..10)
         .map(|i| {
             let c = data[rng.gen_range(0..data.len())].clone();
             if i % 3 == 0 {
                 let h = rng.gen_range(0.05..0.4f32);
-                BatchQuery::Box(Rect::new(
+                Query::Box(Rect::new(
                     c.coords().iter().map(|x| x - h).collect(),
                     c.coords().iter().map(|x| (x + h).min(2.0)).collect(),
                 ))
             } else if i % 3 == 1 {
-                BatchQuery::Knn(c, 1 + i % 7)
+                Query::Knn {
+                    q: c,
+                    k: 1 + i % 7,
+                    epsilon: 0.0,
+                }
             } else {
-                BatchQuery::Distance(c, 0.1 + 0.05 * i as f64)
+                Query::Range {
+                    q: c,
+                    radius: 0.1 + 0.05 * i as f64,
+                }
             }
         })
         .collect()

@@ -1,6 +1,6 @@
 //! Streaming-kNN cursor vs. batch kNN: on every engine that supports
 //! distance search, draining the cursor `k` yields must reproduce the
-//! batch `knn_ctx` answer *exactly* — same oids in the same order, same
+//! batch kNN answer of `execute` *exactly* — same oids in the same order, same
 //! tie-breaks, same distances — because both run the same executor
 //! kernel over the same page reads. The equivalence must also survive
 //! governance: under a read budget the cursor's yields form a prefix of
@@ -33,6 +33,24 @@ fn datasets() -> Vec<(&'static str, Vec<Point>)> {
     ]
 }
 
+/// An exact governed kNN query through `execute`, as `(oid, distance)`
+/// pairs.
+fn batch_knn(
+    idx: &dyn MultidimIndex,
+    q: &Point,
+    k: usize,
+    metric: &dyn Metric,
+    ctx: &QueryContext,
+) -> (QueryOutcome<Vec<(u64, f64)>>, IoStats) {
+    let query = Query::Knn {
+        q: q.clone(),
+        k,
+        epsilon: 0.0,
+    };
+    let (outcome, io) = idx.execute(&query, metric, ctx).unwrap();
+    (outcome.map(Answer::into_hits), io)
+}
+
 fn query_points(data: &[Point], n: usize, seed: u64) -> Vec<Point> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
@@ -50,9 +68,8 @@ fn cursor_prefixes_equal_batch_knn_on_all_engines() {
             // in ascending distance.
             for (metric, k) in [(&L1 as &dyn Metric, 10), (&L2, 10), (&L2, data.len())] {
                 for q in &queries {
-                    let (outcome, batch_io) = idx
-                        .knn_ctx(q, k, metric, QueryContext::unlimited())
-                        .unwrap();
+                    let (outcome, batch_io) =
+                        batch_knn(&*idx, q, k, metric, QueryContext::unlimited());
                     let batch = outcome.into_results();
                     // Full drain reproduces the batch answer bit for bit:
                     // same oids, same order (ties broken identically),
@@ -79,9 +96,8 @@ fn cursor_prefixes_equal_batch_knn_on_all_engines() {
                             "{} on {name} (k={prefix_len})",
                             engine.name()
                         );
-                        let (_, short_io) = idx
-                            .knn_ctx(q, prefix_len, metric, QueryContext::unlimited())
-                            .unwrap();
+                        let (_, short_io) =
+                            batch_knn(&*idx, q, prefix_len, metric, QueryContext::unlimited());
                         assert_eq!(
                             (prefix_io.logical_reads, prefix_io.seq_reads),
                             (short_io.logical_reads, short_io.seq_reads),
@@ -104,7 +120,7 @@ fn degraded_cursor_prefixes_equal_degraded_batch_answers() {
             for q in &queries {
                 // Find the I/O a complete k=10 search needs, then starve
                 // the budget below it so both paths degrade mid-search.
-                let (_, full_io) = idx.knn_ctx(q, 10, &L2, QueryContext::unlimited()).unwrap();
+                let (_, full_io) = batch_knn(&*idx, q, 10, &L2, QueryContext::unlimited());
                 let full_reads = full_io.logical_reads + full_io.seq_reads;
                 assert!(full_reads > 1, "{} on {name}", engine.name());
                 for budget in [full_reads / 2, full_reads - 1] {
@@ -112,7 +128,7 @@ fn degraded_cursor_prefixes_equal_degraded_batch_answers() {
                         max_logical_reads: Some(budget),
                         ..QueryContext::default()
                     };
-                    let (outcome, _) = idx.knn_ctx(q, 10, &L2, &ctx).unwrap();
+                    let (outcome, _) = batch_knn(&*idx, q, 10, &L2, &ctx);
                     assert_eq!(
                         outcome.degrade_reason(),
                         Some(DegradeReason::BudgetExhausted),
@@ -176,7 +192,7 @@ fn cursor_result_cap_degrades_stream() {
             engine.name()
         );
         // The capped stream agrees with the clamped batch answer.
-        let (outcome, _) = idx.knn_ctx(&q, 10, &L2, &ctx).unwrap();
+        let (outcome, _) = batch_knn(&*idx, &q, 10, &L2, &ctx);
         assert_eq!(hits, outcome.into_results(), "{}", engine.name());
     }
 }

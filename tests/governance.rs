@@ -10,7 +10,7 @@ use hybridtree_repro::core::{HybridTree, HybridTreeConfig};
 use hybridtree_repro::eval::{build_engine, Engine};
 use hybridtree_repro::geom::{Point, Rect, L2};
 use hybridtree_repro::index::{
-    CancelToken, DegradeReason, MultidimIndex, QueryContext, QueryOutcome,
+    Answer, CancelToken, DegradeReason, MultidimIndex, Query, QueryContext, QueryOutcome,
 };
 use hybridtree_repro::page::{FaultScript, FaultStorage, MemStorage};
 use rand::prelude::*;
@@ -56,7 +56,7 @@ fn budget_mid_traversal_releases_pins_and_recovers() {
     let (tree, _script) = faulted_tree(&pts);
 
     let ctx = QueryContext::default().with_max_reads(3);
-    let (outcome, io) = tree.box_query_ctx(&everything(), &ctx).unwrap();
+    let (outcome, io) = tree.execute(&Query::Box(everything()), &L2, &ctx).unwrap();
     assert_eq!(
         outcome.degrade_reason(),
         Some(DegradeReason::BudgetExhausted),
@@ -89,7 +89,7 @@ fn every_engine_observes_read_budget_at_page_granularity() {
         let (idx, _) = build_engine(engine, &data).unwrap();
         for budget in [1u64, 2, 5] {
             let ctx = QueryContext::default().with_max_reads(budget);
-            let (outcome, io) = idx.box_query_ctx(&everything(), &ctx).unwrap();
+            let (outcome, io) = idx.execute(&Query::Box(everything()), &L2, &ctx).unwrap();
             assert!(
                 io.logical_reads + io.seq_reads <= budget,
                 "{} spent {} reads against a budget of {budget}",
@@ -121,17 +121,26 @@ fn distance_paths_observe_budget_and_stay_subsets() {
             v
         };
         let ctx = QueryContext::default().with_max_reads(4);
-        let (outcome, io) = idx.distance_range_ctx(&center, 0.6, &L2, &ctx).unwrap();
+        let range = Query::Range {
+            q: center.clone(),
+            radius: 0.6,
+        };
+        let (outcome, io) = idx.execute(&range, &L2, &ctx).unwrap();
         assert!(io.logical_reads + io.seq_reads <= 4, "{}", engine.name());
-        let partial = outcome.into_results();
+        let partial = outcome.into_results().oids;
         assert!(
             partial.iter().all(|o| full.binary_search(o).is_ok()),
             "{}: degraded range answer is not a subset",
             engine.name()
         );
-        let (outcome, io) = idx.knn_ctx(&center, 10, &L2, &ctx).unwrap();
+        let knn = Query::Knn {
+            q: center.clone(),
+            k: 10,
+            epsilon: 0.0,
+        };
+        let (outcome, io) = idx.execute(&knn, &L2, &ctx).unwrap();
         assert!(io.logical_reads + io.seq_reads <= 4, "{}", engine.name());
-        assert!(outcome.into_results().len() <= 10, "{}", engine.name());
+        assert!(outcome.into_results().oids.len() <= 10, "{}", engine.name());
     }
 }
 
@@ -160,7 +169,7 @@ fn cancel_mid_query_returns_degraded_in_bounded_time() {
     };
     let reads_before = script.reads_seen();
     let start = Instant::now();
-    let (outcome, _) = tree.box_query_ctx(&everything(), &ctx).unwrap();
+    let (outcome, _) = tree.execute(&Query::Box(everything()), &L2, &ctx).unwrap();
     let elapsed = start.elapsed();
     canceller.join().unwrap();
     script.disarm();
@@ -191,7 +200,7 @@ fn deadline_observed_within_one_page_fetch() {
 
     let ctx = QueryContext::default().with_timeout(Duration::from_millis(12));
     let start = Instant::now();
-    let (outcome, io) = tree.box_query_ctx(&everything(), &ctx).unwrap();
+    let (outcome, io) = tree.execute(&Query::Box(everything()), &L2, &ctx).unwrap();
     let elapsed = start.elapsed();
     script.disarm();
 
@@ -218,8 +227,13 @@ fn degraded_knn_is_sorted_best_so_far() {
     let (tree, _script) = faulted_tree(&pts);
     let q = pts[42].clone();
     let ctx = QueryContext::default().with_max_reads(3);
-    let (outcome, _) = tree.knn_ctx(&q, 8, &L2, &ctx).unwrap();
-    let hits = match outcome {
+    let knn = Query::Knn {
+        q,
+        k: 8,
+        epsilon: 0.0,
+    };
+    let (outcome, _) = tree.execute(&knn, &L2, &ctx).unwrap();
+    let hits = match outcome.map(Answer::into_hits) {
         QueryOutcome::Degraded { partial, reason } => {
             assert_eq!(reason, DegradeReason::BudgetExhausted);
             partial
