@@ -55,17 +55,6 @@ pub enum KdTree {
     },
 }
 
-/// Outcome of [`KdTree::choose_insert_leaf`].
-pub struct InsertChoice {
-    /// The chosen child page.
-    pub child: PageId,
-    /// The child's kd-region (after any enlargement).
-    pub region: Rect,
-    /// Whether any `lsp`/`rsp` was enlarged on the way down (the node must
-    /// be rewritten).
-    pub enlarged: bool,
-}
-
 impl KdTree {
     /// A kd-tree with a single child.
     pub fn leaf(child: PageId) -> Self {
@@ -155,8 +144,18 @@ impl KdTree {
                 if lsp.is_nan() || rsp.is_nan() {
                     return Err(PageError::Corrupt("kd split position is NaN".into()));
                 }
-                let _left_len = r.get_u16()?; // navigation hint only
+                // The in-place views skip the left subtree by this length,
+                // so a page whose length disagrees with its bytes would
+                // route them elsewhere than the decoded tree.
+                let left_len = usize::from(r.get_u16()?);
+                let start = r.position();
                 let left = Box::new(KdTree::decode(r, dims)?);
+                if r.position() - start != left_len {
+                    return Err(PageError::Corrupt(format!(
+                        "kd left subtree is {} bytes, header says {left_len}",
+                        r.position() - start
+                    )));
+                }
                 let right = Box::new(KdTree::decode(r, dims)?);
                 Ok(KdTree::Internal {
                     dim,
@@ -248,28 +247,6 @@ impl KdTree {
         }
     }
 
-    /// Children whose kd-region contains the point, without regions.
-    pub fn children_containing_point_ids(&self, p: &Point, out: &mut Vec<PageId>) {
-        match self {
-            KdTree::Leaf { child } => out.push(*child),
-            KdTree::Internal {
-                dim,
-                lsp,
-                rsp,
-                left,
-                right,
-            } => {
-                let x = p.coord(*dim as usize);
-                if x <= *lsp {
-                    left.children_containing_point_ids(p, out);
-                }
-                if x >= *rsp {
-                    right.children_containing_point_ids(p, out);
-                }
-            }
-        }
-    }
-
     /// Children whose kd-region contains the point (used by exact-match
     /// search and deletion; overlap means there can be several).
     pub fn children_containing_point(&self, region: &Rect, p: &Point) -> Vec<(PageId, Rect)> {
@@ -296,62 +273,6 @@ impl KdTree {
                 if x >= *rsp {
                     right.collect_point(&region.clamp_below(d, *rsp), p, out);
                 }
-            }
-        }
-    }
-
-    /// Greedy single-path descent for insertion (paper §3.5: pick the
-    /// child needing minimum enlargement; the kd organization makes the
-    /// choice per split rather than over the whole child array).
-    ///
-    /// * contained on exactly one side → that side (no enlargement);
-    /// * contained on both (overlap zone) → the side where the point lies
-    ///   deeper inside;
-    /// * contained on neither (dead-space gap) → the side needing the
-    ///   smaller boundary enlargement, committing the enlargement.
-    pub fn choose_insert_leaf(&mut self, region: &Rect, p: &Point) -> InsertChoice {
-        match self {
-            KdTree::Leaf { child } => InsertChoice {
-                child: *child,
-                region: region.clone(),
-                enlarged: false,
-            },
-            KdTree::Internal {
-                dim,
-                lsp,
-                rsp,
-                left,
-                right,
-            } => {
-                let d = *dim as usize;
-                let x = p.coord(d);
-                let in_left = x <= *lsp;
-                let in_right = x >= *rsp;
-                let mut enlarged = false;
-                let go_left = match (in_left, in_right) {
-                    (true, false) => true,
-                    (false, true) => false,
-                    (true, true) => (*lsp - x) >= (x - *rsp),
-                    (false, false) => {
-                        // Dead-space gap (lsp < x < rsp): enlarge the
-                        // nearer boundary.
-                        enlarged = true;
-                        if (x - *lsp) <= (*rsp - x) {
-                            *lsp = x;
-                            true
-                        } else {
-                            *rsp = x;
-                            false
-                        }
-                    }
-                };
-                let mut choice = if go_left {
-                    left.choose_insert_leaf(&region.clamp_above(d, *lsp), p)
-                } else {
-                    right.choose_insert_leaf(&region.clamp_below(d, *rsp), p)
-                };
-                choice.enlarged |= enlarged;
-                choice
             }
         }
     }
@@ -559,11 +480,15 @@ mod tests {
             .encode(&mut w);
             w.into_inner()
         };
+        // A left-subtree length that disagrees with the left subtree.
+        let mut bad_len = split(0, 0.5, 0.5);
+        bad_len[11] += 1;
         for buf in [
             vec![9u8, 0, 0, 0, 0],
             split(0, f32::NAN, 0.5),
             split(0, 0.5, f32::NAN),
             split(2, 0.5, 0.5),
+            bad_len,
         ] {
             assert!(KdTree::decode(&mut ByteReader::new(&buf), 2).is_err());
         }
@@ -613,42 +538,6 @@ mod tests {
             .map(|(id, _)| id.0)
             .collect();
         assert_eq!(ids, vec![11, 13]);
-    }
-
-    #[test]
-    fn insert_descent_prefers_containment() {
-        let mut t = paper_figure1_top();
-        let c = t.choose_insert_leaf(&space(), &Point::new(vec![1.0, 1.0]));
-        assert_eq!(c.child, PageId(10));
-        assert!(!c.enlarged);
-        // Overlap zone: deeper inside 10 (distance to lsp=3 larger than to rsp=2).
-        let c = t.choose_insert_leaf(&space(), &Point::new(vec![1.0, 2.1]));
-        assert_eq!(c.child, PageId(10));
-        assert!(!c.enlarged);
-    }
-
-    #[test]
-    fn insert_descent_enlarges_in_gap() {
-        // Clean split with a gap: left covers x<=2, right covers x>=4.
-        let mut t = KdTree::split(
-            0,
-            2.0,
-            4.0,
-            KdTree::leaf(PageId(1)),
-            KdTree::leaf(PageId(2)),
-        );
-        let c = t.choose_insert_leaf(&space(), &Point::new(vec![2.5, 0.0]));
-        assert_eq!(c.child, PageId(1), "closer to the left boundary");
-        assert!(c.enlarged);
-        match &t {
-            KdTree::Internal { lsp, rsp, .. } => {
-                assert_eq!(*lsp, 2.5, "left boundary enlarged to cover the point");
-                assert_eq!(*rsp, 4.0);
-            }
-            _ => unreachable!(),
-        }
-        // The returned region covers the point.
-        assert!(c.region.contains_point(&Point::new(vec![2.5, 0.0])));
     }
 
     #[test]

@@ -72,4 +72,4 @@ pub use node::{DataEntry, Node};
 pub use scrub::{scrub_index, scrub_pages, CatalogScrub, PageDamage, ScrubReport};
 pub use split::{bipartition_1d, Bipartition};
 pub use tree::HybridTree;
-pub use view::{DataView, KdView, NodeView};
+pub use view::{DataView, InsertPath, KdView, NodeView};

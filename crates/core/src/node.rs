@@ -93,6 +93,26 @@ impl Node {
         }
     }
 
+    /// Parses a page the caller has seen to be a data page; an index page
+    /// is `Corrupt`.
+    pub(crate) fn decode_data(buf: &[u8], dim: usize) -> PageResult<Vec<DataEntry>> {
+        match Node::decode(buf, dim)? {
+            Node::Data(entries) => Ok(entries),
+            Node::Index { .. } => Err(PageError::Corrupt(
+                "expected a data node at the leaf level".into(),
+            )),
+        }
+    }
+
+    /// Parses a page the caller has seen to be an index page, as its
+    /// level and kd-tree; a data page is `Corrupt`.
+    pub(crate) fn decode_index(buf: &[u8], dim: usize) -> PageResult<(u16, KdTree)> {
+        match Node::decode(buf, dim)? {
+            Node::Index { level, kd } => Ok((level, kd)),
+            Node::Data(_) => Err(PageError::Corrupt("expected an index node".into())),
+        }
+    }
+
     /// Convenience accessor; panics on an index node.
     pub fn expect_data(self) -> Vec<DataEntry> {
         match self {

@@ -7,7 +7,7 @@ use crate::kdtree::KdTree;
 use crate::node::{data_capacity, data_min, DataEntry, Node, INDEX_HEADER_BYTES};
 use crate::split::{build_kd, split_data, split_index};
 use crate::verify::{Els, Issue};
-use crate::view::NodeView;
+use crate::view::{InsertPath, NodeView};
 use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Coord, Metric, Point, Rect};
 use hyt_index::{
@@ -36,6 +36,29 @@ enum DelOutcome {
     /// Entry removed *and* this node fell below utilization and was
     /// dissolved; the caller must unlink and free it.
     Eliminated(Vec<DataEntry>),
+}
+
+/// What an insert learns from one page, read in place.
+enum InsertStep {
+    /// A data page with room: its bytes with the new entry appended.
+    Append(Vec<u8>),
+    /// A full data page: its entries, to split.
+    Split(Vec<DataEntry>),
+    /// An index page: a copy of its bytes, with the path's enlargements
+    /// patched in, and the path.
+    Descend(Vec<u8>, InsertPath),
+}
+
+/// What a delete learns from one page, read in place.
+enum DeleteStep {
+    /// A data page without the entry.
+    Absent,
+    /// The data page holding the entry: its entries and the entry's index.
+    Found(Vec<DataEntry>, usize),
+    /// An index page: a copy of its bytes and the children whose
+    /// kd-regions contain the point, in kd order, with their regions when
+    /// the walk carries them.
+    Children(Vec<u8>, Vec<(PageId, Option<Rect>)>),
 }
 
 /// The root's kd-region: the bounding box of everything ever inserted,
@@ -187,7 +210,9 @@ impl<S: Storage> HybridTree<S> {
                 |buf| -> PageResult<()> {
                     match NodeView::parse(buf, self.dim)? {
                         NodeView::Data(view) => view.filter_point(p, &mut out),
-                        NodeView::Index(view) => view.children_containing_point(p, &mut kids)?,
+                        NodeView::Index(view) => {
+                            view.children_containing_point(p, None, &mut |c, _| kids.push(c))?
+                        }
                     }
                     Ok(())
                 },
@@ -243,15 +268,19 @@ impl<S: Storage> HybridTree<S> {
         root_region_of(self.global_br.as_ref(), self.dim)
     }
 
-    /// Owned node read for mutation paths and the invariant walk: decodes
+    /// Ungoverned page read for the write paths and the whole-tree walks:
+    /// runs `f` on the borrowed pool frame, counted in the pool's totals.
+    fn read_page<R>(&self, pid: PageId, f: impl FnOnce(&[u8]) -> PageResult<R>) -> PageResult<R> {
+        let mut io = IoStats::default();
+        self.pool
+            .read_with(pid, false, &mut io, QueryContext::unlimited(), f)?
+    }
+
+    /// Owned node read for the invariant walk and the statistics: decodes
     /// straight from the borrowed pool frame (no payload copy before
     /// decode).
     pub(crate) fn read_node_owned(&self, pid: PageId) -> PageResult<Node> {
-        let mut io = IoStats::default();
-        self.pool
-            .read_with(pid, false, &mut io, QueryContext::unlimited(), |buf| {
-                Node::decode(buf, self.dim)
-            })?
+        self.read_page(pid, |buf| Node::decode(buf, self.dim))
     }
 
     /// Governed data-page read: `ctx` must admit the fetch (cancel,
@@ -274,18 +303,9 @@ impl<S: Storage> HybridTree<S> {
         // Admitted above: the pool read itself runs unlimited.
         let leaf = self
             .pool
-            .read_with(
-                pid,
-                false,
-                io,
-                QueryContext::unlimited(),
-                |buf| match Node::decode(buf, self.dim)? {
-                    Node::Data(entries) => Ok(Arc::new(entries)),
-                    Node::Index { .. } => Err(IndexError::Storage(PageError::Corrupt(format!(
-                        "{pid}: expected a data node at the leaf level"
-                    )))),
-                },
-            )??;
+            .read_with(pid, false, io, QueryContext::unlimited(), |buf| {
+                Node::decode_data(buf, self.dim).map(Arc::new)
+            })??;
         self.cache.insert(pid, Arc::clone(&leaf));
         Ok(leaf)
     }
@@ -298,7 +318,11 @@ impl<S: Storage> HybridTree<S> {
     }
 
     fn write_node(&mut self, pid: PageId, node: &Node) -> IndexResult<()> {
-        let buf = node.encode(self.dim);
+        self.write_page(pid, &node.encode(self.dim))
+    }
+
+    /// Writes encoded node bytes and drops the page's cached decode.
+    fn write_page(&mut self, pid: PageId, buf: &[u8]) -> IndexResult<()> {
         if buf.len() > self.cfg.page_size {
             return Err(IndexError::Internal(format!(
                 "node for {pid} is {} bytes, page is {} — missing split",
@@ -307,7 +331,7 @@ impl<S: Storage> HybridTree<S> {
             )));
         }
         self.cache.invalidate(pid);
-        self.pool.write(pid, &buf)?;
+        self.pool.write(pid, buf)?;
         Ok(())
     }
 
@@ -341,6 +365,9 @@ impl<S: Storage> HybridTree<S> {
         Ok(())
     }
 
+    /// Inserts beneath `pid`, whose kd-region is `region`. Index pages
+    /// are routed in place; a page is decoded only when this insert
+    /// rewrites it, and from the bytes already read.
     fn insert_rec(
         &mut self,
         pid: PageId,
@@ -348,59 +375,84 @@ impl<S: Storage> HybridTree<S> {
         p: &Point,
         oid: u64,
     ) -> IndexResult<Option<SplitPost>> {
-        match self.read_node_owned(pid)? {
-            Node::Data(mut entries) => {
+        let (dim, data_cap) = (self.dim, self.data_cap);
+        let step = self.read_page(pid, |buf| {
+            Ok(match NodeView::parse(buf, dim)? {
+                NodeView::Data(view) if view.len() < data_cap => {
+                    InsertStep::Append(view.appended(p, oid)?)
+                }
+                NodeView::Data(_) => InsertStep::Split(Node::decode_data(buf, dim)?),
+                NodeView::Index(view) => {
+                    let path = view.insert_path(region, p)?;
+                    let mut page = buf.to_vec();
+                    path.patch(&mut page);
+                    InsertStep::Descend(page, path)
+                }
+            })
+        })?;
+        match step {
+            InsertStep::Append(page) => {
+                self.write_page(pid, &page)?;
+                Ok(None)
+            }
+            InsertStep::Split(mut entries) => {
                 entries.push(DataEntry {
                     point: p.clone(),
                     oid,
                 });
-                if entries.len() > self.data_cap {
-                    let ds = split_data(
-                        entries,
-                        region,
-                        self.dim,
-                        self.data_min,
-                        self.cfg.split_policy,
-                        &mut self.rr_state,
-                    );
-                    let new_pid = self.pool.allocate()?;
-                    let d = ds.dim as usize;
-                    self.els.set_from_points(
-                        pid,
-                        ds.left.iter().map(|e| &e.point),
-                        &region.clamp_above(d, ds.pos),
-                    );
-                    self.els.set_from_points(
-                        new_pid,
-                        ds.right.iter().map(|e| &e.point),
-                        &region.clamp_below(d, ds.pos),
-                    );
-                    self.write_node(pid, &Node::Data(ds.left))?;
-                    self.write_node(new_pid, &Node::Data(ds.right))?;
-                    Ok(Some(SplitPost {
-                        dim: ds.dim,
-                        lsp: ds.pos,
-                        rsp: ds.pos,
-                        new_page: new_pid,
-                    }))
-                } else {
-                    self.write_node(pid, &Node::Data(entries))?;
-                    Ok(None)
-                }
+                let ds = split_data(
+                    entries,
+                    region,
+                    self.dim,
+                    self.data_min,
+                    self.cfg.split_policy,
+                    &mut self.rr_state,
+                );
+                let new_pid = self.pool.allocate()?;
+                let d = ds.dim as usize;
+                self.els.set_from_points(
+                    pid,
+                    ds.left.iter().map(|e| &e.point),
+                    &region.clamp_above(d, ds.pos),
+                );
+                self.els.set_from_points(
+                    new_pid,
+                    ds.right.iter().map(|e| &e.point),
+                    &region.clamp_below(d, ds.pos),
+                );
+                self.write_node(pid, &Node::Data(ds.left))?;
+                self.write_node(new_pid, &Node::Data(ds.right))?;
+                Ok(Some(SplitPost {
+                    dim: ds.dim,
+                    lsp: ds.pos,
+                    rsp: ds.pos,
+                    new_page: new_pid,
+                }))
             }
-            Node::Index { level, mut kd } => {
-                let choice = kd.choose_insert_leaf(region, p);
-                match self.insert_rec(choice.child, &choice.region, p, oid)? {
+            InsertStep::Descend(page, path) => {
+                // An enlarged page is rewritten whatever happens below:
+                // decoding it first validates the whole page before
+                // anything beneath it is written.
+                let enlarged = if path.enlarged.is_empty() {
+                    None
+                } else {
+                    Some(Node::decode_index(&page, dim)?)
+                };
+                match self.insert_rec(path.child, &path.region, p, oid)? {
                     Some(post) => {
                         // Post the child split: the kd leaf becomes an
                         // internal kd node over the two halves.
+                        let (level, mut kd) = match enlarged {
+                            Some(node) => node,
+                            None => Node::decode_index(&page, dim)?,
+                        };
                         let replaced = kd.replace_leaf(
-                            choice.child,
+                            path.child,
                             KdTree::split(
                                 post.dim,
                                 post.lsp,
                                 post.rsp,
-                                KdTree::leaf(choice.child),
+                                KdTree::leaf(path.child),
                                 KdTree::leaf(post.new_page),
                             ),
                         );
@@ -413,8 +465,8 @@ impl<S: Storage> HybridTree<S> {
                         }
                     }
                     None => {
-                        self.els.extend(choice.child, p, &choice.region);
-                        if choice.enlarged {
+                        self.els.extend(path.child, p, &path.region);
+                        if let Some((level, kd)) = enlarged {
                             self.write_node(pid, &Node::Index { level, kd })?;
                         }
                         Ok(None)
@@ -485,41 +537,62 @@ impl<S: Storage> HybridTree<S> {
         })
     }
 
+    /// Deletes `(p, oid)` beneath `pid`. `region` is the page's
+    /// kd-region when ELS is on, the only use of it being to requantize
+    /// the live box of the data page that loses the entry; with ELS off
+    /// no region is carried. Pages are searched in place; a page is
+    /// decoded only when this delete rewrites it.
     fn delete_rec(
         &mut self,
         pid: PageId,
-        region: &Rect,
+        region: Option<&Rect>,
         p: &Point,
         oid: u64,
         is_root: bool,
     ) -> IndexResult<DelOutcome> {
-        match self.read_node_owned(pid)? {
-            Node::Data(mut entries) => {
-                let Some(i) = entries
-                    .iter()
-                    .position(|e| e.oid == oid && e.point.same_coords(p))
-                else {
-                    return Ok(DelOutcome::NotFound);
-                };
+        let dim = self.dim;
+        let step = self.read_page(pid, |buf| {
+            Ok(match NodeView::parse(buf, dim)? {
+                NodeView::Data(view) => match view.position(p, oid) {
+                    Some(i) => DeleteStep::Found(Node::decode_data(buf, dim)?, i),
+                    None => DeleteStep::Absent,
+                },
+                NodeView::Index(view) => {
+                    let mut kids = Vec::new();
+                    view.children_containing_point(p, region, &mut |child, r| {
+                        kids.push((child, r.cloned()));
+                    })?;
+                    DeleteStep::Children(buf.to_vec(), kids)
+                }
+            })
+        })?;
+        match step {
+            DeleteStep::Absent => Ok(DelOutcome::NotFound),
+            DeleteStep::Found(mut entries, i) => {
                 entries.swap_remove(i);
                 if !is_root && entries.len() < self.data_min {
                     // Eliminate-and-reinsert (paper §3.5, after [11]).
                     return Ok(DelOutcome::Eliminated(entries));
                 }
-                self.els
-                    .set_from_points(pid, entries.iter().map(|e| &e.point), region);
+                if let Some(region) = region {
+                    self.els
+                        .set_from_points(pid, entries.iter().map(|e| &e.point), region);
+                }
                 self.write_node(pid, &Node::Data(entries))?;
                 Ok(DelOutcome::Done(Vec::new()))
             }
-            Node::Index { level, mut kd } => {
-                for (child, child_region) in kd.children_containing_point(region, p) {
+            DeleteStep::Children(page, kids) => {
+                for (child, child_region) in kids {
                     if !self.els.may_contain(child, p) {
                         continue;
                     }
-                    match self.delete_rec(child, &child_region, p, oid, false)? {
+                    match self.delete_rec(child, child_region.as_ref(), p, oid, false)? {
                         DelOutcome::NotFound => continue,
                         DelOutcome::Done(orphans) => return Ok(DelOutcome::Done(orphans)),
                         DelOutcome::Eliminated(mut orphans) => {
+                            // This page loses a child: decode the bytes the
+                            // walk read.
+                            let (level, mut kd) = Node::decode_index(&page, dim)?;
                             self.free_page(child)?;
                             self.els.remove(child);
                             if !kd.remove_leaf(child) {
@@ -564,20 +637,21 @@ impl<S: Storage> HybridTree<S> {
         Ok(out)
     }
 
+    /// Drops root directory pages that are left with a single child,
+    /// reading each root's first kd tag in place.
     fn maybe_shrink_root(&mut self) -> IndexResult<()> {
+        let dim = self.dim;
         while self.height > 1 {
-            let node = self.read_node_owned(self.root)?;
-            match node {
-                Node::Index { kd, .. } if kd.fanout() == 1 => {
-                    let child = kd.child_ids()[0];
-                    self.free_page(self.root)?;
-                    self.els.remove(self.root);
-                    self.els.remove(child); // the new root needs no entry
-                    self.root = child;
-                    self.height -= 1;
-                }
-                _ => break,
-            }
+            let sole = self.read_page(self.root, |buf| match NodeView::parse(buf, dim)? {
+                NodeView::Index(view) => view.sole_child(),
+                NodeView::Data(_) => Ok(None),
+            })?;
+            let Some(child) = sole else { break };
+            self.free_page(self.root)?;
+            self.els.remove(self.root);
+            self.els.remove(child); // the new root needs no entry
+            self.root = child;
+            self.height -= 1;
         }
         Ok(())
     }
@@ -773,7 +847,8 @@ impl<S: Storage> MultidimIndex for HybridTree<S> {
             return Ok(false);
         }
         let region = self.root_region();
-        match self.delete_rec(self.root, &region, point, oid, true)? {
+        let region = self.els.enabled().then_some(&region);
+        match self.delete_rec(self.root, region, point, oid, true)? {
             DelOutcome::NotFound => Ok(false),
             DelOutcome::Done(orphans) => {
                 self.len -= 1;

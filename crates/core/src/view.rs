@@ -10,15 +10,22 @@
 //! and data-node filtering reads coordinates straight out of the page
 //! with early exit on the first failing dimension.
 //!
-//! Mutating operations (insert, delete, splits) still use the owned
+//! The write paths route over the same views. An insert descends each
+//! index page with [`KdView::insert_path`] and appends to a data page with
+//! room through [`DataView::appended`]; a delete finds its children with
+//! [`KdView::children_containing_point`] and its entry with
+//! [`DataView::position`]. Only a page a write rewrites (a split post,
+//! a dead-space enlargement, a delete's underflow handling, a full or
+//! shrinking data page) is decoded into the owned
 //! [`KdTree`](crate::kdtree::KdTree)/[`Node`](crate::node::Node) forms.
 
 // Page bytes are untrusted: a malformed page must come back `Corrupt`.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::kdtree::{INTERNAL_BYTES, LEAF_BYTES};
+use crate::node::{DATA_HEADER_BYTES, INDEX_HEADER_BYTES};
 use hyt_exec::NearQuery;
-use hyt_geom::{Metric, Point, Rect};
+use hyt_geom::{Coord, Metric, Point, Rect};
 use hyt_index::leaf::entry_bytes;
 use hyt_page::{PageError, PageId, PageResult};
 
@@ -26,6 +33,10 @@ const TAG_DATA: u8 = 0;
 const TAG_INDEX: u8 = 1;
 const KD_LEAF: u8 = 0;
 const KD_INTERNAL: u8 = 1;
+/// Offsets of `lsp` and `rsp` within an internal kd node (after the tag
+/// and the `u16` split dimension).
+const LSP_AT: usize = 3;
+const RSP_AT: usize = 7;
 
 /// A parsed-but-not-decoded node.
 pub enum NodeView<'a> {
@@ -40,11 +51,11 @@ impl<'a> NodeView<'a> {
     pub fn parse(buf: &'a [u8], dim: usize) -> PageResult<NodeView<'a>> {
         match buf.first() {
             Some(&TAG_DATA) => {
-                if buf.len() < 5 {
+                if buf.len() < DATA_HEADER_BYTES {
                     return Err(PageError::Corrupt("truncated data node".into()));
                 }
                 let count = u32::from_le_bytes([buf[1], buf[2], buf[3], buf[4]]) as usize;
-                let need = 5 + count * entry_bytes(dim);
+                let need = DATA_HEADER_BYTES + count * entry_bytes(dim);
                 if buf.len() < need {
                     return Err(PageError::Corrupt(format!(
                         "data node claims {count} entries but page has {} bytes",
@@ -52,16 +63,18 @@ impl<'a> NodeView<'a> {
                     )));
                 }
                 Ok(NodeView::Data(DataView {
-                    entries: &buf[5..need],
+                    entries: &buf[DATA_HEADER_BYTES..need],
                     count,
                     dim,
                 }))
             }
             Some(&TAG_INDEX) => {
-                if buf.len() < 3 {
+                if buf.len() < INDEX_HEADER_BYTES {
                     return Err(PageError::Corrupt("truncated index node".into()));
                 }
-                Ok(NodeView::Index(KdView { buf: &buf[3..] }))
+                Ok(NodeView::Index(KdView {
+                    buf: &buf[INDEX_HEADER_BYTES..],
+                }))
             }
             Some(&t) => Err(PageError::Corrupt(format!("bad node tag {t}"))),
             None => Err(PageError::Corrupt("empty page".into())),
@@ -124,6 +137,61 @@ impl<'a> DataView<'a> {
                 }
             }
             out.push(self.oid(i));
+        }
+    }
+
+    /// Index of the first entry holding `oid` at `p`, coordinates
+    /// compared as [`Point::same_coords`] compares them.
+    pub(crate) fn position(&self, p: &Point, oid: u64) -> Option<usize> {
+        (0..self.count)
+            .find(|&i| self.oid(i) == oid && (0..self.dim).all(|d| self.coord(i, d) == p.coord(d)))
+    }
+
+    /// The page with `(p, oid)` appended: the bytes
+    /// [`Node::encode`](crate::node::Node::encode) writes for these
+    /// entries plus the new one. The entries are checked as
+    /// [`leaf::decode`](hyt_index::leaf::decode) checks them, so a page
+    /// holding a non-finite coordinate is `Corrupt` and never rewritten.
+    pub(crate) fn appended(&self, p: &Point, oid: u64) -> PageResult<Vec<u8>> {
+        let finite = (0..self.count).all(|i| (0..self.dim).all(|d| self.coord(i, d).is_finite()));
+        if !finite {
+            return Err(PageError::Corrupt(
+                "data page holds a non-finite coordinate".into(),
+            ));
+        }
+        let count = u32::try_from(self.count + 1)
+            .map_err(|_| PageError::Corrupt("data page entry count overflows".into()))?;
+        let mut page =
+            Vec::with_capacity(DATA_HEADER_BYTES + self.entries.len() + entry_bytes(self.dim));
+        page.push(TAG_DATA);
+        page.extend_from_slice(&count.to_le_bytes());
+        page.extend_from_slice(self.entries);
+        for d in 0..self.dim {
+            page.extend_from_slice(&p.coord(d).to_le_bytes());
+        }
+        page.extend_from_slice(&oid.to_le_bytes());
+        Ok(page)
+    }
+}
+
+/// Where an insert goes in one index page ([`KdView::insert_path`]).
+#[derive(Debug)]
+pub struct InsertPath {
+    /// The chosen child page.
+    pub child: PageId,
+    /// The child's kd-region, after any enlargement.
+    pub region: Rect,
+    /// The split positions the descent enlarged, as (page byte offset,
+    /// new value); empty when the path crossed no dead-space gap.
+    pub enlarged: Vec<(usize, Coord)>,
+}
+
+impl InsertPath {
+    /// Writes the enlargements into `page`, the bytes the path was
+    /// computed from.
+    pub fn patch(&self, page: &mut [u8]) {
+        for &(off, pos) in &self.enlarged {
+            page[off..off + 4].copy_from_slice(&pos.to_le_bytes());
         }
     }
 }
@@ -231,15 +299,30 @@ impl<'a> KdView<'a> {
         walk.visit(0, region, 0.0, None, emit)
     }
 
-    /// Children on qualifying paths for an exact point probe.
-    pub fn children_containing_point(&self, p: &Point, out: &mut Vec<PageId>) -> PageResult<()> {
-        self.walk_point(0, p, out)
+    /// Children whose kd-region contains `p`, in kd order (exact-match
+    /// search and deletion; overlap means there can be several). With
+    /// `region`, the node's own kd-region, each child comes with its
+    /// kd-region, as [`KdTree::children_containing_point`](crate::kdtree::KdTree::children_containing_point)
+    /// computes it; without, with `None`.
+    pub fn children_containing_point(
+        &self,
+        p: &Point,
+        region: Option<&Rect>,
+        emit: &mut impl FnMut(PageId, Option<&Rect>),
+    ) -> PageResult<()> {
+        self.walk_point(0, p, region, emit)
     }
 
-    fn walk_point(&self, off: usize, p: &Point, out: &mut Vec<PageId>) -> PageResult<()> {
+    fn walk_point(
+        &self,
+        off: usize,
+        p: &Point,
+        region: Option<&Rect>,
+        emit: &mut impl FnMut(PageId, Option<&Rect>),
+    ) -> PageResult<()> {
         match self.buf.get(off) {
             Some(&KD_LEAF) => {
-                out.push(self.leaf_child(off)?);
+                emit(self.leaf_child(off)?, region);
                 Ok(())
             }
             Some(&KD_INTERNAL) => {
@@ -249,13 +332,89 @@ impl<'a> KdView<'a> {
                 }
                 let x = p.coord(dim);
                 if x <= lsp {
-                    self.walk_point(left_off, p, out)?;
+                    let left = region.map(|r| r.clamp_above(dim, lsp));
+                    self.walk_point(left_off, p, left.as_ref(), emit)?;
                 }
                 if x >= rsp {
-                    self.walk_point(right_off, p, out)?;
+                    let right = region.map(|r| r.clamp_below(dim, rsp));
+                    self.walk_point(right_off, p, right.as_ref(), emit)?;
                 }
                 Ok(())
             }
+            Some(&t) => Err(PageError::Corrupt(format!("bad kd tag {t}"))),
+            None => Err(PageError::Corrupt("kd walk out of bounds".into())),
+        }
+    }
+
+    /// Greedy single-path descent for insertion (paper §3.5: pick the
+    /// child needing minimum enlargement; the kd organization makes the
+    /// choice per split rather than over the whole child array). At each
+    /// split, with `p` at `x` on its dimension:
+    ///
+    /// * contained on exactly one side → that side (no enlargement);
+    /// * contained on both (overlap zone) → the side where the point lies
+    ///   deeper inside;
+    /// * contained on neither (dead-space gap) → the side needing the
+    ///   smaller boundary enlargement, moving that boundary to `x`.
+    ///
+    /// `region` is the node's kd-region; the returned region is the
+    /// child's, under the enlarged boundaries. Nothing is written: the
+    /// enlargements come back as byte offsets into the page, for the
+    /// caller to patch into the copy it rewrites.
+    pub fn insert_path(&self, region: &Rect, p: &Point) -> PageResult<InsertPath> {
+        let mut off = 0;
+        let mut region = region.clone();
+        let mut enlarged = Vec::new();
+        loop {
+            match self.buf.get(off) {
+                Some(&KD_LEAF) => {
+                    return Ok(InsertPath {
+                        child: self.leaf_child(off)?,
+                        region,
+                        enlarged,
+                    })
+                }
+                Some(&KD_INTERNAL) => {
+                    let (dim, mut lsp, mut rsp, left_off, right_off) = self.internal_header(off)?;
+                    if dim >= p.dim() {
+                        return Err(PageError::Corrupt(format!("kd dim {dim} out of range")));
+                    }
+                    let x = p.coord(dim);
+                    let go_left = match (x <= lsp, x >= rsp) {
+                        (true, false) => true,
+                        (false, true) => false,
+                        (true, true) => (lsp - x) >= (x - rsp),
+                        // Dead-space gap (lsp < x < rsp): enlarge the
+                        // nearer boundary.
+                        (false, false) if (x - lsp) <= (rsp - x) => {
+                            lsp = x;
+                            enlarged.push((INDEX_HEADER_BYTES + off + LSP_AT, x));
+                            true
+                        }
+                        (false, false) => {
+                            rsp = x;
+                            enlarged.push((INDEX_HEADER_BYTES + off + RSP_AT, x));
+                            false
+                        }
+                    };
+                    (off, region) = if go_left {
+                        (left_off, region.clamp_above(dim, lsp))
+                    } else {
+                        (right_off, region.clamp_below(dim, rsp))
+                    };
+                }
+                Some(&t) => return Err(PageError::Corrupt(format!("bad kd tag {t}"))),
+                None => return Err(PageError::Corrupt("kd walk out of bounds".into())),
+            }
+        }
+    }
+
+    /// The only child of a kd-tree that is a single leaf, or `None` when
+    /// the tree splits: read from the first tag alone.
+    pub(crate) fn sole_child(&self) -> PageResult<Option<PageId>> {
+        match self.buf.first() {
+            Some(&KD_LEAF) => self.leaf_child(0).map(Some),
+            Some(&KD_INTERNAL) => Ok(None),
             Some(&t) => Err(PageError::Corrupt(format!("bad kd tag {t}"))),
             None => Err(PageError::Corrupt("kd walk out of bounds".into())),
         }
@@ -456,17 +615,96 @@ mod tests {
         let NodeView::Index(view) = NodeView::parse(&buf, 2).unwrap() else {
             panic!()
         };
+        let space = Rect::new(vec![0.0, 0.0], vec![6.0, 6.0]);
         for p in [
             Point::new(vec![1.0, 2.5]),
             Point::new(vec![3.0, 5.0]),
             Point::new(vec![5.9, 0.1]),
         ] {
             let mut from_view = Vec::new();
-            view.children_containing_point(&p, &mut from_view).unwrap();
-            let mut from_tree = Vec::new();
-            kd.children_containing_point_ids(&p, &mut from_tree);
-            assert_eq!(from_view, from_tree, "point {p:?}");
+            view.children_containing_point(&p, Some(&space), &mut |c, r| {
+                from_view.push((c, r.unwrap().clone()))
+            })
+            .unwrap();
+            assert_eq!(
+                from_view,
+                kd.children_containing_point(&space, &p),
+                "point {p:?}"
+            );
         }
+    }
+
+    /// The path an insert of `p` takes through `kd`'s page from `region`,
+    /// and the page with the path's enlargements patched in.
+    fn descend(kd: &KdTree, region: &Rect, p: &Point) -> (InsertPath, Vec<u8>) {
+        let mut buf = Node::Index {
+            level: 1,
+            kd: kd.clone(),
+        }
+        .encode(2);
+        let NodeView::Index(view) = NodeView::parse(&buf, 2).unwrap() else {
+            panic!("expected index view");
+        };
+        let path = view.insert_path(region, p).unwrap();
+        path.patch(&mut buf);
+        (path, buf)
+    }
+
+    #[test]
+    fn insert_descent_prefers_containment() {
+        let space = Rect::new(vec![0.0, 0.0], vec![6.0, 6.0]);
+        let (path, _) = descend(&paper_kd(), &space, &Point::new(vec![1.0, 1.0]));
+        assert_eq!(path.child, PageId(10));
+        assert!(path.enlarged.is_empty());
+        // Overlap zone: deeper inside 10 (distance to lsp=3 larger than to rsp=2).
+        let (path, _) = descend(&paper_kd(), &space, &Point::new(vec![1.0, 2.1]));
+        assert_eq!(path.child, PageId(10));
+        assert!(path.enlarged.is_empty());
+        assert_eq!(path.region, Rect::new(vec![0.0, 0.0], vec![3.0, 3.0]));
+    }
+
+    #[test]
+    fn insert_descent_enlarges_in_gap() {
+        // Clean split with a gap: left covers x<=2, right covers x>=4.
+        let gap = |lsp| {
+            KdTree::split(
+                0,
+                lsp,
+                4.0,
+                KdTree::leaf(PageId(1)),
+                KdTree::leaf(PageId(2)),
+            )
+        };
+        let space = Rect::new(vec![0.0, 0.0], vec![6.0, 6.0]);
+        let p = Point::new(vec![2.5, 0.0]);
+        let (path, page) = descend(&gap(2.0), &space, &p);
+        assert_eq!(path.child, PageId(1), "closer to the left boundary");
+        assert_eq!(path.enlarged.len(), 1);
+        // The returned region covers the point.
+        assert!(path.region.contains_point(&p));
+        // The patch moves the left boundary to the point, and nothing else.
+        let enlarged = Node::Index {
+            level: 1,
+            kd: gap(2.5),
+        };
+        assert_eq!(Node::decode(&page, 2).unwrap(), enlarged);
+        assert_eq!(page, enlarged.encode(2));
+    }
+
+    #[test]
+    fn data_view_appends_what_encode_writes() {
+        let entry = |i: u64| DataEntry {
+            point: Point::new(vec![i as f32 / 10.0, 0.5]),
+            oid: i,
+        };
+        let buf = Node::Data((0..3).map(entry).collect()).encode(2);
+        let NodeView::Data(view) = NodeView::parse(&buf, 2).unwrap() else {
+            panic!()
+        };
+        assert_eq!(view.position(&entry(1).point, 1), Some(1));
+        assert_eq!(view.position(&entry(1).point, 2), None);
+        let appended = view.appended(&entry(3).point, 3).unwrap();
+        assert_eq!(appended, Node::Data((0..4).map(entry).collect()).encode(2));
     }
 
     #[test]

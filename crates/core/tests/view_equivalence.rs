@@ -54,7 +54,9 @@ fn nan_split_pages_are_corrupt() {
             .children_near(unbounded(&q), Some(&region), &mut |_, _, _| {})
             .is_err());
         assert!(view.children_overlapping_box(&region, &mut out).is_err());
-        assert!(view.children_containing_point(&q, &mut out).is_err());
+        assert!(view
+            .children_containing_point(&q, Some(&region), &mut |_, _| {})
+            .is_err());
     }
 }
 
@@ -115,6 +117,46 @@ fn exact_regions(
     }
 }
 
+/// The owned reference for [`KdView::insert_path`](hybrid_tree::KdView::insert_path):
+/// the same greedy descent over a `KdTree`, moving the nearer boundary of
+/// a dead-space gap to the point in place. Returns the child, its region
+/// and whether any boundary moved.
+fn owned_descent(kd: &mut KdTree, region: &Rect, p: &Point) -> (PageId, Rect, bool) {
+    match kd {
+        KdTree::Leaf { child } => (*child, region.clone(), false),
+        KdTree::Internal {
+            dim,
+            lsp,
+            rsp,
+            left,
+            right,
+        } => {
+            let d = usize::from(*dim);
+            let x = p.coord(d);
+            let gap = *lsp < x && x < *rsp;
+            let go_left = if gap {
+                if x - *lsp <= *rsp - x {
+                    *lsp = x;
+                    true
+                } else {
+                    *rsp = x;
+                    false
+                }
+            } else if x <= *lsp && x >= *rsp {
+                *lsp - x >= x - *rsp
+            } else {
+                x <= *lsp
+            };
+            let (child, region, moved) = if go_left {
+                owned_descent(left, &region.clamp_above(d, *lsp), p)
+            } else {
+                owned_descent(right, &region.clamp_below(d, *rsp), p)
+            };
+            (child, region, moved || gap)
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
@@ -137,21 +179,67 @@ proptest! {
         prop_assert_eq!(from_view, from_tree);
     }
 
+    /// Ids, regions and order must all match: deletes visit the
+    /// children in this order.
     #[test]
     fn view_point_walk_equals_tree_walk(
         kd in kd_strategy(4, 5),
         p in proptest::collection::vec(-1.0f32..2.0, 4),
+        lo in proptest::collection::vec(-1.0f32..2.0, 4),
+        ext in proptest::collection::vec(0.0f32..1.5, 4),
     ) {
         let point = Point::new(p);
+        let hi: Vec<f32> = lo.iter().zip(&ext).map(|(l, e)| l + e).collect();
+        let region = Rect::new(lo, hi);
         let buf = Node::Index { level: 1, kd: kd.clone() }.encode(4);
         let NodeView::Index(view) = NodeView::parse(&buf, 4).unwrap() else {
             panic!("expected index view");
         };
-        let mut from_view = Vec::new();
-        view.children_containing_point(&point, &mut from_view).unwrap();
-        let mut from_tree = Vec::new();
-        kd.children_containing_point_ids(&point, &mut from_tree);
-        prop_assert_eq!(from_view, from_tree);
+        let from_tree = kd.children_containing_point(&region, &point);
+        let mut with_regions = Vec::new();
+        view.children_containing_point(&point, Some(&region), &mut |c, r| {
+            with_regions.push((c, r.cloned().unwrap()))
+        })
+        .unwrap();
+        prop_assert_eq!(&with_regions, &from_tree);
+        let mut ids = Vec::new();
+        view.children_containing_point(&point, None, &mut |c, r| {
+            assert!(r.is_none());
+            ids.push(c)
+        })
+        .unwrap();
+        prop_assert_eq!(ids, from_tree.iter().map(|(c, _)| *c).collect::<Vec<_>>());
+    }
+
+    /// The in-place insert descent takes the owned reference's path: the
+    /// same child and region, and an enlarged page, once patched, decodes
+    /// to the reference's enlarged tree and re-encodes to the same bytes.
+    /// Split positions drawn independently give overlaps and gaps alike.
+    #[test]
+    fn insert_path_equals_owned_descent(
+        kd in kd_strategy(4, 6),
+        p in proptest::collection::vec(-1.5f32..2.5, 4),
+        lo in proptest::collection::vec(-1.0f32..2.0, 4),
+        ext in proptest::collection::vec(0.0f32..1.5, 4),
+    ) {
+        let point = Point::new(p);
+        let hi: Vec<f32> = lo.iter().zip(&ext).map(|(l, e)| l + e).collect();
+        let region = Rect::new(lo, hi);
+        let node = Node::Index { level: 2, kd: kd.clone() };
+        let mut page = node.encode(4);
+        let NodeView::Index(view) = NodeView::parse(&page, 4).unwrap() else {
+            panic!("expected index view");
+        };
+        let path = view.insert_path(&region, &point).unwrap();
+        let mut want = kd;
+        let (child, child_region, enlarged) = owned_descent(&mut want, &region, &point);
+        prop_assert_eq!(path.child, child);
+        prop_assert_eq!(&path.region, &child_region);
+        prop_assert_eq!(!path.enlarged.is_empty(), enlarged);
+        path.patch(&mut page);
+        let patched = Node::decode(&page, 4).unwrap();
+        prop_assert_eq!(&patched, &Node::Index { level: 2, kd: want });
+        prop_assert_eq!(patched.encode(4), page);
     }
 
     #[test]
@@ -337,7 +425,8 @@ proptest! {
             let q = Point::origin(3);
             let _ = view.children_near(unbounded(&q), None, &mut |_, _, _| {});
             let _ = view.children_overlapping_box(&Rect::unit(3), &mut out);
-            let _ = view.children_containing_point(&q, &mut out);
+            let _ = view.children_containing_point(&q, Some(&Rect::unit(3)), &mut |_, _| {});
+            let _ = view.insert_path(&Rect::unit(3), &q);
             let _ = view.children_near(unbounded(&q), Some(&Rect::unit(3)), &mut |_, _, _| {});
         }
     }

@@ -211,7 +211,10 @@ pub trait NodeExpand {
 /// carries oids and distances in ascending `(distance, oid)` order. A kNN
 /// `epsilon` that is negative or not finite is an
 /// [`IndexError::InvalidQuery`]: below −1 it would make the prune bound
-/// negative and drop true neighbors.
+/// negative and drop true neighbors. So is a range `radius` that is
+/// negative or NaN: the walk would prune with its square (or with
+/// nothing) and answer nothing. An infinite radius is legal and matches
+/// every entry.
 pub fn execute<E: NodeExpand>(
     ex: E,
     query: &Query,
@@ -220,7 +223,14 @@ pub fn execute<E: NodeExpand>(
 ) -> IndexResult<(QueryOutcome<Answer>, IoStats)> {
     let (outcome, io) = match query {
         Query::Box(rect) => run_box_query(&ex, rect, ctx)?,
-        Query::Range { q, radius } => run_distance_range(&ex, q, *radius, metric, ctx)?,
+        Query::Range { q, radius } => {
+            if radius.is_nan() || *radius < 0.0 {
+                return Err(IndexError::InvalidQuery(
+                    "range radius must be non-negative and not NaN",
+                ));
+            }
+            run_distance_range(&ex, q, *radius, metric, ctx)?
+        }
         Query::Knn { q, k, epsilon } => {
             if !(epsilon.is_finite() && *epsilon >= 0.0) {
                 return Err(IndexError::InvalidQuery(

@@ -217,7 +217,8 @@ pub enum Query {
     Range {
         /// The query center.
         q: Point,
-        /// The distance bound (inclusive).
+        /// The distance bound (inclusive). A negative or NaN radius is an
+        /// [`IndexError::InvalidQuery`]; `+∞` matches every entry.
         radius: f64,
     },
     /// k-nearest-neighbor query.

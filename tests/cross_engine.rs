@@ -350,3 +350,28 @@ fn invalid_epsilon_is_an_error_on_every_distance_engine() {
         }
     }
 }
+
+#[test]
+fn invalid_radius_is_an_error_on_every_distance_engine() {
+    let pts = rand_points(300, 3, 8);
+    let q = Point::new(vec![0.5; 3]);
+    let range = |t: &dyn MultidimIndex, radius| {
+        let query = Query::Range {
+            q: q.clone(),
+            radius,
+        };
+        t.execute(&query, &L2, QueryContext::unlimited())
+    };
+    for (name, t) in distance_engines(&pts) {
+        for radius in [-0.5, -f64::MIN_POSITIVE, f64::NEG_INFINITY, f64::NAN] {
+            let err = range(&*t, radius).unwrap_err();
+            assert!(
+                matches!(err, IndexError::InvalidQuery(_)),
+                "{name}: radius={radius}: {err}"
+            );
+        }
+        // An infinite radius is legal: it matches every entry.
+        let (outcome, _) = range(&*t, f64::INFINITY).unwrap();
+        assert_eq!(outcome.into_results().oids.len(), pts.len(), "{name}");
+    }
+}

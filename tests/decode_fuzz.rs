@@ -7,7 +7,7 @@
 use hybridtree_repro::core::{scrub_index, ElsTable, HybridTree, HybridTreeConfig, KdTree, Node};
 use hybridtree_repro::geom::{Point, Rect, L2};
 use hybridtree_repro::hbtree::{HbTree, HbTreeConfig};
-use hybridtree_repro::index::{leaf, MultidimIndex};
+use hybridtree_repro::index::{leaf, IndexError, MultidimIndex};
 use hybridtree_repro::kdbtree::{KdbTree, KdbTreeConfig};
 use hybridtree_repro::page::{
     inspect_frame, inspect_header, ByteReader, ByteWriter, DurableStorage, FaultScript,
@@ -369,6 +369,101 @@ fn hybrid_split_dim_past_the_tree_fails_writes_cleanly() {
     assert!(with_root_flip(&script, 5, 7, || t.delete(&points[0], 0)).is_err());
     // Unflipped, the tree is intact.
     assert!(t.delete(&points[0], 0).unwrap());
+}
+
+/// A hybrid tree over flippable 512-byte pages holding `points` under
+/// oids `0..n`, with the given ELS precision.
+fn flippable_hybrid(
+    els_bits: u8,
+    points: &[Point],
+) -> Flippable<HybridTree<FaultStorage<MemStorage>>> {
+    let (storage, script) = FaultStorage::new(MemStorage::with_page_size(FLIP_PAGE));
+    let cfg = HybridTreeConfig {
+        page_size: FLIP_PAGE,
+        els_bits,
+        ..HybridTreeConfig::default()
+    };
+    let mut t = HybridTree::with_storage(3, cfg, storage).unwrap();
+    for (i, p) in points.iter().enumerate() {
+        t.insert(p.clone(), i as u64).unwrap();
+    }
+    (t, script)
+}
+
+/// An insert appends to a data page in place, but keeps the decoder's
+/// checks over the page it rewrites: a leaf holding a NaN coordinate, or
+/// a count the page cannot hold, fails the insert with `Corrupt` before
+/// anything is written. Checked with the root as the leaf (the append
+/// path, the leaf has room) and two directory levels above it.
+#[test]
+fn hybrid_inserts_into_a_corrupt_leaf_write_nothing() {
+    // Every first coordinate lies in [1, 2), whose f32 exponent byte is
+    // 0x3F: flipping its 0x40 bit makes the coordinate NaN (∞ at 1.0).
+    let points: Vec<Point> = flip_points()
+        .into_iter()
+        .map(|p| Point::new(vec![p.coord(0) + 1.0, p.coord(1), p.coord(2)]))
+        .collect();
+    let p = Point::new(vec![1.5, 0.5, 0.5]);
+    for els_bits in [4, 0] {
+        for n in [10, points.len()] {
+            let (mut t, script) = flippable_hybrid(els_bits, &points[..n]);
+            // The leaf is the insert's last read: one per level.
+            let leaf_read = t.height() as u64 - 1;
+            assert_eq!(leaf_read, if n == 10 { 0 } else { 2 });
+            // Byte 8 is the exponent byte of the first entry's first
+            // coordinate (tag, u32 count, then coordinates); byte 4 is
+            // the count's high byte.
+            for (pos, mask) in [(8, 0x40), (4, 0x80)] {
+                let writes = t.io_stats().logical_writes;
+                script.flip_on_read(script.reads_seen() + leaf_read, pos, mask);
+                let err = t.insert(p.clone(), 9_999).unwrap_err();
+                script.disarm();
+                assert!(
+                    matches!(err, IndexError::Storage(PageError::Corrupt(_))),
+                    "els {els_bits}, {n} points, byte {pos}: {err}"
+                );
+                assert_eq!(t.io_stats().logical_writes, writes, "byte {pos}");
+            }
+            // Unflipped, the tree is intact and takes the insert.
+            t.insert(p.clone(), 9_999).unwrap();
+            t.check_invariants().unwrap();
+            assert_eq!(t.len(), n + 1);
+        }
+    }
+}
+
+/// Writes walk directory pages in place, so a damaged page on a write's
+/// path must come back as an answer or a typed error, never a panic. For
+/// every page one insert and one delete read, each byte gets one bit
+/// flipped (the bit is the byte's offset mod 8) as the page is read, on
+/// a fresh two-level tree per trial.
+#[test]
+fn hybrid_writes_survive_bit_flips() {
+    let points = &flip_points()[..150];
+    let p = Point::new(vec![0.5, 0.5, 0.5]);
+    for els_bits in [4, 0] {
+        // A clean run counts the pages the two writes read.
+        let (mut t, script) = flippable_hybrid(els_bits, points);
+        assert_eq!(t.height(), 2);
+        let start = script.reads_seen();
+        t.insert(p.clone(), 9_999).unwrap();
+        assert!(t.delete(&points[0], 0).unwrap());
+        let reads = script.reads_seen() - start;
+        assert!(reads >= 4, "{reads} reads");
+        let (mut failed, mut trials) = (0, 0);
+        for nth in 0..reads {
+            for pos in 0..FLIP_PAGE {
+                let (mut t, script) = flippable_hybrid(els_bits, points);
+                script.flip_on_read(script.reads_seen() + nth, pos, 1 << (pos % 8));
+                let inserted = t.insert(p.clone(), 9_999);
+                let deleted = t.delete(&points[0], 0);
+                failed += usize::from(inserted.is_err() || deleted.is_err());
+                trials += 1;
+            }
+        }
+        // Some flips must be caught; one in a byte no walk reads must not.
+        assert!(failed > 0 && failed < trials, "{failed} of {trials}");
+    }
 }
 
 /// An SR-tree directory page whose entry count reads as zero is `Corrupt`
