@@ -1,9 +1,10 @@
 //! Decoded data-page cache: shares decoded leaf entries across queries.
 //!
-//! The buffer pool caches page *bytes*; a distance query still decodes
-//! every data page it visits, because the metric takes each entry as a
-//! `&Point`. This cache keeps the decoded entries behind an `Arc`, so
-//! concurrent queries share one decode without copying.
+//! This is the only cache in the workspace: the buffer pool reads every
+//! page from storage, and a distance query decodes every data page it
+//! visits, because the metric takes each entry as a `&Point`. This cache
+//! keeps the decoded entries behind an `Arc`, so concurrent queries share
+//! one decode without copying.
 //!
 //! It is owned by the [`HybridTree`](crate::HybridTree) and needs no
 //! version stamps: every page write and free of the tree runs under
@@ -12,14 +13,14 @@
 //! under `&self`. The borrow checker thus keeps a decode from ever racing
 //! a rewrite of the same page (DESIGN §7, §11).
 //!
-//! Like the buffer pool, the table is sharded behind mutexes from
-//! [`SHARDING_THRESHOLD`] entries on and bounded by entry count with
-//! per-shard LRU eviction. Capacity `0` stores nothing; every lookup is
-//! then a miss, so `misses` equals the decode count in both modes.
+//! The table is sharded behind mutexes from [`SHARDING_THRESHOLD`]
+//! entries on and bounded by entry count with per-shard LRU eviction.
+//! Capacity `0` stores nothing; every lookup is then a miss, so `misses`
+//! equals the decode count in both modes.
 
 use crate::node::DataEntry;
 use hyt_index::NodeCacheStats;
-use hyt_page::{PageId, SHARDING_THRESHOLD};
+use hyt_page::PageId;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -27,8 +28,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// Decoded entries of one data page, shared by every query that reads it.
 pub(crate) type Leaf = Arc<Vec<DataEntry>>;
 
-/// Shard count for large caches (power of two; ids map by bitmask),
-/// mirroring the buffer pool's sharding.
+/// Caches at least this large split their table into `NUM_SHARDS`
+/// shards; smaller caches keep one shard and exact LRU.
+const SHARDING_THRESHOLD: usize = 128;
+
+/// Shard count for large caches (power of two; ids map by bitmask).
 const NUM_SHARDS: usize = 16;
 
 struct Entry {

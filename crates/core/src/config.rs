@@ -88,10 +88,6 @@ pub struct HybridTreeConfig {
     pub split_policy: SplitPolicy,
     /// Query-size distribution assumed by index-node splits.
     pub query_size: QuerySizeDist,
-    /// Buffer-pool capacity in pages. `0` (the default) disables caching
-    /// so every logical access is also physical — the paper's cold-cache
-    /// disk-access accounting.
-    pub pool_pages: usize,
     /// Capacity (in data pages) of the tree's decoded-node cache. `0`
     /// (the default) disables it, so every data-page visit pays a full
     /// decode — the configuration all correctness baselines
@@ -108,7 +104,6 @@ impl Default for HybridTreeConfig {
             els_bits: 4,
             split_policy: SplitPolicy::EdaOptimal,
             query_size: QuerySizeDist::Uniform { max: 1.0 },
-            pool_pages: 0,
             node_cache_entries: 0,
         }
     }
@@ -130,6 +125,15 @@ impl HybridTreeConfig {
             return Err(format!(
                 "page_size must be in [64, {MAX_PAGE_SIZE}], got {}",
                 self.page_size
+            ));
+        }
+        // A NaN side makes every index-split cost NaN, so the split would
+        // silently take the first candidate dimension.
+        let (QuerySizeDist::Fixed(side) | QuerySizeDist::Uniform { max: side }) = self.query_size;
+        if !(side.is_finite() && side >= 0.0) {
+            return Err(format!(
+                "query size must be finite and non-negative, got {:?}",
+                self.query_size
             ));
         }
         Ok(())
@@ -173,6 +177,29 @@ mod tests {
             ..HybridTreeConfig::default()
         };
         assert!(widest.validate().is_ok());
+        for side in [-0.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for query_size in [
+                QuerySizeDist::Fixed(side),
+                QuerySizeDist::Uniform { max: side },
+            ] {
+                let bad_query = HybridTreeConfig {
+                    query_size,
+                    ..HybridTreeConfig::default()
+                };
+                assert!(bad_query.validate().is_err(), "{query_size:?}");
+            }
+        }
+        // Zero is the point-query limit of both distributions.
+        for query_size in [
+            QuerySizeDist::Fixed(0.0),
+            QuerySizeDist::Uniform { max: 0.0 },
+        ] {
+            let point_queries = HybridTreeConfig {
+                query_size,
+                ..HybridTreeConfig::default()
+            };
+            assert!(point_queries.validate().is_ok(), "{query_size:?}");
+        }
     }
 
     #[test]

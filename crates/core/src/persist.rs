@@ -13,7 +13,8 @@
 //!
 //! [`HybridTree::persist`] is the durability point:
 //!
-//! 1. flush every dirty page and `fsync` the page file;
+//! 1. `fsync` the page file (the pool writes every page through, so
+//!    nothing is left to flush);
 //! 2. write the catalog — two independently CRC-32-protected sections
 //!    (core, ELS) — to a temp file, `fsync` it, `rename` it over the old
 //!    catalog, and `fsync` the directory;
@@ -75,7 +76,10 @@ fn encode_cfg(w: &mut ByteWriter, cfg: &HybridTreeConfig) {
             w.put_f64(max);
         }
     }
-    w.put_u32(cfg.pool_pages as u32);
+    // Formerly the buffer-pool capacity (`pool_pages`); the pool no
+    // longer caches. The slot stays so catalogs keep their layout: it is
+    // written as 0 and ignored on read, and older catalogs open as is.
+    w.put_u32(0);
     w.put_u32(cfg.node_cache_entries as u32);
 }
 
@@ -95,7 +99,7 @@ fn decode_cfg(r: &mut ByteReader<'_>) -> Result<HybridTreeConfig, PageError> {
         1 => QuerySizeDist::Uniform { max: r.get_f64()? },
         t => return Err(PageError::Corrupt(format!("bad query dist {t}"))),
     };
-    let pool_pages = r.get_u32()? as usize;
+    r.get_u32()?; // the retired `pool_pages` slot (see `encode_cfg`)
     let node_cache_entries = r.get_u32()? as usize;
     let cfg = HybridTreeConfig {
         page_size,
@@ -103,7 +107,6 @@ fn decode_cfg(r: &mut ByteReader<'_>) -> Result<HybridTreeConfig, PageError> {
         els_bits,
         split_policy,
         query_size,
-        pool_pages,
         node_cache_entries,
     };
     // The ranges `with_storage` accepts (e.g. `ElsTable::new` panics on
@@ -186,6 +189,14 @@ fn decode_core(buf: &[u8]) -> Result<CatalogCore, PageError> {
             let mut hi = Vec::with_capacity(dim);
             for _ in 0..dim {
                 hi.push(r.get_f32()?);
+            }
+            // `Rect::new` asserts what a damaged catalog can break.
+            let ordered = lo
+                .iter()
+                .zip(&hi)
+                .all(|(l, h)| l.is_finite() && h.is_finite() && l <= h);
+            if !ordered {
+                return Err(corrupt("bounding box bounds not finite and ordered"));
             }
             Some(Rect::new(lo, hi))
         }
@@ -291,7 +302,7 @@ impl<S: Storage> HybridTree<S> {
         }
     }
 
-    /// Commits the tree: flushes and fsyncs every dirty page, then
+    /// Commits the tree: fsyncs the page file, then
     /// atomically replaces the catalog at `meta_path` (see the module docs
     /// for the protocol). After this call, [`HybridTree::open`] restores
     /// exactly this state even if the process dies immediately.
@@ -516,7 +527,6 @@ mod tests {
             els_bits: 7,
             split_policy: SplitPolicy::Vam,
             query_size: QuerySizeDist::Fixed(0.125),
-            pool_pages: 33,
             node_cache_entries: 12,
         };
         {
@@ -531,7 +541,6 @@ mod tests {
         assert_eq!(got.els_bits, cfg.els_bits);
         assert_eq!(got.split_policy, cfg.split_policy);
         assert_eq!(got.query_size, cfg.query_size);
-        assert_eq!(got.pool_pages, cfg.pool_pages);
         assert_eq!(got.node_cache_entries, cfg.node_cache_entries);
         std::fs::remove_file(&pages).ok();
         std::fs::remove_file(&meta).ok();
@@ -651,13 +660,13 @@ mod tests {
         {
             let mut t = build_tree(&pages, &cfg, 3, &pts[..300]);
             t.persist(&meta).unwrap();
-            // Keep mutating *after* the commit, then flush pages without
+            // Keep mutating *after* the commit, then sync pages without
             // committing a catalog — the crash window that used to produce
             // silently stale opens.
             for (i, p) in pts[300..].iter().enumerate() {
                 t.insert(p.clone(), (300 + i) as u64).unwrap();
             }
-            t.flush_for_test();
+            t.sync_for_test();
         }
         // Open must notice the divergence (newer page epochs) and take the
         // recovery path; the result must be a consistent tree, never a
@@ -762,19 +771,93 @@ mod tests {
                 c.cfg.page_size
             );
         }
-        // A huge dimensionality with a bounding box present is refused
-        // before the box is allocated: patch the dim field of a valid 3-d
-        // core and reseal its checksum.
-        let mut bytes = encode_catalog(
+        // What `CatalogCore` cannot hold is written by patching four bytes
+        // of a valid 3-d core with a unit bounding box and resealing its
+        // checksum.
+        let unit = encode_catalog(
             &core(3, 1, Some(Rect::new(vec![0.0; 3], vec![1.0; 3]))),
             &ElsTable::new(3, 0),
         );
+        let core_len = u32::from_le_bytes(unit[8..12].try_into().unwrap()) as usize;
+        // The box's `lo` then `hi` are the last 24 bytes of the core.
+        let box_at = 12 + core_len - 24;
+        let read_patched = |at: usize, value: [u8; 4]| {
+            let mut bytes = unit.clone();
+            reseal_core(&mut bytes, at, value);
+            std::fs::write(&meta, &bytes).unwrap();
+            read_catalog(&meta)
+        };
+        // A huge dimensionality with a bounding box present is refused
+        // before the box is allocated.
+        assert!(matches!(
+            read_patched(12, u32::MAX.to_le_bytes()),
+            Err(PageError::Corrupt(_))
+        ));
+        // An inverted box (lo 2 > hi 1) and a NaN bound are refused, not
+        // asserted on in `Rect::new`.
+        for (at, value) in [(box_at, 2.0f32), (box_at + 16, f32::NAN)] {
+            assert!(
+                matches!(
+                    read_patched(at, value.to_le_bytes()),
+                    Err(PageError::Corrupt(_))
+                ),
+                "box bound {value} at byte {at} accepted"
+            );
+        }
+        std::fs::remove_file(&meta).ok();
+    }
+
+    /// Overwrites the four catalog bytes at `at` (an offset into the core
+    /// section) and reseals the core's checksum.
+    fn reseal_core(bytes: &mut [u8], at: usize, value: [u8; 4]) {
         let core_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes[at..at + 4].copy_from_slice(&value);
         let crc = crc32(&bytes[12..12 + core_len]);
         bytes[12 + core_len..16 + core_len].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    #[test]
+    fn a_catalog_with_a_pool_capacity_opens() {
+        // Catalogs written while the tree had a buffer-pool capacity hold
+        // it in the slot that is now written as 0; it is ignored on read.
+        let pages = tmp("slot.pages");
+        let meta = tmp("slot.meta");
+        let pts = random_points(300, 3, 5);
+        let cfg = HybridTreeConfig {
+            page_size: 512,
+            node_cache_entries: 12,
+            ..HybridTreeConfig::default()
+        };
+        {
+            let mut t = build_tree(&pages, &cfg, 3, &pts);
+            t.persist(&meta).unwrap();
+        }
+        let mut bytes = std::fs::read(&meta).unwrap();
+        let core_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        // From the core's end: the 3-d bounding box (tag and 24 bytes),
+        // `node_cache_entries`, then the slot.
+        let cache_at = 12 + core_len - 25 - 4;
+        let slot_at = cache_at - 4;
+        assert_eq!(bytes[cache_at..cache_at + 4], 12u32.to_le_bytes());
+        assert_eq!(
+            bytes[slot_at..slot_at + 4],
+            [0; 4],
+            "the slot is written as 0"
+        );
+        reseal_core(&mut bytes, slot_at, 33u32.to_le_bytes());
         std::fs::write(&meta, &bytes).unwrap();
-        assert!(matches!(read_catalog(&meta), Err(PageError::Corrupt(_))));
+        let t = HybridTree::open(&pages, &meta).unwrap();
+        assert_eq!(t.len(), 300);
+        assert_eq!(t.config().node_cache_entries, 12);
+        t.check_invariants().unwrap();
+        let rect = Rect::new(vec![0.2; 3], vec![0.7; 3]);
+        let mut got = t.box_query(&rect).unwrap();
+        got.sort_unstable();
+        let want: Vec<u64> = (0..pts.len() as u64)
+            .filter(|&i| rect.contains_point(&pts[i as usize]))
+            .collect();
+        assert_eq!(got, want);
+        std::fs::remove_file(&pages).ok();
         std::fs::remove_file(&meta).ok();
     }
 

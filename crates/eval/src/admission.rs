@@ -1,8 +1,8 @@
 //! Admission control for batch query execution.
 //!
-//! The buffer pool degrades sharply once the working sets of concurrent
-//! queries stop fitting: every admitted query steals frames from the
-//! others and the whole batch thrashes. [`AdmissionGate`] bounds the
+//! A batch slows down for everyone once concurrent queries outnumber
+//! what the host can serve: every admitted query competes for the same
+//! storage and the same decoded-leaf cache. [`AdmissionGate`] bounds the
 //! number of in-flight queries instead; a query that cannot get a slot
 //! within the queue timeout is *shed* with a typed [`Overloaded`] rather
 //! than left to pile up behind the others. Load shedding is a first-class

@@ -472,7 +472,7 @@ impl<S: Storage> HbTree<S> {
                 cfg.page_size
             )));
         }
-        let pool = BufferPool::new(storage, 0);
+        let pool = BufferPool::new(storage);
         let root = pool.allocate()?;
         pool.write(
             root,

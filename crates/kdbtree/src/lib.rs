@@ -312,7 +312,7 @@ impl<S: Storage> KdbTree<S> {
                 cfg.page_size
             )));
         }
-        let pool = BufferPool::new(storage, 0);
+        let pool = BufferPool::new(storage);
         let root = pool.allocate()?;
         pool.write(root, &KdbNode::Data(Vec::new()).encode(dim))?;
         Ok(Self {

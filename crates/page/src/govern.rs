@@ -18,7 +18,7 @@
 //! ```
 //! use hyt_page::{BufferPool, IoStats, MemStorage, PageError, QueryContext};
 //!
-//! let pool = BufferPool::new(MemStorage::with_page_size(128), 4);
+//! let pool = BufferPool::new(MemStorage::with_page_size(128));
 //! let a = pool.allocate().unwrap();
 //! pool.write(a, b"x").unwrap();
 //!

@@ -44,7 +44,7 @@ pub use frame::{
     FORMAT_VERSION, HEADER_BYTES as FRAME_HEADER_BYTES, PAGE_MAGIC,
 };
 pub use govern::{CancelToken, Interrupt, QueryContext};
-pub use pool::{BufferPool, IoStats, SHARDING_THRESHOLD};
+pub use pool::{BufferPool, IoStats};
 pub use storage::{FileStorage, MemStorage, Storage};
 
 /// The paper's experimental page size (§4: "we use a page size of 4096

@@ -61,7 +61,7 @@ impl<S: Storage> SeqScan<S> {
             )));
         }
         Ok(Self {
-            pool: BufferPool::new(storage, 0),
+            pool: BufferPool::new(storage),
             pages: Vec::new(),
             dim,
             len: 0,

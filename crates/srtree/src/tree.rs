@@ -85,7 +85,7 @@ impl<S: Storage> SrTree<S> {
         }
         let data_min = ((cfg.min_fill * data_cap as f64).floor() as usize).max(1);
         let index_min = ((cfg.min_fill * index_cap as f64).floor() as usize).max(1);
-        let pool = BufferPool::new(storage, 0);
+        let pool = BufferPool::new(storage);
         let root = pool.allocate()?;
         pool.write(root, &SrNode::Data(Vec::new()).encode(dim))?;
         Ok(Self {

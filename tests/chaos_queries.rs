@@ -36,7 +36,6 @@ const WATCHDOG: Duration = Duration::from_secs(90);
 fn build_tree() -> (Arc<HybridTree<ChaosStack>>, Arc<FaultScript>, Vec<Point>) {
     let cfg = HybridTreeConfig {
         page_size: 512,
-        pool_pages: 24, // small pool: queries must actually hit storage
         ..HybridTreeConfig::default()
     };
     let mem = MemStorage::with_page_size(cfg.page_size + FRAME_HEADER_BYTES);

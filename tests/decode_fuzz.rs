@@ -13,6 +13,7 @@ use hybridtree_repro::page::{
     inspect_frame, inspect_header, ByteReader, ByteWriter, DurableStorage, FaultScript,
     FaultStorage, FrameStatus, MemStorage, PageError, PageId, FRAME_HEADER_BYTES,
 };
+use hybridtree_repro::scan::SeqScan;
 use hybridtree_repro::srtree::{ChildEntry, SrNode, SrTree, SrTreeConfig};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -86,42 +87,56 @@ fn flip_points() -> Vec<Point> {
 }
 
 /// A baseline tree over storage that can flip a bit in a page as it is
-/// read; it has no buffer pool frames, so every visit reads storage.
+/// read; the pool caches nothing, so every visit reads storage.
 type Flippable<T> = (T, Arc<FaultScript>);
 
-/// Builds `T` over flippable storage from [`flip_points`].
-fn flippable<T: MultidimIndex>(build: impl FnOnce(FaultStorage<MemStorage>) -> T) -> Flippable<T> {
+/// Builds `T` over flippable storage holding `points` under oids `0..n`.
+fn flippable<T: MultidimIndex>(
+    points: &[Point],
+    build: impl FnOnce(FaultStorage<MemStorage>) -> T,
+) -> Flippable<T> {
     let (storage, script) = FaultStorage::new(MemStorage::with_page_size(FLIP_PAGE));
     let mut t = build(storage);
-    for (i, p) in flip_points().into_iter().enumerate() {
-        t.insert(p, i as u64).unwrap();
+    for (i, p) in points.iter().enumerate() {
+        t.insert(p.clone(), i as u64).unwrap();
     }
-    let height = t.structure_stats().unwrap().height;
-    assert!(height >= 2, "the root must be a directory page");
     (t, script)
+}
+
+/// The height of `t`, from its structure statistics.
+fn height(t: &impl MultidimIndex) -> usize {
+    t.structure_stats().unwrap().height
+}
+
+fn hb_over(s: FaultStorage<MemStorage>) -> HbTree<FaultStorage<MemStorage>> {
+    let cfg = HbTreeConfig {
+        page_size: FLIP_PAGE,
+    };
+    HbTree::with_storage(3, cfg, s).unwrap()
+}
+
+fn kdb_over(s: FaultStorage<MemStorage>) -> KdbTree<FaultStorage<MemStorage>> {
+    let cfg = KdbTreeConfig {
+        page_size: FLIP_PAGE,
+    };
+    KdbTree::with_storage(3, cfg, s).unwrap()
 }
 
 fn hb_tree() -> &'static Flippable<HbTree<FaultStorage<MemStorage>>> {
     static TREE: OnceLock<Flippable<HbTree<FaultStorage<MemStorage>>>> = OnceLock::new();
     TREE.get_or_init(|| {
-        flippable(|s| {
-            let cfg = HbTreeConfig {
-                page_size: FLIP_PAGE,
-            };
-            HbTree::with_storage(3, cfg, s).unwrap()
-        })
+        let t = flippable(&flip_points(), hb_over);
+        assert!(height(&t.0) >= 2, "the root must be a directory page");
+        t
     })
 }
 
 fn kdb_tree() -> &'static Flippable<KdbTree<FaultStorage<MemStorage>>> {
     static TREE: OnceLock<Flippable<KdbTree<FaultStorage<MemStorage>>>> = OnceLock::new();
     TREE.get_or_init(|| {
-        flippable(|s| {
-            let cfg = KdbTreeConfig {
-                page_size: FLIP_PAGE,
-            };
-            KdbTree::with_storage(3, cfg, s).unwrap()
-        })
+        let t = flippable(&flip_points(), kdb_over);
+        assert!(height(&t.0) >= 2, "the root must be a directory page");
+        t
     })
 }
 
@@ -464,6 +479,77 @@ fn hybrid_writes_survive_bit_flips() {
         // Some flips must be caught; one in a byte no walk reads must not.
         assert!(failed > 0 && failed < trials, "{failed} of {trials}");
     }
+}
+
+/// Runs `query` once per flip: one bit (the byte's offset mod 8) flipped
+/// at every byte of every page a clean run of it reads, as the page is
+/// read. Returns the failed trials and the trials; a panic fails the test.
+fn flip_every_read<R>(
+    script: &FaultScript,
+    mut query: impl FnMut() -> Result<R, IndexError>,
+) -> (usize, usize) {
+    let start = script.reads_seen();
+    query().unwrap();
+    let reads = script.reads_seen() - start;
+    assert!(reads > 0, "the query reads no page");
+    let mut failed = 0;
+    for nth in 0..reads {
+        for pos in 0..FLIP_PAGE {
+            script.flip_on_read(script.reads_seen() + nth, pos, 1 << (pos % 8));
+            failed += usize::from(query().is_err());
+            script.disarm();
+        }
+    }
+    (failed, reads as usize * FLIP_PAGE)
+}
+
+/// Queries walk pages in place or decode them, so a damaged page on a
+/// query's path must come back as answers or a typed error, never a
+/// panic: every engine, on two-level trees of 512-byte pages, runs one
+/// box, one range and one kNN query (the hB-tree, which has no distance
+/// queries, the box only) under a bit flip at every byte of every page
+/// the query reads.
+#[test]
+fn queries_survive_bit_flips() {
+    // The first 150 points have their third coordinate in [0, 0.25).
+    let points = &flip_points()[..150];
+    let rect = Rect::new(vec![0.2, 0.2, 0.05], vec![0.7, 0.7, 0.2]);
+    let center = Point::new(vec![0.5, 0.5, 0.12]);
+    let sweep = |name: &str, t: &dyn MultidimIndex, script: &FaultScript, distance: bool| {
+        let mut runs = vec![flip_every_read(script, || t.box_query(&rect))];
+        if distance {
+            runs.push(flip_every_read(script, || {
+                t.distance_range(&center, 0.25, &L2)
+            }));
+            runs.push(flip_every_read(script, || t.knn(&center, 5, &L2)));
+        }
+        for (failed, trials) in runs {
+            assert!(failed > 0, "{name}: no flip in {trials} trials was caught");
+        }
+    };
+    for els_bits in [4, 0] {
+        let (t, script) = flippable_hybrid(els_bits, points);
+        assert_eq!(t.height(), 2);
+        sweep(&format!("hybrid, ELS {els_bits}"), &t, &script, true);
+    }
+    let sr = |s| {
+        let cfg = SrTreeConfig {
+            page_size: FLIP_PAGE,
+            ..SrTreeConfig::default()
+        };
+        SrTree::with_storage(3, cfg, s).unwrap()
+    };
+    let (t, script) = flippable(points, sr);
+    assert_eq!(height(&t), 2);
+    sweep("SR", &t, &script, true);
+    let (t, script) = flippable(points, kdb_over);
+    assert_eq!(height(&t), 2);
+    sweep("kDB", &t, &script, true);
+    let (t, script) = flippable(points, hb_over);
+    assert_eq!(height(&t), 2);
+    sweep("hB", &t, &script, false);
+    let (t, script) = flippable(points, |s| SeqScan::with_storage(3, s).unwrap());
+    sweep("scan", &t, &script, true);
 }
 
 /// An SR-tree directory page whose entry count reads as zero is `Corrupt`

@@ -201,7 +201,7 @@ fn hybrid_tree_cache_survives_splits_and_deletes() {
 // ---------------------------------------------------------------------
 
 /// Strips the fields a decoded-node cache hit may legitimately change
-/// (physical reads / pool hit counters); everything else must be
+/// (physical reads / hit counters); everything else must be
 /// bit-identical.
 fn observable(a: &hybridtree_repro::eval::GovernedAnswer) -> impl PartialEq + std::fmt::Debug {
     (

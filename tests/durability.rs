@@ -68,36 +68,6 @@ fn raw_pages_survive_reopen() {
 }
 
 #[test]
-fn pool_capacity_trades_physical_for_logical_reads() {
-    let pts = points(3_000, 4, 2);
-    let run = |pool_pages: usize| -> (u64, u64) {
-        let cfg = HybridTreeConfig {
-            pool_pages,
-            ..HybridTreeConfig::default()
-        };
-        let mut t = HybridTree::new(4, cfg).unwrap();
-        for (i, p) in pts.iter().enumerate() {
-            t.insert(p.clone(), i as u64).unwrap();
-        }
-        t.reset_io_stats();
-        let q = Point::new(vec![0.5; 4]);
-        for _ in 0..20 {
-            t.knn(&q, 5, &L2).unwrap();
-        }
-        let s = t.io_stats();
-        (s.logical_reads, s.physical_reads)
-    };
-    let (log_cold, phys_cold) = run(0);
-    let (log_hot, phys_hot) = run(512);
-    assert_eq!(log_cold, phys_cold, "capacity 0 = every access physical");
-    assert_eq!(log_cold, log_hot, "logical work independent of caching");
-    assert!(
-        phys_hot < phys_cold / 2,
-        "a large pool must absorb repeated reads ({phys_hot} vs {phys_cold})"
-    );
-}
-
-#[test]
 fn mem_storage_reuse_does_not_leak_pages() {
     // Insert then delete everything; live pages should shrink back to a
     // handful (root + empties), demonstrating free-list recycling.

@@ -91,7 +91,6 @@ fn read_faults_surface_as_errors_not_panics() {
     use hybridtree_repro::page::MemStorage;
     let cfg = HybridTreeConfig {
         page_size: 256,
-        pool_pages: 0,
         ..HybridTreeConfig::default()
     };
     let (storage, knob) = FlakyStorage::new(MemStorage::with_page_size(256));

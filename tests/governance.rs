@@ -36,7 +36,6 @@ fn everything() -> Rect {
 fn faulted_tree(pts: &[Point]) -> (HybridTree<FaultStorage<MemStorage>>, Arc<FaultScript>) {
     let cfg = HybridTreeConfig {
         page_size: 512,
-        pool_pages: 16,
         ..HybridTreeConfig::default()
     };
     let (storage, script) = FaultStorage::new(MemStorage::with_page_size(cfg.page_size));
