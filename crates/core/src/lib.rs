@@ -51,6 +51,10 @@
 //! assert_eq!(nn.len(), 3);
 //! ```
 
+// Page and catalog bytes are untrusted: a damaged page or catalog must
+// surface as an error on every path, never as a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod bulk;
 mod cache;
 mod config;
@@ -65,7 +69,7 @@ mod tree;
 mod verify;
 mod view;
 
-pub use config::{HybridTreeConfig, QuerySizeDist, SplitPolicy};
+pub use config::{HybridTreeConfig, SplitPolicy};
 pub use els::ElsTable;
 pub use kdtree::KdTree;
 pub use node::{DataEntry, Node};

@@ -1,8 +1,5 @@
 //! On-page node formats of the hybrid tree.
 
-// Page bytes are untrusted: a malformed page must come back `Corrupt`.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::kdtree::KdTree;
 use hyt_geom::Point;
 use hyt_index::leaf;
@@ -30,10 +27,15 @@ pub fn data_capacity(page_size: usize, dim: usize) -> usize {
     page_size.saturating_sub(DATA_HEADER_BYTES) / leaf::entry_bytes(dim)
 }
 
-/// The utilization quota (paper §3.2): the fewest entries a non-root
-/// data node of capacity `data_cap` may hold.
-pub(crate) fn data_min(min_fill: f64, data_cap: usize) -> usize {
-    ((min_fill * data_cap as f64).floor() as usize).max(1)
+/// The utilization quota (paper §3.2), as a fraction of capacity: splits
+/// leave every node at least this full, and a non-root data node below
+/// it underflows on delete.
+pub(crate) const MIN_FILL: f64 = 0.35;
+
+/// The fewest entries a node of capacity `cap` may hold under
+/// [`MIN_FILL`] (never fewer than one).
+pub(crate) fn min_entries(cap: usize) -> usize {
+    ((MIN_FILL * cap as f64).floor() as usize).max(1)
 }
 
 /// A deserialized hybrid tree node.

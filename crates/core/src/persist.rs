@@ -43,9 +43,9 @@
 //!
 //! [`recover`]: HybridTree::recover
 
-use crate::config::{HybridTreeConfig, QuerySizeDist, SplitPolicy};
+use crate::config::{HybridTreeConfig, SplitPolicy};
 use crate::els::ElsTable;
-use crate::node::Node;
+use crate::node::{Node, MIN_FILL};
 use crate::tree::HybridTree;
 use crate::verify::{self, Els, Issue};
 use hyt_geom::Rect;
@@ -58,7 +58,10 @@ const MAGIC: &[u8; 8] = b"HYTREE03";
 
 fn encode_cfg(w: &mut ByteWriter, cfg: &HybridTreeConfig) {
     w.put_u32(cfg.page_size as u32);
-    w.put_f64(cfg.min_fill);
+    // Retired slots keep the catalog's layout: each is written with the
+    // value the tree now holds constant and ignored on read, so older
+    // catalogs open as is. This one held the utilization quota.
+    w.put_f64(MIN_FILL);
     w.put_u8(cfg.els_bits);
     w.put_u8(match cfg.split_policy {
         SplitPolicy::EdaOptimal => 0,
@@ -66,26 +69,18 @@ fn encode_cfg(w: &mut ByteWriter, cfg: &HybridTreeConfig) {
         SplitPolicy::RoundRobin => 2,
         SplitPolicy::MaxExtentMedian => 3,
     });
-    match cfg.query_size {
-        QuerySizeDist::Fixed(r) => {
-            w.put_u8(0);
-            w.put_f64(r);
-        }
-        QuerySizeDist::Uniform { max } => {
-            w.put_u8(1);
-            w.put_f64(max);
-        }
-    }
-    // Formerly the buffer-pool capacity (`pool_pages`); the pool no
-    // longer caches. The slot stays so catalogs keep their layout: it is
-    // written as 0 and ignored on read, and older catalogs open as is.
+    // Retired: the query-size distribution index splits assumed, as a
+    // tag (1, uniform) and its side (1.0); see `split::split_cost`.
+    w.put_u8(1);
+    w.put_f64(1.0);
+    // Retired: the buffer-pool capacity (`pool_pages`), written as 0.
     w.put_u32(0);
     w.put_u32(cfg.node_cache_entries as u32);
 }
 
 fn decode_cfg(r: &mut ByteReader<'_>) -> Result<HybridTreeConfig, PageError> {
     let page_size = r.get_u32()? as usize;
-    let min_fill = r.get_f64()?;
+    r.get_f64()?; // retired slots are skipped (see `encode_cfg`)
     let els_bits = r.get_u8()?;
     let split_policy = match r.get_u8()? {
         0 => SplitPolicy::EdaOptimal,
@@ -94,19 +89,14 @@ fn decode_cfg(r: &mut ByteReader<'_>) -> Result<HybridTreeConfig, PageError> {
         3 => SplitPolicy::MaxExtentMedian,
         t => return Err(PageError::Corrupt(format!("bad split policy {t}"))),
     };
-    let query_size = match r.get_u8()? {
-        0 => QuerySizeDist::Fixed(r.get_f64()?),
-        1 => QuerySizeDist::Uniform { max: r.get_f64()? },
-        t => return Err(PageError::Corrupt(format!("bad query dist {t}"))),
-    };
-    r.get_u32()?; // the retired `pool_pages` slot (see `encode_cfg`)
+    r.get_u8()?;
+    r.get_f64()?;
+    r.get_u32()?;
     let node_cache_entries = r.get_u32()? as usize;
     let cfg = HybridTreeConfig {
         page_size,
-        min_fill,
         els_bits,
         split_policy,
-        query_size,
         node_cache_entries,
     };
     // The ranges `with_storage` accepts (e.g. `ElsTable::new` panics on
@@ -523,10 +513,8 @@ mod tests {
         let meta = tmp("cfg.meta");
         let cfg = HybridTreeConfig {
             page_size: 1024,
-            min_fill: 0.25,
             els_bits: 7,
             split_policy: SplitPolicy::Vam,
-            query_size: QuerySizeDist::Fixed(0.125),
             node_cache_entries: 12,
         };
         {
@@ -537,10 +525,8 @@ mod tests {
         let t = HybridTree::open(&pages, &meta).unwrap();
         let got = t.config();
         assert_eq!(got.page_size, cfg.page_size);
-        assert_eq!(got.min_fill, cfg.min_fill);
         assert_eq!(got.els_bits, cfg.els_bits);
         assert_eq!(got.split_policy, cfg.split_policy);
-        assert_eq!(got.query_size, cfg.query_size);
         assert_eq!(got.node_cache_entries, cfg.node_cache_entries);
         std::fs::remove_file(&pages).ok();
         std::fs::remove_file(&meta).ok();
@@ -783,7 +769,7 @@ mod tests {
         let box_at = 12 + core_len - 24;
         let read_patched = |at: usize, value: [u8; 4]| {
             let mut bytes = unit.clone();
-            reseal_core(&mut bytes, at, value);
+            reseal_core(&mut bytes, at, &value);
             std::fs::write(&meta, &bytes).unwrap();
             read_catalog(&meta)
         };
@@ -807,19 +793,20 @@ mod tests {
         std::fs::remove_file(&meta).ok();
     }
 
-    /// Overwrites the four catalog bytes at `at` (an offset into the core
-    /// section) and reseals the core's checksum.
-    fn reseal_core(bytes: &mut [u8], at: usize, value: [u8; 4]) {
+    /// Overwrites the catalog bytes at `at` (an offset into the core
+    /// section) with `value` and reseals the core's checksum.
+    fn reseal_core(bytes: &mut [u8], at: usize, value: &[u8]) {
         let core_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        bytes[at..at + 4].copy_from_slice(&value);
+        bytes[at..at + value.len()].copy_from_slice(value);
         let crc = crc32(&bytes[12..12 + core_len]);
         bytes[12 + core_len..16 + core_len].copy_from_slice(&crc.to_le_bytes());
     }
 
     #[test]
-    fn a_catalog_with_a_pool_capacity_opens() {
-        // Catalogs written while the tree had a buffer-pool capacity hold
-        // it in the slot that is now written as 0; it is ignored on read.
+    fn retired_catalog_slots_are_ignored_on_read() {
+        // Catalogs written while the tree had a configurable quota,
+        // query-size distribution or buffer-pool capacity hold them in
+        // slots that are now written with fixed values and ignored.
         let pages = tmp("slot.pages");
         let meta = tmp("slot.meta");
         let pts = random_points(300, 3, 5);
@@ -832,31 +819,51 @@ mod tests {
             let mut t = build_tree(&pages, &cfg, 3, &pts);
             t.persist(&meta).unwrap();
         }
-        let mut bytes = std::fs::read(&meta).unwrap();
-        let core_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        let clean = std::fs::read(&meta).unwrap();
+        let core_len = u32::from_le_bytes(clean[8..12].try_into().unwrap()) as usize;
         // From the core's end: the 3-d bounding box (tag and 24 bytes),
-        // `node_cache_entries`, then the slot.
+        // `node_cache_entries`, the pool slot, the query side and its
+        // tag, the split policy and ELS bits, then the quota slot.
         let cache_at = 12 + core_len - 25 - 4;
-        let slot_at = cache_at - 4;
-        assert_eq!(bytes[cache_at..cache_at + 4], 12u32.to_le_bytes());
-        assert_eq!(
-            bytes[slot_at..slot_at + 4],
-            [0; 4],
-            "the slot is written as 0"
-        );
-        reseal_core(&mut bytes, slot_at, 33u32.to_le_bytes());
-        std::fs::write(&meta, &bytes).unwrap();
-        let t = HybridTree::open(&pages, &meta).unwrap();
-        assert_eq!(t.len(), 300);
-        assert_eq!(t.config().node_cache_entries, 12);
-        t.check_invariants().unwrap();
+        let pool_at = cache_at - 4;
+        let side_at = pool_at - 8;
+        let tag_at = side_at - 1;
+        let fill_at = tag_at - 2 - 8;
+        assert_eq!(clean[cache_at..cache_at + 4], 12u32.to_le_bytes());
+        assert_eq!(clean[pool_at..pool_at + 4], [0; 4]);
+        assert_eq!(clean[side_at..side_at + 8], 1.0f64.to_le_bytes());
+        assert_eq!(clean[tag_at], 1, "uniform");
+        assert_eq!(clean[fill_at..fill_at + 8], MIN_FILL.to_le_bytes());
+        let fixed_side = [&[0u8][..], &0.125f64.to_le_bytes()].concat();
+        let variants: [&[(usize, &[u8])]; 5] = [
+            &[(pool_at, &33u32.to_le_bytes())],
+            &[(fill_at, &0.25f64.to_le_bytes())],
+            &[(tag_at, &fixed_side)],
+            &[(tag_at, &[7]), (side_at, &f64::NAN.to_le_bytes())],
+            &[
+                (fill_at, &0.9f64.to_le_bytes()),
+                (tag_at, &fixed_side),
+                (pool_at, &u32::MAX.to_le_bytes()),
+            ],
+        ];
         let rect = Rect::new(vec![0.2; 3], vec![0.7; 3]);
-        let mut got = t.box_query(&rect).unwrap();
-        got.sort_unstable();
         let want: Vec<u64> = (0..pts.len() as u64)
             .filter(|&i| rect.contains_point(&pts[i as usize]))
             .collect();
-        assert_eq!(got, want);
+        for patches in variants {
+            let mut bytes = clean.clone();
+            for &(at, value) in patches {
+                reseal_core(&mut bytes, at, value);
+            }
+            std::fs::write(&meta, &bytes).unwrap();
+            let t = HybridTree::open(&pages, &meta).unwrap();
+            assert_eq!(t.len(), 300);
+            assert_eq!(t.config().node_cache_entries, 12);
+            t.check_invariants().unwrap();
+            let mut got = t.box_query(&rect).unwrap();
+            got.sort_unstable();
+            assert_eq!(got, want, "{patches:?}");
+        }
         std::fs::remove_file(&pages).ok();
         std::fs::remove_file(&meta).ok();
     }

@@ -14,10 +14,11 @@
 //!   already used inside the node's kd-tree (Lemma 1: the restriction is
 //!   lossless and yields implicit dimensionality reduction).
 
-use crate::config::{QuerySizeDist, SplitPolicy};
+use crate::config::SplitPolicy;
 use crate::kdtree::KdTree;
 use crate::node::DataEntry;
 use hyt_geom::{Coord, Rect};
+use hyt_index::{IndexError, IndexResult};
 use hyt_page::PageId;
 
 /// Result of the 1-d segment bipartitioning (paper §3.3).
@@ -274,6 +275,51 @@ pub struct IndexSplit {
     pub right: Vec<(PageId, Rect)>,
 }
 
+/// The paper's index-split score (§3.3): the expected increase in disk
+/// accesses, `E_r[(w + r)/(s + r)]`, if a split with overlap `w` happens
+/// along a dimension of extent `s`, for a query side `r` uniform on
+/// `[0, 1]`. The expectation has the closed form
+/// `1 + (w - s) · ln((s + 1)/s)`.
+///
+/// Lower is better. Degenerate extents (`s <= 0`) score worst (1.0 —
+/// both children always accessed together).
+fn split_cost(w: f64, s: f64) -> f64 {
+    debug_assert!(w >= -1e-9, "negative overlap {w}");
+    let w = w.max(0.0);
+    if s <= 0.0 {
+        return 1.0;
+    }
+    1.0 + (w - s) * ((s + 1.0) / s).ln()
+}
+
+/// The dimension among `dims` whose best 1-d bipartition of `children`
+/// (at least `min_per_side` per group) scores lowest under
+/// [`split_cost`] against `region`'s extent; ties go to the larger
+/// extent, the more discriminating dimension. `None` if `dims` is empty.
+fn cheapest_bipartition(
+    children: &[(PageId, Rect)],
+    region: &Rect,
+    dims: impl IntoIterator<Item = usize>,
+    min_per_side: usize,
+) -> Option<(usize, Bipartition)> {
+    let mut best: Option<(f64, f64, usize, Bipartition)> = None;
+    for d in dims {
+        let segments: Vec<(Coord, Coord)> =
+            children.iter().map(|(_, r)| (r.lo(d), r.hi(d))).collect();
+        let bp = bipartition_1d(&segments, min_per_side);
+        let s = region.extent(d);
+        let cost = split_cost(bp.overlap(), s);
+        let better = match &best {
+            None => true,
+            Some((c, bs, ..)) => cost < *c - 1e-12 || (cost <= *c + 1e-12 && s > *bs),
+        };
+        if better {
+            best = Some((cost, s, d, bp));
+        }
+    }
+    best.map(|(_, _, d, bp)| (d, bp))
+}
+
 /// Splits an overflowing index node given its children and their
 /// kd-regions.
 ///
@@ -281,48 +327,33 @@ pub struct IndexSplit {
 /// first; the dimension whose bipartition minimizes the expected
 /// disk-access increase is selected (paper §3.3: "before the split
 /// dimension is actually chosen, the best split positions are determined
-/// for all the dimensions").
+/// for all the dimensions"). An empty `candidate_dims` means every
+/// dimension.
 pub(crate) fn split_index(
     children: &[(PageId, Rect)],
     region: &Rect,
     candidate_dims: &[u16],
     min_per_side: usize,
-    qdist: &QuerySizeDist,
-) -> IndexSplit {
+) -> IndexResult<IndexSplit> {
     debug_assert!(children.len() >= 2);
-    let all_dims: Vec<u16>;
-    let dims: &[u16] = if candidate_dims.is_empty() {
-        all_dims = (0..region.dim() as u16).collect();
-        &all_dims
+    let best = if candidate_dims.is_empty() {
+        cheapest_bipartition(children, region, 0..region.dim(), min_per_side)
     } else {
-        candidate_dims
+        let dims = candidate_dims.iter().map(|&d| d as usize);
+        cheapest_bipartition(children, region, dims, min_per_side)
     };
-
-    let mut best: Option<(f64, f64, u16, Bipartition)> = None;
-    for &d in dims {
-        let dd = d as usize;
-        let segments: Vec<(Coord, Coord)> =
-            children.iter().map(|(_, r)| (r.lo(dd), r.hi(dd))).collect();
-        let bp = bipartition_1d(&segments, min_per_side);
-        let s = region.extent(dd);
-        let cost = qdist.split_cost(bp.overlap(), s);
-        let better = match &best {
-            None => true,
-            // Tie-break toward the larger extent (more discriminating dim).
-            Some((c, bs, ..)) => cost < *c - 1e-12 || (cost <= *c + 1e-12 && s > *bs),
-        };
-        if better {
-            best = Some((cost, s, d, bp));
-        }
-    }
-    let (_, _, dim, bp) = best.expect("at least one candidate dimension");
-    IndexSplit {
-        dim,
+    let Some((dim, bp)) = best else {
+        return Err(IndexError::Internal(
+            "index split over a zero-dimensional region".into(),
+        ));
+    };
+    Ok(IndexSplit {
+        dim: dim as u16,
         lsp: bp.lsp,
         rsp: bp.rsp,
         left: bp.left.iter().map(|&i| children[i].clone()).collect(),
         right: bp.right.iter().map(|&i| children[i].clone()).collect(),
-    }
+    })
 }
 
 /// VAMSplit-style index-node split (White & Jain): the dimension with
@@ -389,10 +420,10 @@ pub(crate) fn split_index_vam(children: &[(PageId, Rect)], min_per_side: usize) 
 /// the dimension whose bipartition minimizes the same EDA score used for
 /// node splits. Split positions are absolute coordinates, so the produced
 /// tree composes with any enclosing region.
-pub(crate) fn build_kd(children: &[(PageId, Rect)], qdist: &QuerySizeDist) -> KdTree {
+pub(crate) fn build_kd(children: &[(PageId, Rect)]) -> IndexResult<KdTree> {
     debug_assert!(!children.is_empty());
     if children.len() == 1 {
-        return KdTree::leaf(children[0].0);
+        return Ok(KdTree::leaf(children[0].0));
     }
     let dim_count = children[0].1.dim();
     let mut region = children[0].1.clone();
@@ -400,32 +431,20 @@ pub(crate) fn build_kd(children: &[(PageId, Rect)], qdist: &QuerySizeDist) -> Kd
         region.extend_to_rect(r);
     }
     let m = children.len() / 2;
-
-    let mut best: Option<(f64, f64, usize, Bipartition)> = None;
-    for d in 0..dim_count {
-        let segments: Vec<(Coord, Coord)> =
-            children.iter().map(|(_, r)| (r.lo(d), r.hi(d))).collect();
-        let bp = bipartition_1d(&segments, m);
-        let s = region.extent(d);
-        let cost = qdist.split_cost(bp.overlap(), s);
-        let better = match &best {
-            None => true,
-            Some((c, bs, ..)) => cost < *c - 1e-12 || (cost <= *c + 1e-12 && s > *bs),
-        };
-        if better {
-            best = Some((cost, s, d, bp));
-        }
-    }
-    let (_, _, dim, bp) = best.unwrap();
+    let Some((dim, bp)) = cheapest_bipartition(children, &region, 0..dim_count, m) else {
+        return Err(IndexError::Internal(
+            "kd rebuild over zero-dimensional children".into(),
+        ));
+    };
     let left: Vec<(PageId, Rect)> = bp.left.iter().map(|&i| children[i].clone()).collect();
     let right: Vec<(PageId, Rect)> = bp.right.iter().map(|&i| children[i].clone()).collect();
-    KdTree::split(
+    Ok(KdTree::split(
         dim as u16,
         bp.lsp,
         bp.rsp,
-        build_kd(&left, qdist),
-        build_kd(&right, qdist),
-    )
+        build_kd(&left)?,
+        build_kd(&right)?,
+    ))
 }
 
 #[cfg(test)]
@@ -591,6 +610,37 @@ mod tests {
     }
 
     #[test]
+    fn split_cost_properties() {
+        // Full overlap costs 1 regardless of s.
+        assert!((split_cost(0.3, 0.3) - 1.0).abs() < 1e-9);
+        // No overlap costs strictly less than 1 and decreases with s.
+        let c_small = split_cost(0.0, 0.1);
+        let c_big = split_cost(0.0, 0.9);
+        assert!(c_small < 1.0 && c_big < c_small);
+        // Monotone in w.
+        assert!(split_cost(0.05, 0.5) < split_cost(0.25, 0.5));
+    }
+
+    #[test]
+    fn split_cost_agrees_with_numeric_integral() {
+        let (w, s) = (0.07, 0.42);
+        let n = 100_000;
+        let numeric: f64 = (0..n)
+            .map(|i| {
+                let r = (i as f64 + 0.5) / n as f64;
+                (w + r) / (s + r)
+            })
+            .sum::<f64>()
+            / n as f64;
+        assert!((split_cost(w, s) - numeric).abs() < 1e-6);
+    }
+
+    #[test]
+    fn degenerate_extent_scores_worst() {
+        assert_eq!(split_cost(0.0, 0.0), 1.0);
+    }
+
+    #[test]
     fn index_split_prefers_clean_dimension() {
         // Along dim 0 the children separate cleanly; along dim 1 they all
         // span the node. The EDA score must choose dim 0.
@@ -601,13 +651,7 @@ mod tests {
             child(4, vec![0.75, 0.0], vec![1.0, 1.0]),
         ];
         let region = Rect::unit(2);
-        let s = split_index(
-            &children,
-            &region,
-            &[0, 1],
-            2,
-            &QuerySizeDist::Uniform { max: 1.0 },
-        );
+        let s = split_index(&children, &region, &[0, 1], 2).unwrap();
         assert_eq!(s.dim, 0);
         assert!(s.lsp <= s.rsp, "clean split expected");
         assert_eq!(s.left.len(), 2);
@@ -624,13 +668,7 @@ mod tests {
             child(4, vec![0.4, 0.5], vec![1.0, 1.0]),
         ];
         let region = Rect::unit(2);
-        let s = split_index(
-            &children,
-            &region,
-            &[0],
-            2,
-            &QuerySizeDist::Uniform { max: 1.0 },
-        );
+        let s = split_index(&children, &region, &[0], 2).unwrap();
         assert_eq!(s.dim, 0);
     }
 
@@ -645,7 +683,7 @@ mod tests {
             child(4, vec![0.05], vec![0.95]),
         ];
         let region = Rect::unit(1);
-        let s = split_index(&children, &region, &[0], 2, &QuerySizeDist::Fixed(0.1));
+        let s = split_index(&children, &region, &[0], 2).unwrap();
         assert!(s.lsp > s.rsp, "overlap is the price of utilization");
         assert_eq!(s.left.len() + s.right.len(), 4);
         assert!(s.left.len() >= 2 && s.right.len() >= 2);
@@ -660,7 +698,7 @@ mod tests {
             child(4, vec![0.5, 0.5], vec![1.0, 1.0]),
             child(5, vec![0.25, 0.25], vec![0.75, 0.75]),
         ];
-        let kd = build_kd(&children, &QuerySizeDist::Uniform { max: 1.0 });
+        let kd = build_kd(&children).unwrap();
         assert_eq!(kd.fanout(), 5);
         let mut ids: Vec<u32> = kd.child_ids().iter().map(|p| p.0).collect();
         ids.sort_unstable();
@@ -679,7 +717,7 @@ mod tests {
             child(4, vec![0.6, 0.5], vec![1.0, 1.0]),
         ];
         let region = Rect::unit(2);
-        let kd = build_kd(&children, &QuerySizeDist::Uniform { max: 1.0 });
+        let kd = build_kd(&children).unwrap();
         let mapped = kd.children_with_regions(&region);
         for (pid, mapped_region) in mapped {
             let original = &children.iter().find(|(p, _)| *p == pid).unwrap().1;
@@ -698,7 +736,7 @@ mod tests {
                 child(i, vec![lo], vec![lo + 1.0 / 64.0])
             })
             .collect();
-        let kd = build_kd(&children, &QuerySizeDist::Uniform { max: 1.0 });
+        let kd = build_kd(&children).unwrap();
         assert_eq!(kd.fanout(), 64);
         // Balanced bipartition gives logarithmic depth (6 for 64 leaves);
         // allow slack but reject linear chains.
@@ -710,7 +748,7 @@ mod tests {
         let children: Vec<(PageId, Rect)> = (0..5)
             .map(|i| child(i, vec![0.2, 0.2], vec![0.8, 0.8]))
             .collect();
-        let kd = build_kd(&children, &QuerySizeDist::Uniform { max: 1.0 });
+        let kd = build_kd(&children).unwrap();
         assert_eq!(kd.fanout(), 5);
     }
 }

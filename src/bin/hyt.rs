@@ -156,12 +156,13 @@ fn opt_parse<T: std::str::FromStr>(
     }
 }
 
+/// Parses comma-separated coordinates. `f32`'s parser accepts `nan` and
+/// `inf`, which no point or box may hold, so those are refused here.
 fn parse_vector(s: &str) -> Result<Vec<f32>, String> {
     s.split(',')
-        .map(|t| {
-            t.trim()
-                .parse()
-                .map_err(|_| format!("bad coordinate `{t}`"))
+        .map(|t| match t.trim().parse::<f32>() {
+            Ok(x) if x.is_finite() => Ok(x),
+            _ => Err(format!("bad coordinate `{t}`")),
         })
         .collect()
 }
@@ -174,8 +175,8 @@ fn parse_metric(s: &str) -> Result<Box<dyn Metric>, String> {
         other => {
             if let Some(p) = other.strip_prefix("lp:") {
                 let p: f64 = p.parse().map_err(|_| format!("bad lp order `{p}`"))?;
-                if p < 1.0 {
-                    return Err("lp order must be >= 1".into());
+                if !(p.is_finite() && p >= 1.0) {
+                    return Err("lp order must be finite and >= 1".into());
                 }
                 Ok(Box::new(Lp::new(p)))
             } else {
@@ -264,7 +265,7 @@ fn build(opts: &HashMap<String, String>) -> Result<(), String> {
     tree.persist(meta).map_err(|e| e.to_string())?;
     println!(
         "built {} entries ({dim}-d) in {:.2}s — height {}, {} data-entries/page, \
-         ELS table {} bytes\nindex: {index}\ncatalog: {meta}",
+         ELS encoded size {} bytes\nindex: {index}\ncatalog: {meta}",
         tree.len(),
         start.elapsed().as_secs_f64(),
         tree.height(),
@@ -317,8 +318,9 @@ fn stats(opts: &HashMap<String, String>) -> Result<(), String> {
         tree.dim()
     );
     println!(
-        "ELS overhead       {} bytes in memory",
-        tree.els_overhead_bytes()
+        "ELS encoded size   {} bytes at {} bits per boundary",
+        tree.els_overhead_bytes(),
+        tree.config().els_bits
     );
     let cs = tree.cache_stats();
     println!(

@@ -233,3 +233,61 @@ fn scrub_passes_an_index_built_without_els() {
     assert!(stdout.contains("clean"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn non_finite_inputs_are_errors_not_panics() {
+    // Rust's float parsers accept `nan` and `inf`; every path that reads
+    // a vector or an lp order must refuse them with an error line instead
+    // of handing them to a constructor that asserts.
+    let dir = std::env::temp_dir().join(format!("hyt_cli_nan_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    std::fs::write(at("good.csv"), "0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0.8\n").unwrap();
+    std::fs::write(at("bad.csv"), "0.1,0.2,0.3,0.4\nnan,0.2,0.3,0.4\n").unwrap();
+    std::fs::write(at("batch.txt"), "knn nan,0.1,0.2,0.3 3\n").unwrap();
+    let build = |csv: &str, db: &str| {
+        let (pages, meta) = (at(&format!("{db}.pages")), at(&format!("{db}.meta")));
+        [
+            "build",
+            "--input",
+            &at(csv),
+            "--index",
+            &pages,
+            "--meta",
+            &meta,
+        ]
+        .map(String::from)
+    };
+    let out = hyt().args(build("good.csv", "db")).output().unwrap();
+    assert!(out.status.success());
+    let (pages, meta, batch) = (at("db.pages"), at("db.meta"), at("batch.txt"));
+    let on_db = |cmd: &str, rest: &[&str]| {
+        let mut args = vec![cmd, "--index", &pages, "--meta", &meta];
+        args.extend(rest);
+        args.into_iter().map(String::from).collect::<Vec<_>>()
+    };
+    let cases = [
+        on_db("knn", &["--query", "nan,0.1,0.2,0.3"]),
+        on_db("range", &["--query", "inf,0.1,0.2,0.3", "--radius", "0.1"]),
+        on_db(
+            "box",
+            &["--lo", "nan,0.1,0.1,0.1", "--hi", "0.9,0.9,0.9,0.9"],
+        ),
+        on_db("batch", &["--queries", &batch]),
+        // `Lp::new` asserts a finite order, and `nan < 1.0` is false.
+        on_db("knn", &["--query", "0.1,0.1,0.1,0.1", "--metric", "lp:nan"]),
+        on_db("knn", &["--query", "0.1,0.1,0.1,0.1", "--metric", "lp:inf"]),
+        build("bad.csv", "bad").to_vec(),
+    ];
+    for args in cases {
+        let out = hyt().args(&args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "{args:?} accepted a non-finite value"
+        );
+        assert!(err.contains("error:"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

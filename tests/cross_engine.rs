@@ -217,7 +217,6 @@ fn distance_engines(points: &[Point]) -> Vec<(&'static str, Box<dyn MultidimInde
     };
     let sr = SrTreeConfig {
         page_size: EPS_PAGE,
-        ..SrTreeConfig::default()
     };
     let kdb = KdbTreeConfig {
         page_size: EPS_PAGE,

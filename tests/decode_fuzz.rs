@@ -535,7 +535,6 @@ fn queries_survive_bit_flips() {
     let sr = |s| {
         let cfg = SrTreeConfig {
             page_size: FLIP_PAGE,
-            ..SrTreeConfig::default()
         };
         SrTree::with_storage(3, cfg, s).unwrap()
     };
@@ -559,7 +558,6 @@ fn sr_root_with_no_entries_fails_inserts_cleanly() {
     let (storage, script) = FaultStorage::new(MemStorage::with_page_size(FLIP_PAGE));
     let cfg = SrTreeConfig {
         page_size: FLIP_PAGE,
-        ..SrTreeConfig::default()
     };
     let mut t = SrTree::with_storage(3, cfg, storage).unwrap();
     for (i, p) in flip_points().into_iter().take(120).enumerate() {

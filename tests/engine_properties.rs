@@ -70,7 +70,7 @@ proptest! {
 
     #[test]
     fn srtree_matches_oracle(ops in proptest::collection::vec(op_strategy(3), 1..200)) {
-        let cfg = SrTreeConfig { page_size: 512, ..SrTreeConfig::default() };
+        let cfg = SrTreeConfig { page_size: 512 };
         run_ops(Box::new(SrTree::new(3, cfg).unwrap()), ops);
     }
 
