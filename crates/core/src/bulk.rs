@@ -273,7 +273,9 @@ mod tests {
         assert!(t.delete(&pts[10].0, 10).unwrap());
         assert_eq!(t.len(), 800);
         t.check_invariants().unwrap();
-        let hits = t.point_query(&Point::new(vec![0.5, 0.5, 0.5])).unwrap();
+        let hits = t
+            .box_query(&Rect::from_point(&Point::new(vec![0.5, 0.5, 0.5])))
+            .unwrap();
         assert_eq!(hits, vec![9999]);
     }
 
@@ -310,7 +312,9 @@ mod tests {
         let t = HybridTree::bulk_load(entries, cfg()).unwrap();
         assert_eq!(t.len(), 500);
         t.check_invariants().unwrap();
-        let hits = t.point_query(&Point::new(vec![0.25, 0.75])).unwrap();
+        let hits = t
+            .box_query(&Rect::from_point(&Point::new(vec![0.25, 0.75])))
+            .unwrap();
         assert_eq!(hits.len(), 500);
     }
 

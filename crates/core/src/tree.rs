@@ -190,38 +190,6 @@ impl<S: Storage> HybridTree<S> {
         self.els.encoded_bytes()
     }
 
-    /// Exact-match query: oids of entries whose point equals `p`.
-    pub fn point_query(&self, p: &Point) -> IndexResult<Vec<u64>> {
-        check_dim(self.dim, p.dim())?;
-        if self.len == 0 {
-            return Ok(Vec::new());
-        }
-        let mut out = Vec::new();
-        let mut stack = vec![self.root];
-        let mut kids = Vec::new();
-        let mut io = IoStats::default();
-        while let Some(pid) = stack.pop() {
-            kids.clear();
-            self.pool.read_with(
-                pid,
-                false,
-                &mut io,
-                QueryContext::unlimited(),
-                |buf| -> PageResult<()> {
-                    match NodeView::parse(buf, self.dim)? {
-                        NodeView::Data(view) => view.filter_point(p, &mut out),
-                        NodeView::Index(view) => {
-                            view.children_containing_point(p, None, &mut |c, _| kids.push(c))?
-                        }
-                    }
-                    Ok(())
-                },
-            )??;
-            stack.extend(kids.iter().filter(|c| self.els.may_contain(**c, p)));
-        }
-        Ok(out)
-    }
-
     /// Runs the full structural invariant checker (containment,
     /// utilization, page-size, ELS conservativeness, level consistency,
     /// entry count) and returns the first rule it finds broken. Intended
@@ -972,9 +940,9 @@ mod tests {
         let p = Point::new(vec![0.25, 0.75]);
         t.insert(p.clone(), 7).unwrap();
         assert_eq!(t.len(), 1);
-        assert_eq!(t.point_query(&p).unwrap(), vec![7]);
+        assert_eq!(t.box_query(&Rect::from_point(&p)).unwrap(), vec![7]);
         assert!(t
-            .point_query(&Point::new(vec![0.5, 0.5]))
+            .box_query(&Rect::from_point(&Point::new(vec![0.5, 0.5])))
             .unwrap()
             .is_empty());
         t.check_invariants().unwrap();
@@ -1008,7 +976,9 @@ mod tests {
         t.check_invariants().unwrap();
         for (i, p) in pts.iter().enumerate() {
             assert!(
-                t.point_query(p).unwrap().contains(&(i as u64)),
+                t.box_query(&Rect::from_point(p))
+                    .unwrap()
+                    .contains(&(i as u64)),
                 "point {i} lost after splits"
             );
         }
@@ -1093,7 +1063,7 @@ mod tests {
         for i in 0..100 {
             t.insert(p.clone(), i).unwrap();
         }
-        let mut got = t.point_query(&p).unwrap();
+        let mut got = t.box_query(&Rect::from_point(&p)).unwrap();
         got.sort_unstable();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
         t.check_invariants().unwrap();
@@ -1105,7 +1075,7 @@ mod tests {
         let mut t = build(&pts, small_cfg());
         assert!(t.delete(&pts[42], 42).unwrap());
         assert_eq!(t.len(), 299);
-        assert!(t.point_query(&pts[42]).unwrap().is_empty());
+        assert!(t.box_query(&Rect::from_point(&pts[42])).unwrap().is_empty());
         // Deleting again reports absence.
         assert!(!t.delete(&pts[42], 42).unwrap());
         // Mismatched oid does not delete.
@@ -1130,7 +1100,8 @@ mod tests {
         t.check_invariants().unwrap();
         // The tree remains usable after total deletion.
         t.insert(Point::new(vec![0.3, 0.3]), 1).unwrap();
-        assert_eq!(t.point_query(&Point::new(vec![0.3, 0.3])).unwrap(), vec![1]);
+        let p = Point::new(vec![0.3, 0.3]);
+        assert_eq!(t.box_query(&Rect::from_point(&p)).unwrap(), vec![1]);
     }
 
     #[test]
@@ -1188,7 +1159,10 @@ mod tests {
         let t = build(&pts, small_cfg());
         t.check_invariants().unwrap();
         for (i, p) in pts.iter().enumerate().step_by(17) {
-            assert!(t.point_query(p).unwrap().contains(&(i as u64)));
+            assert!(t
+                .box_query(&Rect::from_point(p))
+                .unwrap()
+                .contains(&(i as u64)));
         }
     }
 

@@ -125,18 +125,6 @@ impl<'a> DataView<'a> {
         }
     }
 
-    /// Appends the oids of entries whose point equals `p` exactly.
-    pub fn filter_point(&self, p: &Point, out: &mut Vec<u64>) {
-        'entry: for i in 0..self.count {
-            for d in 0..self.dim {
-                if self.coord(i, d).to_bits() != p.coord(d).to_bits() {
-                    continue 'entry;
-                }
-            }
-            out.push(self.oid(i));
-        }
-    }
-
     /// Index of the first entry holding `oid` at `p`, coordinates
     /// compared as [`Point::same_coords`] compares them.
     pub(crate) fn position(&self, p: &Point, oid: u64) -> Option<usize> {
@@ -720,9 +708,6 @@ mod tests {
         let mut out = Vec::new();
         view.filter_box(&Rect::new(vec![0.25, 0.0], vec![0.65, 1.0]), &mut out);
         assert_eq!(out, vec![3, 4, 5, 6]);
-        out.clear();
-        view.filter_point(&Point::new(vec![0.3, 0.5]), &mut out);
-        assert_eq!(out, vec![3]);
     }
 
     #[test]

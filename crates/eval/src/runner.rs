@@ -23,8 +23,11 @@ pub enum Engine {
     HybridVam,
     /// Hybrid tree with a given ELS precision (Fig 5(c) sweep).
     HybridEls(u8),
-    /// Bulk-loaded hybrid tree (same structure, globally-optimized build;
-    /// isolates insertion-order effects from the structure itself).
+    /// Bulk-loaded hybrid tree (same structure, bottom-up build). The
+    /// loader quantizes each child's ELS box against that child's own
+    /// live box, so its ELS is exact at any `els_bits`: its rows differ
+    /// from [`Engine::Hybrid`]'s in build order *and* ELS precision, and
+    /// isolate neither.
     HybridBulk,
     /// hB-tree.
     Hb,

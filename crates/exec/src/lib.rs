@@ -725,6 +725,9 @@ impl<E: NodeExpand> KnnStream for KnnCursor<'_, E> {
     }
 }
 
+/// Most hits [`run_knn`] reserves room for before the first one arrives.
+const KNN_RESERVE: usize = 256;
+
 /// Runs a governed k-nearest-neighbor query over any [`NodeExpand`]
 /// engine: a [`KnnCursor`] bounded by k, pulled k times. The traversal
 /// is best-first over `(bound, node id)` and ends once k neighbors are
@@ -757,7 +760,9 @@ fn run_knn<E: NodeExpand>(
         best: BinaryHeap::new(),
     };
     let mut cur = KnnCursor::open(ex, Cow::Borrowed(q), metric, Cow::Borrowed(ctx), Some(best));
-    let mut hits = Vec::with_capacity(k);
+    // `k` is the caller's and may dwarf the index: reserve for a typical
+    // answer and let a larger one grow as hits arrive.
+    let mut hits = Vec::with_capacity(k.min(KNN_RESERVE));
     while hits.len() < k {
         match cur.advance() {
             Ok(Some(hit)) => hits.push(hit),

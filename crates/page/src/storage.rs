@@ -103,6 +103,22 @@ pub trait Storage: Send + Sync {
     }
 }
 
+/// Smallest page any store accepts: no node header fits in fewer bytes.
+const MIN_PAGE_SIZE: usize = 64;
+
+/// Rejects a page size below [`MIN_PAGE_SIZE`] with a typed error
+/// (`ErrorKind::InvalidInput`) instead of a panic, so a caller's bad
+/// setting surfaces before any file is touched.
+fn check_page_size(page_size: usize) -> PageResult<()> {
+    if page_size < MIN_PAGE_SIZE {
+        return Err(PageError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("page size {page_size} is below the {MIN_PAGE_SIZE}-byte minimum"),
+        )));
+    }
+    Ok(())
+}
+
 /// In-memory page store — the default substrate for experiments.
 pub struct MemStorage {
     page_size: usize,
@@ -122,7 +138,10 @@ impl MemStorage {
     /// # Panics
     /// Panics if `page_size` is smaller than 64 bytes (no node header fits).
     pub fn with_page_size(page_size: usize) -> Self {
-        assert!(page_size >= 64, "page size too small to hold any node");
+        assert!(
+            page_size >= MIN_PAGE_SIZE,
+            "page size too small to hold any node"
+        );
         Self {
             page_size,
             pages: Vec::new(),
@@ -228,9 +247,10 @@ pub struct FileStorage {
 }
 
 impl FileStorage {
-    /// Creates (truncating) a page file at `path`.
+    /// Creates (truncating) a page file at `path`. A `page_size` below 64
+    /// bytes is an `InvalidInput` I/O error and leaves `path` untouched.
     pub fn create<P: AsRef<Path>>(path: P, page_size: usize) -> PageResult<Self> {
-        assert!(page_size >= 64, "page size too small to hold any node");
+        check_page_size(page_size)?;
         let file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -251,6 +271,7 @@ impl FileStorage {
     /// Opens an existing page file; all pages present are considered live
     /// (see the type docs for how the framed adapter refines this).
     pub fn open<P: AsRef<Path>>(path: P, page_size: usize) -> PageResult<Self> {
+        check_page_size(page_size)?;
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let len = file.metadata()?.len();
         if len % page_size as u64 != 0 {
@@ -467,6 +488,29 @@ mod tests {
             s.read(PageId(1), &mut buf).unwrap();
             assert_eq!(&buf[..11], b"persisted-b");
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn file_storage_rejects_a_page_size_below_the_minimum() {
+        let dir = std::env::temp_dir().join(format!("hyt_page_small_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("small.pages");
+        for page_size in [0, 1, MIN_PAGE_SIZE - 1] {
+            for result in [
+                FileStorage::create(&path, page_size),
+                FileStorage::open(&path, page_size),
+            ] {
+                match result {
+                    Err(PageError::Io(e)) => {
+                        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput)
+                    }
+                    other => panic!("page size {page_size}: {:?}", other.err()),
+                }
+            }
+            assert!(!path.exists(), "a rejected create must not touch the file");
+        }
+        FileStorage::create(&path, MIN_PAGE_SIZE).unwrap();
         std::fs::remove_file(&path).ok();
     }
 

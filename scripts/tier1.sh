@@ -41,7 +41,4 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "== cargo doc hyt-exec (kernel contract docs must build clean, private items included)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p hyt-exec --document-private-items --quiet
 
-echo "== bench smoke (criterion micro benches, shortened sampling)"
-HYT_BENCH_MS=200 cargo bench -p hyt-bench --bench micro
-
 echo "tier-1 green"

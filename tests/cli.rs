@@ -291,3 +291,39 @@ fn non_finite_inputs_are_errors_not_panics() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn degenerate_sizes_are_errors_or_answers_not_panics() {
+    // A page size below the storage minimum is refused before any file
+    // is written; a `k` beyond the index's size returns every point.
+    let dir = std::env::temp_dir().join(format!("hyt_cli_sizes_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    std::fs::write(at("pts.csv"), "0.1,0.2\n0.5,0.6\n0.9,0.1\n").unwrap();
+    let build = |db: &str, extra: &[&str]| {
+        let (pages, meta) = (at(&format!("{db}.pages")), at(&format!("{db}.meta")));
+        hyt()
+            .args(["build", "--input", &at("pts.csv"), "--index", &pages])
+            .args(["--meta", &meta])
+            .args(extra)
+            .output()
+            .unwrap()
+    };
+
+    let out = build("zero", &["--page-size", "0"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("error:") && err.contains("page size"), "{err}");
+    assert!(!std::path::Path::new(&at("zero.pages")).exists());
+
+    assert!(build("db", &[]).status.success());
+    let out = hyt()
+        .args(["knn", "--index", &at("db.pages"), "--meta", &at("db.meta")])
+        .args(["--query", "0.5,0.5", "--k", &usize::MAX.to_string()])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout).lines().count(), 3);
+    std::fs::remove_dir_all(&dir).ok();
+}

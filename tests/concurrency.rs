@@ -95,10 +95,16 @@ fn hybrid(data: &[Point], node_cache_entries: usize) -> HybridTree {
 /// concurrent queries churn its LRU.
 const SMALL_CACHE: usize = 8;
 
+/// The smallest cache whose table is split into shards (the decoded-node
+/// cache shards from 128 entries on), so concurrent queries hit warm
+/// entries behind several shard locks.
+const SHARDED_CACHE: usize = 128;
+
 /// Raw `std::thread` sharing (no runner): concurrent queries straight on
 /// a `HybridTree` behind an `Arc`, interleaved with a nearest-neighbor
 /// cursor, all agreeing with the single-threaded answers of a tree
-/// without the decoded-node cache — also when a small cache churns.
+/// without the decoded-node cache — also when a small cache churns and
+/// when a sharded one serves warm hits.
 #[test]
 fn hybrid_tree_is_shareable_across_threads() {
     let data = build_points(3000, 4, 2);
@@ -110,7 +116,7 @@ fn hybrid_tree_is_shareable_across_threads() {
             .map(|c| tree.knn(c, 5, &L2).unwrap())
             .collect()
     };
-    for cache in [0, SMALL_CACHE] {
+    for cache in [0, SMALL_CACHE, SHARDED_CACHE] {
         let tree = Arc::new(hybrid(&data, cache));
         assert!(tree.structure_stats().unwrap().data_nodes > 2 * SMALL_CACHE);
         let mut handles = Vec::new();
@@ -136,9 +142,10 @@ fn hybrid_tree_is_shareable_across_threads() {
             assert_eq!(first.0, expected[0][0].0);
             assert!((first.1 - expected[0][0].1).abs() < 1e-12);
         }
-        if cache > 0 {
-            let s = tree.cache_stats();
-            assert!(s.hits > 0 && s.evictions > 0, "cache {cache}: {s:?}");
+        let s = tree.cache_stats();
+        assert_eq!(s.hits > 0, cache > 0, "cache {cache}: {s:?}");
+        if cache == SMALL_CACHE {
+            assert!(s.evictions > 0, "cache {cache}: {s:?}");
         }
     }
 }
@@ -151,7 +158,7 @@ fn per_query_io_sums_to_global_counters() {
     let data = build_points(5000, 5, 3);
     let queries = mixed_queries(&data, 32);
     let mut uncached_reads = None;
-    for cache in [0, SMALL_CACHE] {
+    for cache in [0, SMALL_CACHE, SHARDED_CACHE] {
         let tree = hybrid(&data, cache);
         tree.reset_io_stats();
         let answers = unlimited(&tree, &queries, 4);

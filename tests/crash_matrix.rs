@@ -243,7 +243,7 @@ fn the_commit_point_is_durable() {
     // catalog prunes correctly — a wrong table would drop results
     // silently).
     for (i, p) in pts.iter().enumerate().step_by(29) {
-        let hits = tree.point_query(p).unwrap();
+        let hits = tree.box_query(&Rect::from_point(p)).unwrap();
         assert!(hits.contains(&(i as u64)), "committed point {i} lost");
     }
     std::fs::remove_file(&pages).ok();
@@ -265,7 +265,7 @@ fn transient_read_faults_are_invisible_to_queries() {
     // Two consecutive failures per physical read is within the retry
     // budget (3): queries must succeed without surfacing an error.
     script.fail_next_reads(2);
-    let hits = tree.point_query(&pts[17]).unwrap();
+    let hits = tree.box_query(&Rect::from_point(&pts[17])).unwrap();
     assert!(hits.contains(&17));
     std::fs::remove_file(&pages).ok();
     std::fs::remove_file(&meta).ok();

@@ -374,3 +374,30 @@ fn invalid_radius_is_an_error_on_every_distance_engine() {
         assert_eq!(outcome.into_results().oids.len(), pts.len(), "{name}");
     }
 }
+
+/// A `k` beyond any index's size — up to `usize::MAX` — is legal: every
+/// distance engine returns every point, nearest first, as a complete
+/// answer instead of reserving room for `k` hits up front.
+#[test]
+fn huge_k_returns_every_point_on_every_distance_engine() {
+    let pts = rand_points(400, 3, 9);
+    let q = Point::new(vec![0.5; 3]);
+    let query = Query::Knn {
+        q: q.clone(),
+        k: usize::MAX,
+        epsilon: 0.0,
+    };
+    let mut want: Vec<f64> = pts.iter().map(|p| L2.distance(&q, p)).collect();
+    want.sort_by(f64::total_cmp);
+    for (name, t) in distance_engines(&pts) {
+        let (outcome, _) = t.execute(&query, &L2, QueryContext::unlimited()).unwrap();
+        assert!(outcome.is_complete(), "{name}");
+        let hits = outcome.into_results().into_hits();
+        let mut oids: Vec<u64> = hits.iter().map(|h| h.0).collect();
+        oids.sort_unstable();
+        assert_eq!(oids, (0..pts.len() as u64).collect::<Vec<_>>(), "{name}");
+        for (rank, (_, d)) in hits.iter().enumerate() {
+            assert!((d - want[rank]).abs() < 1e-9, "{name}: rank {rank}");
+        }
+    }
+}
