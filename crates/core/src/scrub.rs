@@ -28,7 +28,8 @@ use crate::persist::read_catalog;
 use crate::verify::{self, Els};
 use hyt_index::IndexResult;
 use hyt_page::{
-    inspect_frame, FileStorage, FrameStatus, PageError, PageId, Storage, FRAME_HEADER_BYTES,
+    framed_slot_size, inspect_frame, FileStorage, FrameStatus, PageError, PageId, Storage,
+    FRAME_HEADER_BYTES,
 };
 use std::collections::HashMap;
 use std::path::Path;
@@ -94,7 +95,7 @@ struct FrameScan {
 }
 
 fn scan_frames(pages_path: &Path, logical_page_size: usize) -> Result<FrameScan, PageError> {
-    let slot_size = logical_page_size + FRAME_HEADER_BYTES;
+    let slot_size = framed_slot_size(logical_page_size)?;
     let storage = FileStorage::open(pages_path, slot_size)?;
     let slots = storage.page_slots();
     let mut scan = FrameScan {
@@ -316,6 +317,15 @@ mod tests {
         assert!(scrub_index(&pages, &meta).unwrap().is_clean());
         std::fs::remove_file(&pages).ok();
         std::fs::remove_file(&meta).ok();
+    }
+
+    #[test]
+    fn a_page_size_too_large_to_frame_is_an_error() {
+        let (pages, _, _) = build("huge", 50);
+        assert!(matches!(
+            scrub_pages(&pages, usize::MAX),
+            Err(hyt_index::IndexError::Storage(PageError::Io(_)))
+        ));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! outcome: callers see exactly which queries ran and which were refused.
 
 use std::fmt;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A query was refused admission: every execution slot stayed busy for
@@ -41,6 +41,8 @@ impl std::error::Error for Overloaded {}
 /// spin, while a slot is busy, and must wake promptly when one frees.
 #[derive(Debug)]
 pub struct AdmissionGate {
+    /// Permits out. Every critical section leaves the count consistent,
+    /// so a lock poisoned by a panicking holder is recovered, not fatal.
     inflight: Mutex<usize>,
     freed: Condvar,
     max_inflight: usize,
@@ -66,7 +68,7 @@ impl AdmissionGate {
 
     /// Number of permits currently out.
     pub fn inflight(&self) -> usize {
-        *self.inflight.lock().expect("gate lock")
+        *self.inflight.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Acquires an execution slot, waiting up to the queue timeout.
@@ -74,7 +76,7 @@ impl AdmissionGate {
     /// [`Overloaded`] if every slot stayed busy for the whole wait.
     pub fn admit(&self) -> Result<AdmissionPermit<'_>, Overloaded> {
         let start = Instant::now();
-        let mut inflight = self.inflight.lock().expect("gate lock");
+        let mut inflight = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
         while *inflight >= self.max_inflight {
             let waited = start.elapsed();
             let Some(budget) = self.queue_timeout.checked_sub(waited) else {
@@ -86,7 +88,7 @@ impl AdmissionGate {
             let (guard, timeout) = self
                 .freed
                 .wait_timeout(inflight, budget)
-                .expect("gate lock");
+                .unwrap_or_else(PoisonError::into_inner);
             inflight = guard;
             if timeout.timed_out() && *inflight >= self.max_inflight {
                 return Err(Overloaded {
@@ -109,10 +111,11 @@ pub struct AdmissionPermit<'g> {
 
 impl Drop for AdmissionPermit<'_> {
     fn drop(&mut self) {
-        let mut inflight = self.gate.inflight.lock().expect("gate lock");
+        let gate = self.gate;
+        let mut inflight = gate.inflight.lock().unwrap_or_else(PoisonError::into_inner);
         *inflight = inflight.saturating_sub(1);
         drop(inflight);
-        self.gate.freed.notify_one();
+        gate.freed.notify_one();
     }
 }
 

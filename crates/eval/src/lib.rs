@@ -28,7 +28,6 @@ pub use admission::{AdmissionGate, AdmissionPermit, Overloaded};
 pub use report::FigureReport;
 pub use runner::{
     build_engine, compare_box, compare_distance, run_batch, run_box_queries, run_distance_queries,
-    run_knn_stream, total_io, BatchPolicy, CompareRow, Engine, GovernedAnswer, QueryCost,
-    QueryStatus,
+    run_knn_stream, total_io, CompareRow, Engine, QueryCost,
 };
 pub use scale::Scale;

@@ -1,11 +1,12 @@
 //! Build-and-measure machinery shared by all figure drivers.
 
-use crate::admission::{AdmissionGate, Overloaded};
+use crate::admission::AdmissionGate;
 use hybrid_tree::{HybridTree, HybridTreeConfig, SplitPolicy};
 use hyt_geom::{Metric, Point, Rect};
 use hyt_hbtree::{HbTree, HbTreeConfig};
 use hyt_index::{
-    Answer, CancelToken, DegradeReason, IndexError, IndexResult, MultidimIndex, Query, QueryContext,
+    Answer, DegradeReason, IndexError, IndexResult, MultidimIndex, Query, QueryContext,
+    QueryOutcome,
 };
 
 use hyt_kdbtree::{KdbTree, KdbTreeConfig};
@@ -254,230 +255,93 @@ where
 
 // ---------------------------------------------------------------------
 // Batch runner: a mixed workload executed serially or across a worker
-// pool, under resource limits, admission control, and bounded retry of
-// transient storage faults. Queries only need `&dyn MultidimIndex`, so
-// the workers share one index (and one buffer pool) without any
-// cloning; per-query I/O comes from `MultidimIndex::execute` and is
-// therefore identical however the batch is scheduled.
+// pool. Queries only need `&dyn MultidimIndex`, so the workers share one
+// index (and one buffer pool) without any cloning.
 // ---------------------------------------------------------------------
 
 /// Sums the per-query I/O of a batch (e.g. to compare scheduling modes:
 /// `logical_reads`/`seq_reads` totals are schedule-independent).
-pub fn total_io(answers: &[GovernedAnswer]) -> IoStats {
+pub fn total_io(answers: &[(QueryOutcome<Answer>, IoStats)]) -> IoStats {
     let mut total = IoStats::default();
-    for a in answers {
-        total.merge(&a.io);
+    for (_, io) in answers {
+        total.merge(io);
     }
     total
 }
 
-/// Resource limits applied to a batch run ([`run_batch`]).
-#[derive(Clone, Debug, Default)]
-pub struct BatchPolicy {
-    /// Wall-clock budget for the *whole batch*. The deadline is computed
-    /// once, up front, and every query in the batch shares it — a query
-    /// started late in an overrunning batch degrades immediately rather
-    /// than granting itself a fresh allowance.
-    pub timeout: Option<Duration>,
-    /// Cooperative cancel token shared by every query in the batch.
-    pub cancel: Option<CancelToken>,
-    /// Per-query logical-read budget.
-    pub max_reads: Option<u64>,
-    /// Per-query result-cardinality cap.
-    pub max_results: Option<usize>,
-    /// How many times a query hitting a *transient* storage fault
-    /// (an I/O error, never detected corruption) is retried before the
-    /// runner gives up with [`DegradeReason::RetriesExhausted`].
-    pub retry_limit: u32,
-    /// Base backoff between retries, doubled each attempt and clipped
-    /// to whatever remains of the batch deadline.
-    pub retry_backoff: Duration,
-}
-
-impl BatchPolicy {
-    /// Builds the per-query [`QueryContext`] for a batch whose shared
-    /// deadline (if any) was computed at batch start.
-    fn query_context(&self, deadline: Option<Instant>) -> QueryContext {
-        QueryContext {
-            deadline,
-            cancel: self.cancel.clone(),
-            max_logical_reads: self.max_reads,
-            max_results: self.max_results,
-        }
-    }
-}
-
-/// How one query of a governed batch finished.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum QueryStatus {
-    /// The answer is exact.
-    Complete,
-    /// A limit stopped the query; the answer is partial (possibly
-    /// empty, for [`DegradeReason::RetriesExhausted`]).
-    Degraded(DegradeReason),
-    /// The admission gate refused the query; the answer is empty.
-    Shed(Overloaded),
-}
-
-impl QueryStatus {
-    /// Whether the answer is exact.
-    pub fn is_complete(&self) -> bool {
-        matches!(self, QueryStatus::Complete)
-    }
-}
-
-/// One governed query's answer, I/O, status, and retry count.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GovernedAnswer {
-    /// The (possibly partial or empty) answer. Box and range oids are
-    /// sorted ascending (the engines leave their order unspecified, and a
-    /// canonical order makes serial and parallel runs bit-comparable);
-    /// kNN answers keep their ascending-distance order.
-    pub answer: Answer,
-    /// I/O incurred by this query, accumulated across retries: a query
-    /// that failed twice and succeeded on the third attempt is charged
-    /// for all three traversals.
-    pub io: IoStats,
-    /// How the query finished.
-    pub status: QueryStatus,
-    /// How many retries the transient-fault loop consumed.
-    pub retries: u32,
-}
-
-/// Runs one query under `ctx`, folding the typed outcome into a
-/// [`GovernedAnswer`] (with `retries` left at 0 for the caller to fix
-/// up).
+/// Runs one query of a [`run_batch`], which states the contract.
 fn run_one(
     idx: &dyn MultidimIndex,
     metric: &dyn Metric,
     q: &Query,
     ctx: &QueryContext,
-) -> IndexResult<GovernedAnswer> {
-    let (outcome, io) = idx.execute(q, metric, ctx)?;
-    let status = outcome
-        .degrade_reason()
-        .map_or(QueryStatus::Complete, QueryStatus::Degraded);
-    let mut answer = outcome.into_results();
-    if !matches!(q, Query::Knn { .. }) {
-        answer.oids.sort_unstable();
-    }
-    Ok(GovernedAnswer {
-        answer,
-        io,
-        status,
-        retries: 0,
-    })
-}
-
-/// Whether a query error is worth retrying: transient I/O faults are;
-/// detected corruption, unsupported operations, and misuse are not.
-fn is_transient(err: &IndexError) -> bool {
-    matches!(err, IndexError::Storage(PageError::Io(_)))
-}
-
-/// Runs one governed query with the policy's transient-fault retry
-/// loop. Retries re-run the whole query (traversal state cannot survive
-/// a failed page read); backoff doubles per attempt and never sleeps
-/// past the batch deadline.
-fn run_one_retrying(
-    idx: &dyn MultidimIndex,
-    metric: &dyn Metric,
-    q: &Query,
-    policy: &BatchPolicy,
-    deadline: Option<Instant>,
-) -> IndexResult<GovernedAnswer> {
-    let ctx = policy.query_context(deadline);
-    let mut io = IoStats::default();
-    let mut attempt = 0u32;
-    loop {
-        match run_one(idx, metric, q, &ctx) {
-            Ok(mut got) => {
-                io.merge(&got.io);
-                got.io = io;
-                got.retries = attempt;
-                return Ok(got);
-            }
-            Err(err) if is_transient(&err) => {
-                if attempt >= policy.retry_limit {
-                    return Ok(GovernedAnswer {
-                        answer: Answer::default(),
-                        io,
-                        status: QueryStatus::Degraded(DegradeReason::RetriesExhausted),
-                        retries: attempt,
-                    });
-                }
-                attempt += 1;
-                let mut backoff = policy
-                    .retry_backoff
-                    .checked_mul(1u32 << (attempt - 1).min(16))
-                    .unwrap_or(policy.retry_backoff);
-                if let Some(d) = deadline {
-                    backoff = backoff.min(d.saturating_duration_since(Instant::now()));
-                }
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-            }
-            Err(err) => return Err(err),
-        }
+    gate: Option<&AdmissionGate>,
+) -> IndexResult<(QueryOutcome<Answer>, IoStats)> {
+    let empty = |reason| {
+        Ok((
+            QueryOutcome::degraded(Answer::default(), reason),
+            IoStats::default(),
+        ))
+    };
+    let Ok(_permit) = gate.map(AdmissionGate::admit).transpose() else {
+        return empty(DegradeReason::Shed);
+    };
+    match idx.execute(q, metric, ctx) {
+        Ok((outcome, io)) if matches!(q, Query::Knn { .. }) => Ok((outcome, io)),
+        Ok((outcome, io)) => Ok((
+            outcome.map(|mut a| {
+                a.oids.sort_unstable();
+                a
+            }),
+            io,
+        )),
+        Err(IndexError::Storage(PageError::Io(_))) => empty(DegradeReason::RetriesExhausted),
+        Err(err) => Err(err),
     }
 }
 
 /// Runs a batch of queries across `threads` workers over one shared
-/// index, under `policy`: a shared batch deadline, cooperative
-/// cancellation, per-query read budgets and result caps, and bounded
-/// retry of transient storage faults, with (optionally) an
-/// [`AdmissionGate`] ahead of every query. `BatchPolicy::default()` and
-/// no gate run every query exactly.
+/// index. Every query runs under `ctx`, so a deadline set once bounds the
+/// whole batch, and (optionally) behind an [`AdmissionGate`].
+///
+/// Each answer is what [`MultidimIndex::execute`] returns, with box and
+/// range oids sorted ascending (the engines leave their order
+/// unspecified, and a canonical order makes serial and parallel runs
+/// bit-comparable); kNN answers keep their ascending-distance order. A
+/// query the gate refuses is [`DegradeReason::Shed`], and one whose
+/// transient storage fault outlasted the pool's retries is
+/// [`DegradeReason::RetriesExhausted`]; both carry an empty answer and
+/// no I/O.
 ///
 /// The batch is split into contiguous chunks, one per worker, and the
 /// answers are stitched back in submission order, so the output —
-/// including each answer's `io` — does not depend on `threads`; only
-/// the wall-clock time does. Degraded and shed queries are *results*,
-/// not errors: the returned vector always has one [`GovernedAnswer`] per
-/// input query. Only hard failures — corruption, unsupported queries,
-/// misuse — abort the batch with `Err` (the first, in submission order,
-/// wins, after every worker finishes).
+/// including each answer's I/O — does not depend on `threads`. The
+/// vector always has one answer per query; only hard failures —
+/// corruption, unsupported queries, misuse — abort the batch with `Err`
+/// (the first in submission order wins, after every worker finishes).
 pub fn run_batch(
     idx: &dyn MultidimIndex,
     metric: &dyn Metric,
     queries: &[Query],
     threads: usize,
-    policy: &BatchPolicy,
+    ctx: &QueryContext,
     gate: Option<&AdmissionGate>,
-) -> IndexResult<Vec<GovernedAnswer>> {
-    let deadline = policy.timeout.map(|t| Instant::now() + t);
-    let run_gated = |q: &Query| -> IndexResult<GovernedAnswer> {
-        let _permit = match gate {
-            Some(g) => match g.admit() {
-                Ok(p) => Some(p),
-                Err(over) => {
-                    return Ok(GovernedAnswer {
-                        answer: Answer::default(),
-                        io: IoStats::default(),
-                        status: QueryStatus::Shed(over),
-                        retries: 0,
-                    })
-                }
-            },
-            None => None,
-        };
-        run_one_retrying(idx, metric, q, policy, deadline)
-    };
+) -> IndexResult<Vec<(QueryOutcome<Answer>, IoStats)>> {
+    let run = |q: &Query| run_one(idx, metric, q, ctx, gate);
     let threads = threads.max(1);
     if threads == 1 || queries.len() < 2 {
-        return queries.iter().map(run_gated).collect();
+        return queries.iter().map(run).collect();
     }
     let chunk = queries.len().div_ceil(threads);
-    let run_gated = &run_gated;
-    let per_chunk: Vec<IndexResult<Vec<GovernedAnswer>>> = std::thread::scope(|s| {
+    let run = &run;
+    let per_chunk: Vec<IndexResult<Vec<_>>> = std::thread::scope(|s| {
         let handles: Vec<_> = queries
             .chunks(chunk)
-            .map(|c| s.spawn(move || c.iter().map(run_gated).collect()))
+            .map(|c| s.spawn(move || c.iter().map(run).collect()))
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("batch worker panicked"))
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
     });
     let mut out = Vec::with_capacity(queries.len());
@@ -505,13 +369,7 @@ pub fn run_knn_stream(
     ctx: &QueryContext,
 ) -> IndexResult<(Vec<(u64, f64)>, IoStats, Option<DegradeReason>)> {
     let mut cursor = idx.knn_stream(q, metric, ctx)?;
-    let mut hits = Vec::new();
-    while hits.len() < k {
-        match cursor.next() {
-            Some(hit) => hits.push(hit),
-            None => break,
-        }
-    }
+    let hits = std::iter::from_fn(|| cursor.next()).take(k).collect();
     if let Some(e) = cursor.take_error() {
         return Err(e);
     }
@@ -523,6 +381,7 @@ mod tests {
     use super::*;
     use hyt_data::{uniform, BoxWorkload};
     use hyt_geom::L1;
+    use hyt_index::CancelToken;
 
     #[test]
     fn all_engines_build_and_answer_identically() {
@@ -595,8 +454,8 @@ mod tests {
         idx: &dyn MultidimIndex,
         batch: &[Query],
         threads: usize,
-    ) -> IndexResult<Vec<GovernedAnswer>> {
-        run_batch(idx, &L1, batch, threads, &BatchPolicy::default(), None)
+    ) -> IndexResult<Vec<(QueryOutcome<Answer>, IoStats)>> {
+        run_batch(idx, &L1, batch, threads, QueryContext::unlimited(), None)
     }
 
     #[test]
@@ -605,24 +464,22 @@ mod tests {
         let (idx, _) = build_engine(Engine::Hybrid, &data).unwrap();
         let batch = mixed_batch(&data, 30);
         let serial = unlimited(idx.as_ref(), &batch, 1).unwrap();
-        assert!(serial.iter().all(|a| a.status.is_complete()));
+        assert!(serial.iter().all(|(o, _)| o.is_complete()));
         for threads in [2, 4, 7] {
             let parallel = unlimited(idx.as_ref(), &batch, threads).unwrap();
             assert_eq!(serial.len(), parallel.len());
-            for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
+            for (i, ((s, s_io), (p, p_io))) in serial.iter().zip(&parallel).enumerate() {
+                let (s, p) = (s.results(), p.results());
                 assert_eq!(
-                    s.answer.oids, p.answer.oids,
+                    s.oids, p.oids,
                     "query {i} answers differ at {threads} threads"
                 );
+                assert_eq!(s.distances, p.distances, "query {i} distances differ");
                 assert_eq!(
-                    s.answer.distances, p.answer.distances,
-                    "query {i} distances differ"
-                );
-                assert_eq!(
-                    s.io.logical_reads, p.io.logical_reads,
+                    s_io.logical_reads, p_io.logical_reads,
                     "query {i} logical reads differ at {threads} threads"
                 );
-                assert_eq!(s.io.seq_reads, p.io.seq_reads);
+                assert_eq!(s_io.seq_reads, p_io.seq_reads);
             }
             let st = total_io(&serial);
             let pt = total_io(&parallel);
@@ -697,16 +554,13 @@ mod tests {
         let data = uniform(2000, 4, 29);
         let (idx, _) = build_engine(Engine::Hybrid, &data).unwrap();
         let batch = mixed_batch(&data, 12);
-        let policy = BatchPolicy {
-            timeout: Some(Duration::ZERO),
-            ..BatchPolicy::default()
-        };
-        let answers = run_batch(idx.as_ref(), &L1, &batch, 4, &policy, None).unwrap();
+        let ctx = QueryContext::default().with_timeout(Duration::ZERO);
+        let answers = run_batch(idx.as_ref(), &L1, &batch, 4, &ctx, None).unwrap();
         assert_eq!(answers.len(), batch.len());
         for a in &answers {
             assert_eq!(
-                a.status,
-                QueryStatus::Degraded(DegradeReason::DeadlineExceeded),
+                a.0.degrade_reason(),
+                Some(DegradeReason::DeadlineExceeded),
                 "{a:?}"
             );
         }
@@ -719,13 +573,10 @@ mod tests {
         let batch = mixed_batch(&data, 9);
         let token = CancelToken::new();
         token.cancel();
-        let policy = BatchPolicy {
-            cancel: Some(token),
-            ..BatchPolicy::default()
-        };
-        let answers = run_batch(idx.as_ref(), &L1, &batch, 3, &policy, None).unwrap();
-        for a in &answers {
-            assert_eq!(a.status, QueryStatus::Degraded(DegradeReason::Cancelled));
+        let ctx = QueryContext::default().with_cancel(token);
+        let answers = run_batch(idx.as_ref(), &L1, &batch, 3, &ctx, None).unwrap();
+        for (o, _) in &answers {
+            assert_eq!(o.degrade_reason(), Some(DegradeReason::Cancelled));
         }
     }
 
@@ -736,19 +587,17 @@ mod tests {
         let wl = BoxWorkload::calibrated(&data, 6, 0.2, 41);
         let batch: Vec<Query> = wl.queries.iter().cloned().map(Query::Box).collect();
         let full = unlimited(idx.as_ref(), &batch, 1).unwrap();
-        let policy = BatchPolicy {
-            max_reads: Some(2),
-            ..BatchPolicy::default()
-        };
-        let governed = run_batch(idx.as_ref(), &L1, &batch, 2, &policy, None).unwrap();
+        let ctx = QueryContext::default().with_max_reads(2);
+        let governed = run_batch(idx.as_ref(), &L1, &batch, 2, &ctx, None).unwrap();
         let mut saw_degraded = false;
-        for (f, g) in full.iter().zip(&governed) {
-            assert!(f.status.is_complete());
+        for ((f, _), (g, g_io)) in full.iter().zip(&governed) {
+            assert!(f.is_complete());
             // Partial box answers are true subsets of the full answer.
-            assert!(g.answer.oids.iter().all(|o| f.answer.oids.contains(o)));
-            assert!(g.io.logical_reads + g.io.seq_reads <= 2);
-            if let QueryStatus::Degraded(r) = &g.status {
-                assert_eq!(*r, DegradeReason::BudgetExhausted);
+            let full_oids = &f.results().oids;
+            assert!(g.results().oids.iter().all(|o| full_oids.contains(o)));
+            assert!(g_io.logical_reads + g_io.seq_reads <= 2);
+            if let Some(r) = g.degrade_reason() {
+                assert_eq!(r, DegradeReason::BudgetExhausted);
                 saw_degraded = true;
             }
         }
@@ -761,13 +610,11 @@ mod tests {
         let (idx, _) = build_engine(Engine::Kdb, &data).unwrap();
         let wl = BoxWorkload::calibrated(&data, 4, 0.3, 47);
         let batch: Vec<Query> = wl.queries.iter().cloned().map(Query::Box).collect();
-        let policy = BatchPolicy {
-            max_results: Some(3),
-            ..BatchPolicy::default()
-        };
-        let governed = run_batch(idx.as_ref(), &L1, &batch, 1, &policy, None).unwrap();
-        for g in &governed {
-            assert!(g.answer.oids.len() <= 3, "{:?}", g.answer.oids);
+        let ctx = QueryContext::default().with_max_results(3);
+        let governed = run_batch(idx.as_ref(), &L1, &batch, 1, &ctx, None).unwrap();
+        for (g, _) in &governed {
+            let oids = &g.results().oids;
+            assert!(oids.len() <= 3, "{oids:?}");
         }
     }
 
@@ -784,24 +631,21 @@ mod tests {
             &L1,
             &batch,
             6,
-            &BatchPolicy::default(),
+            QueryContext::unlimited(),
             Some(&gate),
         )
         .unwrap();
         assert_eq!(answers.len(), batch.len());
         let shed = answers
             .iter()
-            .filter(|a| matches!(a.status, QueryStatus::Shed(_)))
+            .filter(|(o, _)| o.degrade_reason() == Some(DegradeReason::Shed))
             .count();
-        let complete = answers.iter().filter(|a| a.status.is_complete()).count();
+        let complete = answers.iter().filter(|(o, _)| o.is_complete()).count();
         assert!(complete >= 1, "at least the first admitted query completes");
-        for a in answers.iter().filter(|a| !a.status.is_complete()) {
-            match &a.status {
-                QueryStatus::Shed(over) => {
-                    assert_eq!(over.max_inflight, 1);
-                    assert!(a.answer.oids.is_empty());
-                }
-                other => panic!("unexpected status {other:?}"),
+        for (o, _) in answers.iter().filter(|(o, _)| !o.is_complete()) {
+            match o.degrade_reason() {
+                Some(DegradeReason::Shed) => assert!(o.results().oids.is_empty()),
+                other => panic!("unexpected outcome {other:?}"),
             }
         }
         // Not asserted > 0: on a fast machine every query may still be

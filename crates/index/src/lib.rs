@@ -109,11 +109,13 @@ pub enum DegradeReason {
     BudgetExhausted,
     /// The query's [`CancelToken`] was triggered.
     Cancelled,
-    /// Transient storage faults persisted through every retry the runner
-    /// was allowed (produced by the `hyt-eval` governed batch runner,
-    /// never by the engines themselves — an engine surfaces transient
-    /// I/O as an error and lets the runner decide whether to retry).
+    /// A transient storage fault outlasted the buffer pool's read retries
+    /// (set by the `hyt-eval` batch runner; an engine returns the I/O
+    /// error). The answer is empty.
     RetriesExhausted,
+    /// The batch runner's admission gate refused the query. The answer is
+    /// empty.
+    Shed,
 }
 
 impl fmt::Display for DegradeReason {
@@ -123,6 +125,7 @@ impl fmt::Display for DegradeReason {
             DegradeReason::BudgetExhausted => write!(f, "budget exhausted"),
             DegradeReason::Cancelled => write!(f, "cancelled"),
             DegradeReason::RetriesExhausted => write!(f, "retries exhausted"),
+            DegradeReason::Shed => write!(f, "shed (overloaded)"),
         }
     }
 }

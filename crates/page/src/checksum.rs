@@ -86,6 +86,17 @@ impl<S: Storage> ChecksumStorage<S> {
     }
 }
 
+/// The physical slot framing a logical page of `page_size` bytes, or an
+/// `InvalidInput` I/O error for a size too large to frame.
+pub fn framed_slot_size(page_size: usize) -> PageResult<usize> {
+    page_size.checked_add(HEADER_BYTES).ok_or_else(|| {
+        PageError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("page size {page_size} is too large to frame"),
+        ))
+    })
+}
+
 impl ChecksumStorage<FileStorage> {
     /// Creates (truncating) a checksummed page file with the given
     /// *logical* page size; the file's physical slots are
@@ -93,7 +104,7 @@ impl ChecksumStorage<FileStorage> {
     pub fn create<P: AsRef<Path>>(path: P, page_size: usize) -> PageResult<Self> {
         Ok(Self::new(FileStorage::create(
             path,
-            page_size + HEADER_BYTES,
+            framed_slot_size(page_size)?,
         )?))
     }
 
@@ -104,7 +115,7 @@ impl ChecksumStorage<FileStorage> {
     /// `recover`/`scrub`) reports it as [`PageError::Corrupt`] instead of
     /// resurrecting it as free space.
     pub fn open<P: AsRef<Path>>(path: P, page_size: usize) -> PageResult<Self> {
-        let mut inner = FileStorage::open(path, page_size + HEADER_BYTES)?;
+        let mut inner = FileStorage::open(path, framed_slot_size(page_size)?)?;
         let mut max_live_epoch = 0u64;
         let mut header = [0u8; HEADER_BYTES];
         for i in 0..inner.page_slots() {
@@ -311,6 +322,25 @@ mod tests {
             assert_eq!(s.allocate().unwrap(), PageId(2));
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_page_size_too_large_to_frame_is_an_error() {
+        let dir = std::env::temp_dir().join(format!("hyt_cks_huge_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("huge.pages");
+        DurableStorage::create(&path, 128).unwrap();
+        for result in [
+            DurableStorage::open(&path, usize::MAX),
+            DurableStorage::create(dir.join("never.pages"), usize::MAX),
+        ] {
+            match result {
+                Err(PageError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+                other => panic!("{:?}", other.err()),
+            }
+        }
+        assert!(!dir.join("never.pages").exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -34,7 +34,7 @@ mod govern;
 mod pool;
 mod storage;
 
-pub use checksum::{ChecksumStorage, DurableStorage};
+pub use checksum::{framed_slot_size, ChecksumStorage, DurableStorage};
 pub use codec::{ByteReader, ByteWriter};
 pub use crc::crc32;
 pub use error::{PageError, PageResult};

@@ -20,6 +20,9 @@ cargo clippy -p hyt-index --lib -- -D warnings -D clippy::unwrap_used -D clippy:
 echo "== cargo clippy hyt-geom + hyt-exec (metric bounds and the query kernel run inside every query: unwrap/expect denied)"
 cargo clippy -p hyt-geom -p hyt-exec --lib -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
+echo "== cargo clippy hyt-eval (the batch runner and its admission gate run every governed batch: unwrap/expect denied)"
+cargo clippy -p hyt-eval --lib -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
+
 echo "== cargo test"
 cargo test --workspace -q
 

@@ -17,13 +17,15 @@
 
 use hybridtree_repro::core::{scrub_index, scrub_pages, HybridTree, HybridTreeConfig};
 use hybridtree_repro::data::{colhist, fourier, uniform};
-use hybridtree_repro::eval::{run_batch, AdmissionGate, BatchPolicy, QueryStatus};
+use hybridtree_repro::eval::{run_batch, total_io, AdmissionGate};
 use hybridtree_repro::geom::{Chebyshev, Lp, Metric, Point, Rect, L1, L2};
-use hybridtree_repro::index::{MultidimIndex, Query, QueryContext, QueryOutcome};
+use hybridtree_repro::index::{DegradeReason, MultidimIndex, Query, QueryContext, QueryOutcome};
 use hybridtree_repro::page::DurableStorage;
 use std::collections::HashMap;
+use std::fmt;
+use std::io::{self, Write};
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -71,51 +73,68 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         return Err("no command given".into());
     };
     let opts = parse_opts(rest)?;
+    let out = &mut Out(io::stdout().lock());
     match cmd.as_str() {
-        "generate" => generate(&opts).map(|()| ExitCode::SUCCESS),
-        "build" => build(&opts).map(|()| ExitCode::SUCCESS),
-        "stats" => stats(&opts).map(|()| ExitCode::SUCCESS),
-        "knn" => knn(&opts).map(|()| ExitCode::SUCCESS),
-        "range" => range(&opts).map(|()| ExitCode::SUCCESS),
-        "box" => box_query(&opts).map(|()| ExitCode::SUCCESS),
-        "batch" => batch(&opts).map(|()| ExitCode::SUCCESS),
-        "scrub" => scrub(&opts),
+        "generate" => generate(&opts, out).map(|()| ExitCode::SUCCESS),
+        "build" => build(&opts, out).map(|()| ExitCode::SUCCESS),
+        "stats" => stats(&opts, out).map(|()| ExitCode::SUCCESS),
+        "knn" => knn(&opts, out).map(|()| ExitCode::SUCCESS),
+        "range" => range(&opts, out).map(|()| ExitCode::SUCCESS),
+        "box" => box_query(&opts, out).map(|()| ExitCode::SUCCESS),
+        "batch" => batch(&opts, out).map(|()| ExitCode::SUCCESS),
+        "scrub" => scrub(&opts, out),
         other => Err(format!("unknown command `{other}`")),
     }
 }
 
-fn scrub(opts: &HashMap<String, String>) -> Result<ExitCode, String> {
+/// The command's locked stdout: `writeln!(out, …)` returns the command's
+/// error type, and where `println!` would panic on a reader that has gone
+/// away (`hyt knn … | head -2`), the process ends quietly with success.
+struct Out(io::StdoutLock<'static>);
+
+impl Out {
+    fn write_fmt(&mut self, args: fmt::Arguments<'_>) -> Result<(), String> {
+        match self.0.write_fmt(args) {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
+            r => r.map_err(|e| format!("writing to stdout: {e}")),
+        }
+    }
+}
+
+fn scrub(opts: &HashMap<String, String>, out: &mut Out) -> Result<ExitCode, String> {
     let index = req(opts, "index")?;
     let report = match opts.get("meta") {
         Some(meta) => scrub_index(index, meta).map_err(|e| e.to_string())?,
         None => {
-            let page_size: usize = opt_parse(opts, "page-size", 4096)?;
+            let page_size = parse_page_size(opts)?;
             scrub_pages(index, page_size).map_err(|e| e.to_string())?
         }
     };
-    println!(
+    writeln!(
+        out,
         "pages     {} slots ({} live, {} free), logical page size {}",
         report.slots, report.live, report.free, report.page_size
-    );
+    )?;
     if let Some(cat) = &report.catalog {
-        println!(
+        writeln!(
+            out,
             "catalog   {} entries, height {}, committed at epoch {}",
             cat.len, cat.height, cat.epoch
-        );
+        )?;
     }
     for d in &report.damage {
-        println!("DAMAGED   {}: {}", d.page, d.detail);
+        writeln!(out, "DAMAGED   {}: {}", d.page, d.detail)?;
     }
     if let Some(cat) = &report.catalog {
         for issue in &cat.issues {
-            println!("ISSUE     {issue}");
+            writeln!(out, "ISSUE     {issue}")?;
         }
     }
     if report.is_clean() {
-        println!("clean: every checksum and invariant verifies");
+        writeln!(out, "clean: every checksum and invariant verifies")?;
         Ok(ExitCode::SUCCESS)
     } else {
-        println!("scrub found {} problem(s)", report.problem_count());
+        writeln!(out, "scrub found {} problem(s)", report.problem_count())?;
         Ok(ExitCode::FAILURE)
     }
 }
@@ -143,6 +162,16 @@ fn req<'a>(opts: &'a HashMap<String, String>, key: &str) -> Result<&'a str, Stri
     opts.get(key)
         .map(String::as_str)
         .ok_or_else(|| format!("missing required option --{key}"))
+}
+
+/// Reads `--page-size` and refuses what a hybrid tree does not accept
+/// (64 to 65536 bytes) before any page file is created or opened.
+fn parse_page_size(opts: &HashMap<String, String>) -> Result<usize, String> {
+    let size: usize = opt_parse(opts, "page-size", 4096)?;
+    if !(64..=65536).contains(&size) {
+        return Err(format!("page size must be 64 to 65536 bytes, got {size}"));
+    }
+    Ok(size)
 }
 
 fn opt_parse<T: std::str::FromStr>(
@@ -186,12 +215,12 @@ fn parse_metric(s: &str) -> Result<Box<dyn Metric>, String> {
     }
 }
 
-fn generate(opts: &HashMap<String, String>) -> Result<(), String> {
+fn generate(opts: &HashMap<String, String>, out: &mut Out) -> Result<(), String> {
     let kind = req(opts, "kind")?;
     let n: usize = req(opts, "n")?.parse().map_err(|_| "bad --n")?;
     let dim: usize = req(opts, "dim")?.parse().map_err(|_| "bad --dim")?;
     let seed: u64 = opt_parse(opts, "seed", 42)?;
-    let out = req(opts, "out")?;
+    let path = req(opts, "out")?;
     let data = match kind {
         "colhist" => colhist(n, dim, seed),
         "fourier" => fourier(n, dim, seed),
@@ -204,8 +233,8 @@ fn generate(opts: &HashMap<String, String>) -> Result<(), String> {
         body.push_str(&line.join(","));
         body.push('\n');
     }
-    std::fs::write(out, body).map_err(|e| e.to_string())?;
-    println!("wrote {n} {kind} vectors ({dim}-d) to {out}");
+    std::fs::write(path, body).map_err(|e| e.to_string())?;
+    writeln!(out, "wrote {n} {kind} vectors ({dim}-d) to {path}")?;
     Ok(())
 }
 
@@ -229,11 +258,11 @@ fn load_csv(path: &str) -> Result<Vec<Point>, String> {
     Ok(out)
 }
 
-fn build(opts: &HashMap<String, String>) -> Result<(), String> {
+fn build(opts: &HashMap<String, String>, out: &mut Out) -> Result<(), String> {
     let input = req(opts, "input")?;
     let index = req(opts, "index")?;
     let meta = req(opts, "meta")?;
-    let page_size: usize = opt_parse(opts, "page-size", 4096)?;
+    let page_size = parse_page_size(opts)?;
     let els_bits: u8 = opt_parse(opts, "els-bits", 4)?;
     let node_cache_entries: usize = opt_parse(opts, "node-cache-entries", 0)?;
     let bulk = opts.contains_key("bulk");
@@ -245,7 +274,7 @@ fn build(opts: &HashMap<String, String>) -> Result<(), String> {
         node_cache_entries,
         ..HybridTreeConfig::default()
     };
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let mut tree = if bulk {
         let storage = DurableStorage::create(index, page_size).map_err(|e| e.to_string())?;
         let entries: Vec<(Point, u64)> = data
@@ -263,7 +292,8 @@ fn build(opts: &HashMap<String, String>) -> Result<(), String> {
         tree
     };
     tree.persist(meta).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        out,
         "built {} entries ({dim}-d) in {:.2}s — height {}, {} data-entries/page, \
          ELS encoded size {} bytes\nindex: {index}\ncatalog: {meta}",
         tree.len(),
@@ -271,7 +301,7 @@ fn build(opts: &HashMap<String, String>) -> Result<(), String> {
         tree.height(),
         tree.data_capacity(),
         tree.els_overhead_bytes(),
-    );
+    )?;
     Ok(())
 }
 
@@ -288,47 +318,44 @@ fn open_tree(opts: &HashMap<String, String>) -> Result<HybridTree<DurableStorage
     .map_err(|e| e.to_string())
 }
 
-/// Renders the decoded-node cache counters for a footer line.
-fn cache_line(tree: &HybridTree<DurableStorage>) -> String {
-    let cs = tree.cache_stats();
-    format!(
-        "{} decoded-cache hits, {} misses ({:.0}% hit rate)",
-        cs.hits,
-        cs.misses,
-        cs.hit_rate() * 100.0
-    )
-}
-
-fn stats(opts: &HashMap<String, String>) -> Result<(), String> {
+fn stats(opts: &HashMap<String, String>, out: &mut Out) -> Result<(), String> {
     let tree = open_tree(opts)?;
     let st = tree.structure_stats().map_err(|e| e.to_string())?;
-    println!("entries            {}", tree.len());
-    println!("dimensionality     {}", tree.dim());
-    println!("height             {}", st.height);
-    println!(
+    writeln!(out, "entries            {}", tree.len())?;
+    writeln!(out, "dimensionality     {}", tree.dim())?;
+    writeln!(out, "height             {}", st.height)?;
+    writeln!(
+        out,
         "pages              {} ({} index, {} data)",
         st.total_nodes, st.index_nodes, st.data_nodes
-    );
-    println!("avg fanout         {:.1}", st.avg_fanout);
-    println!("leaf utilization   {:.0}%", st.avg_leaf_utilization * 100.0);
-    println!("overlap fraction   {:.5}", st.avg_overlap_fraction);
-    println!(
+    )?;
+    writeln!(out, "avg fanout         {:.1}", st.avg_fanout)?;
+    writeln!(
+        out,
+        "leaf utilization   {:.0}%",
+        st.avg_leaf_utilization * 100.0
+    )?;
+    writeln!(out, "overlap fraction   {:.5}", st.avg_overlap_fraction)?;
+    writeln!(
+        out,
         "split dims used    {} of {}",
         st.distinct_split_dims,
         tree.dim()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "ELS encoded size   {} bytes at {} bits per boundary",
         tree.els_overhead_bytes(),
         tree.config().els_bits
-    );
+    )?;
     let cs = tree.cache_stats();
-    println!(
+    writeln!(
+        out,
         "decoded cache      {} entries capacity — {} hits, {} misses this session",
         tree.config().node_cache_entries,
         cs.hits,
         cs.misses
-    );
+    )?;
     Ok(())
 }
 
@@ -370,7 +397,7 @@ fn settle<T>(outcome: QueryOutcome<T>) -> T {
     outcome.into_results()
 }
 
-fn knn(opts: &HashMap<String, String>) -> Result<(), String> {
+fn knn(opts: &HashMap<String, String>, out: &mut Out) -> Result<(), String> {
     let tree = open_tree(opts)?;
     let q = query_point(opts, &tree)?;
     let k: usize = opt_parse(opts, "k", 10)?;
@@ -384,15 +411,8 @@ fn knn(opts: &HashMap<String, String>) -> Result<(), String> {
         let mut cursor = tree
             .knn_stream(&q, metric.as_ref(), &ctx)
             .map_err(|e| e.to_string())?;
-        let mut yielded = 0usize;
-        while yielded < k {
-            match cursor.next() {
-                Some((oid, d)) => {
-                    println!("{oid}\t{d:.6}");
-                    yielded += 1;
-                }
-                None => break,
-            }
+        for (oid, d) in std::iter::from_fn(|| cursor.next()).take(k) {
+            writeln!(out, "{oid}\t{d:.6}")?;
         }
         if let Some(e) = cursor.take_error() {
             return Err(e.to_string());
@@ -409,26 +429,43 @@ fn knn(opts: &HashMap<String, String>) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let hits = settle(outcome).into_hits();
     for (oid, d) in &hits {
-        println!("{oid}\t{d:.6}");
+        writeln!(out, "{oid}\t{d:.6}")?;
     }
     eprintln!("[{} page reads]", tree.io_stats().logical_reads);
     Ok(())
 }
 
-fn range(opts: &HashMap<String, String>) -> Result<(), String> {
+fn range(opts: &HashMap<String, String>, out: &mut Out) -> Result<(), String> {
     let tree = open_tree(opts)?;
     let q = query_point(opts, &tree)?;
     let radius: f64 = req(opts, "radius")?.parse().map_err(|_| "bad --radius")?;
     let metric = parse_metric(opts.get("metric").map(String::as_str).unwrap_or("l2"))?;
     let ctx = parse_query_context(opts)?;
+    print_oids(
+        out,
+        &tree,
+        &Query::Range { q, radius },
+        metric.as_ref(),
+        &ctx,
+    )
+}
+
+/// Runs a box or range query and prints its oids in ascending order.
+fn print_oids(
+    out: &mut Out,
+    tree: &HybridTree<DurableStorage>,
+    query: &Query,
+    metric: &dyn Metric,
+    ctx: &QueryContext,
+) -> Result<(), String> {
     tree.reset_io_stats();
     let (outcome, _) = tree
-        .execute(&Query::Range { q, radius }, metric.as_ref(), &ctx)
+        .execute(query, metric, ctx)
         .map_err(|e| e.to_string())?;
     let mut hits = settle(outcome).oids;
     hits.sort_unstable();
     for oid in &hits {
-        println!("{oid}");
+        writeln!(out, "{oid}")?;
     }
     eprintln!(
         "[{} results, {} page reads]",
@@ -493,7 +530,7 @@ fn parse_batch_line(line: &str, dim: usize) -> Result<Query, String> {
     Ok(q)
 }
 
-fn batch(opts: &HashMap<String, String>) -> Result<(), String> {
+fn batch(opts: &HashMap<String, String>, out: &mut Out) -> Result<(), String> {
     let tree = open_tree(opts)?;
     let path = req(opts, "queries")?;
     let threads: usize = opt_parse(opts, "threads", 1)?;
@@ -515,60 +552,55 @@ fn batch(opts: &HashMap<String, String>) -> Result<(), String> {
     if queries.is_empty() {
         return Err(format!("{path} holds no queries"));
     }
-    let mut policy = BatchPolicy::default();
-    if let Some(ms) = opts.get("timeout-ms") {
-        let ms: u64 = ms.parse().map_err(|_| "bad --timeout-ms")?;
-        policy.timeout = Some(Duration::from_millis(ms));
-    }
-    if let Some(n) = opts.get("max-reads") {
-        policy.max_reads = Some(n.parse().map_err(|_| "bad --max-reads")?);
-    }
+    let ctx = parse_query_context(opts)?;
     let gate = match opts.get("max-inflight") {
         Some(n) => {
             let slots: usize = n.parse().map_err(|_| "bad --max-inflight")?;
             if slots == 0 {
                 return Err("--max-inflight must be >= 1".into());
             }
-            // Queries queue for at most the batch timeout (default 1s)
-            // before being shed.
-            let patience = policy.timeout.unwrap_or(Duration::from_secs(1));
+            // Queries queue for at most what remains of the batch timeout
+            // (default 1s) before being shed.
+            let patience = ctx.deadline.map_or(Duration::from_secs(1), |d| {
+                d.saturating_duration_since(Instant::now())
+            });
             Some(AdmissionGate::new(slots, patience))
         }
         None => None,
     };
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let answers = run_batch(
         &tree,
         metric.as_ref(),
         &queries,
         threads,
-        &policy,
+        &ctx,
         gate.as_ref(),
     )
     .map_err(|e| e.to_string())?;
     let elapsed = start.elapsed();
-    let mut total = hybridtree_repro::page::IoStats::default();
     let mut degraded = 0usize;
     let mut shed = 0usize;
-    for (i, a) in answers.iter().enumerate() {
-        let status = match &a.status {
-            QueryStatus::Complete => "complete".to_string(),
-            QueryStatus::Degraded(reason) => {
+    for (i, (outcome, io)) in answers.iter().enumerate() {
+        let status = match outcome.degrade_reason() {
+            None => "complete".to_string(),
+            Some(DegradeReason::Shed) => {
+                shed += 1;
+                DegradeReason::Shed.to_string()
+            }
+            Some(reason) => {
                 degraded += 1;
                 format!("degraded ({reason})")
             }
-            QueryStatus::Shed(_) => {
-                shed += 1;
-                "shed (overloaded)".to_string()
-            }
         };
-        println!(
+        writeln!(
+            out,
             "#{i}\t{} results\t{} page reads\t{status}",
-            a.answer.oids.len(),
-            a.io.logical_reads
-        );
-        total.merge(&a.io);
+            outcome.results().oids.len(),
+            io.logical_reads
+        )?;
     }
+    let total = total_io(&answers);
     eprintln!(
         "[{} queries on {} thread(s) in {:.3}s — {} page reads, {:.1} weighted accesses, \
          {} complete, {degraded} degraded, {shed} shed]",
@@ -579,11 +611,17 @@ fn batch(opts: &HashMap<String, String>) -> Result<(), String> {
         total.weighted_accesses(),
         answers.len() - degraded - shed,
     );
-    eprintln!("[{}]", cache_line(&tree));
+    let cs = tree.cache_stats();
+    eprintln!(
+        "[{} decoded-cache hits, {} misses ({:.0}% hit rate)]",
+        cs.hits,
+        cs.misses,
+        cs.hit_rate() * 100.0
+    );
     Ok(())
 }
 
-fn box_query(opts: &HashMap<String, String>) -> Result<(), String> {
+fn box_query(opts: &HashMap<String, String>, out: &mut Out) -> Result<(), String> {
     let tree = open_tree(opts)?;
     let lo = parse_vector(req(opts, "lo")?)?;
     let hi = parse_vector(req(opts, "hi")?)?;
@@ -593,21 +631,6 @@ fn box_query(opts: &HashMap<String, String>) -> Result<(), String> {
     if lo.iter().zip(&hi).any(|(l, h)| l > h) {
         return Err("--lo must be <= --hi in every dimension".into());
     }
-    let rect = Rect::new(lo, hi);
     let ctx = parse_query_context(opts)?;
-    tree.reset_io_stats();
-    let (outcome, _) = tree
-        .execute(&Query::Box(rect), &L2, &ctx)
-        .map_err(|e| e.to_string())?;
-    let mut hits = settle(outcome).oids;
-    hits.sort_unstable();
-    for oid in &hits {
-        println!("{oid}");
-    }
-    eprintln!(
-        "[{} results, {} page reads]",
-        hits.len(),
-        tree.io_stats().logical_reads
-    );
-    Ok(())
+    print_oids(out, &tree, &Query::Box(Rect::new(lo, hi)), &L2, &ctx)
 }

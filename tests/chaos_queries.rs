@@ -5,27 +5,32 @@
 //! Invariants demanded throughout:
 //!
 //! * no panic and no hang (a watchdog bounds the whole run);
-//! * every query returns a typed outcome — `Complete`, `Degraded`, or
-//!   `Shed` — never a corruption error from a *transient* fault;
+//! * every query returns a typed outcome — `Complete`, or `Degraded` by
+//!   a limit, a shed or exhausted retries — never a corruption error
+//!   from a *transient* fault;
 //! * every `Complete` outcome is bit-identical to the unfaulted serial
 //!   answer for that query;
 //! * after the chaos, the tree's invariants still verify and an
 //!   unfaulted serial run reproduces the reference answers exactly.
 
 use hybridtree_repro::core::{HybridTree, HybridTreeConfig};
-use hybridtree_repro::eval::{run_batch, AdmissionGate, BatchPolicy, GovernedAnswer, QueryStatus};
+use hybridtree_repro::eval::{run_batch, AdmissionGate};
 use hybridtree_repro::geom::{Point, Rect, L2};
-use hybridtree_repro::index::{CancelToken, MultidimIndex, Query};
+use hybridtree_repro::index::{
+    Answer, CancelToken, DegradeReason, MultidimIndex, Query, QueryContext, QueryOutcome,
+};
 use hybridtree_repro::page::{
-    ChecksumStorage, FaultScript, FaultStorage, MemStorage, FRAME_HEADER_BYTES,
+    ChecksumStorage, FaultScript, FaultStorage, IoStats, MemStorage, FRAME_HEADER_BYTES,
 };
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 type ChaosStack = ChecksumStorage<FaultStorage<MemStorage>>;
+/// One query's outcome and I/O, as `run_batch` returns it.
+type Batched = (QueryOutcome<Answer>, IoStats);
 
 const DIM: usize = 4;
 const N_POINTS: usize = 3_000;
@@ -110,18 +115,59 @@ fn chaos_concurrent_governed_batches_survive_fault_load() {
     tree.check_invariants().unwrap();
     let after = unlimited(tree.as_ref(), &batch);
     for (i, (a, r)) in after.iter().zip(&reference).enumerate() {
-        let (a, r) = (&a.answer, &r.answer);
+        let (a, r) = (a.0.results(), r.0.results());
         assert_eq!(a.oids, r.oids, "query {i} answers drifted after chaos");
         assert_eq!(a.distances, r.distances, "query {i} distances drifted");
     }
 }
 
+/// The retry contract of a batch: the pool retries a transient read up
+/// to 3 times, and a fault that outlasts those retries turns the query
+/// into an empty `RetriesExhausted` answer without touching the next.
+#[test]
+fn transient_faults_retry_in_the_pool_then_degrade_one_query() {
+    let cfg = HybridTreeConfig {
+        page_size: 512,
+        ..HybridTreeConfig::default()
+    };
+    let (storage, script) = FaultStorage::new(MemStorage::with_page_size(cfg.page_size));
+    let mut tree = HybridTree::with_storage(DIM, cfg, storage).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x7E7);
+    for i in 0..2_000u64 {
+        let p = Point::new((0..DIM).map(|_| rng.gen::<f32>()).collect());
+        tree.insert(p, i).unwrap();
+    }
+    let batch = vec![
+        Query::Box(Rect::new(vec![0.1; DIM], vec![0.5; DIM])),
+        Query::Box(Rect::new(vec![0.4; DIM], vec![0.9; DIM])),
+    ];
+    let ctx = QueryContext::unlimited();
+    let clean = run_batch(&tree, &L2, &batch, 1, ctx, None).unwrap();
+
+    script.fail_next_reads(3);
+    let absorbed = run_batch(&tree, &L2, &batch, 1, ctx, None).unwrap();
+    assert!(absorbed[0].0.is_complete());
+    assert_eq!(absorbed[0].1.retried_reads, 3);
+    assert_eq!(absorbed[0].0.results(), clean[0].0.results());
+
+    script.fail_next_reads(4);
+    let exhausted = run_batch(&tree, &L2, &batch, 1, ctx, None).unwrap();
+    assert_eq!(
+        exhausted[0].0.degrade_reason(),
+        Some(DegradeReason::RetriesExhausted)
+    );
+    assert!(exhausted[0].0.results().oids.is_empty());
+    assert_eq!(exhausted[0].1, IoStats::default());
+    assert_eq!(exhausted[1].0.results(), clean[1].0.results());
+    assert!(exhausted[1].0.is_complete());
+}
+
 /// Runs `batch` serially with no limits and no gate; every query must
 /// complete.
-fn unlimited(tree: &HybridTree<ChaosStack>, batch: &[Query]) -> Vec<GovernedAnswer> {
-    let answers = run_batch(tree, &L2, batch, 1, &BatchPolicy::default(), None).unwrap();
-    for (i, a) in answers.iter().enumerate() {
-        assert_eq!(a.status, QueryStatus::Complete, "query {i}");
+fn unlimited(tree: &HybridTree<ChaosStack>, batch: &[Query]) -> Vec<Batched> {
+    let answers = run_batch(tree, &L2, batch, 1, QueryContext::unlimited(), None).unwrap();
+    for (i, (o, _)) in answers.iter().enumerate() {
+        assert_eq!(o.degrade_reason(), None, "query {i}");
     }
     answers
 }
@@ -133,22 +179,21 @@ fn chaos_rounds(
     tree: &HybridTree<ChaosStack>,
     script: &Arc<FaultScript>,
     batch: &[Query],
-    reference: &[GovernedAnswer],
+    reference: &[Batched],
 ) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(0xC4A05);
     let mut complete = 0usize;
     let mut non_complete = 0usize;
     for round in 0..ROUNDS {
         let token = CancelToken::new();
-        let policy = BatchPolicy {
-            // Rotate the pressure: some rounds squeeze wall time, some
-            // squeeze reads, some only face faults.
-            timeout: (round % 3 == 1).then(|| Duration::from_millis(rng.gen_range(1..40))),
-            max_reads: (round % 3 == 2).then(|| rng.gen_range(1..30)),
+        // Rotate the pressure: some rounds squeeze wall time, some
+        // squeeze reads, some only face faults.
+        let ctx = QueryContext {
+            deadline: (round % 3 == 1)
+                .then(|| Instant::now() + Duration::from_millis(rng.gen_range(1..40))),
             cancel: Some(token.clone()),
+            max_logical_reads: (round % 3 == 2).then(|| rng.gen_range(1..30)),
             max_results: None,
-            retry_limit: 4,
-            retry_backoff: Duration::from_micros(200),
         };
         let gate = (round % 2 == 0).then(|| AdmissionGate::new(3, Duration::from_millis(50)));
 
@@ -175,7 +220,7 @@ fn chaos_rounds(
             })
         };
 
-        let got = run_batch(tree, &L2, batch, 4, &policy, gate.as_ref());
+        let got = run_batch(tree, &L2, batch, 4, &ctx, gate.as_ref());
         stop_chaos.cancel();
         injector
             .join()
@@ -190,19 +235,20 @@ fn chaos_rounds(
                 batch.len()
             ));
         }
-        for (i, (g, r)) in answers.iter().zip(reference).enumerate() {
-            match &g.status {
-                QueryStatus::Complete => {
+        for (i, ((g, _), (r, _))) in answers.iter().zip(reference).enumerate() {
+            match g {
+                QueryOutcome::Complete(g) => {
                     complete += 1;
                     // Complete outcomes must be bit-identical to the
                     // unfaulted serial answers, whatever chaos ran.
-                    if g.answer.oids != r.answer.oids || g.answer.distances != r.answer.distances {
+                    let r = r.results();
+                    if g.oids != r.oids || g.distances != r.distances {
                         return Err(format!(
                             "round {round} query {i}: Complete answer differs from reference"
                         ));
                     }
                 }
-                QueryStatus::Degraded(_) | QueryStatus::Shed(_) => non_complete += 1,
+                QueryOutcome::Degraded { .. } => non_complete += 1,
             }
         }
     }

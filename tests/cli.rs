@@ -294,8 +294,10 @@ fn non_finite_inputs_are_errors_not_panics() {
 
 #[test]
 fn degenerate_sizes_are_errors_or_answers_not_panics() {
-    // A page size below the storage minimum is refused before any file
-    // is written; a `k` beyond the index's size returns every point.
+    // A page size outside 64..=65536 is refused before any file is
+    // written (near `usize::MAX` it must neither overflow the frame
+    // arithmetic nor allocate a page that size); a `k` beyond the index's
+    // size returns every point.
     let dir = std::env::temp_dir().join(format!("hyt_cli_sizes_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
@@ -310,11 +312,24 @@ fn degenerate_sizes_are_errors_or_answers_not_panics() {
             .unwrap()
     };
 
-    let out = build("zero", &["--page-size", "0"]);
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{err}");
-    assert!(err.contains("error:") && err.contains("page size"), "{err}");
-    assert!(!std::path::Path::new(&at("zero.pages")).exists());
+    let refused = |out: std::process::Output| {
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{err}");
+        assert!(err.contains("error:") && err.contains("page size"), "{err}");
+    };
+    for size in ["0", "18446744073709551615", "18446744073709551000", "70000"] {
+        refused(build(size, &["--page-size", size]));
+        assert!(!std::path::Path::new(&at(&format!("{size}.pages"))).exists());
+    }
+    std::fs::write(at("empty.pages"), []).unwrap();
+    let scrub = ["scrub", "--index", &at("empty.pages")];
+    refused(
+        hyt()
+            .args(scrub)
+            .args(["--page-size", &usize::MAX.to_string()])
+            .output()
+            .unwrap(),
+    );
 
     assert!(build("db", &[]).status.success());
     let out = hyt()
@@ -325,5 +340,52 @@ fn degenerate_sizes_are_errors_or_answers_not_panics() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{err}");
     assert_eq!(String::from_utf8_lossy(&out.stdout).lines().count(), 3);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_reader_that_closes_the_pipe_early_ends_hyt_quietly() {
+    // `hyt knn … | head -1`: the answer is far larger than the pipe's
+    // buffer, so hyt is still writing when the reader goes away.
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let dir = std::env::temp_dir().join(format!("hyt_cli_epipe_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (csv, pages, meta) = (at("pts.csv"), at("db.pages"), at("db.meta"));
+    let out = hyt()
+        .args([
+            "generate", "--kind", "uniform", "--n", "20000", "--dim", "2",
+        ])
+        .args(["--out", &csv])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = hyt()
+        .args([
+            "build", "--input", &csv, "--index", &pages, "--meta", &meta, "--bulk",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let mut child = hyt()
+        .args([
+            "knn", "--index", &pages, "--meta", &meta, "--query", "0.5,0.5",
+        ])
+        .args(["--k", &usize::MAX.to_string()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    let mut reader = BufReader::new(child.stdout.take().unwrap());
+    reader.read_line(&mut first).unwrap();
+    assert!(first.contains('\t'), "{first}");
+    drop(reader);
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{err}");
+    assert!(out.status.success(), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }

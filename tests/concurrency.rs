@@ -2,9 +2,7 @@
 //! answer every query identically to a serial run, and per-query I/O
 //! attribution must be schedule-independent.
 
-use hybridtree_repro::eval::{
-    build_engine, run_batch, total_io, BatchPolicy, Engine, GovernedAnswer,
-};
+use hybridtree_repro::eval::{build_engine, run_batch, total_io, Engine};
 use hybridtree_repro::prelude::*;
 use std::sync::Arc;
 
@@ -41,8 +39,12 @@ fn mixed_queries(data: &[Point], n: usize) -> Vec<Query> {
 }
 
 /// Runs `queries` with no limits and no gate on `threads` workers.
-fn unlimited(idx: &dyn MultidimIndex, queries: &[Query], threads: usize) -> Vec<GovernedAnswer> {
-    run_batch(idx, &L1, queries, threads, &BatchPolicy::default(), None).unwrap()
+fn unlimited(
+    idx: &dyn MultidimIndex,
+    queries: &[Query],
+    threads: usize,
+) -> Vec<(QueryOutcome<Answer>, IoStats)> {
+    run_batch(idx, &L1, queries, threads, QueryContext::unlimited(), None).unwrap()
 }
 
 /// N worker threads × M queries each over one shared tree: every answer
@@ -56,7 +58,7 @@ fn parallel_batches_match_serial_across_engines() {
         let (idx, _) = build_engine(engine, &data).unwrap();
         let queries = mixed_queries(&data, 24);
         let serial = unlimited(idx.as_ref(), &queries, 1);
-        assert!(serial.iter().all(|a| a.status.is_complete()));
+        assert!(serial.iter().all(|(o, _)| o.is_complete()));
         for threads in [2, 4, 8] {
             let parallel = unlimited(idx.as_ref(), &queries, threads);
             assert_eq!(

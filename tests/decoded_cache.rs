@@ -10,7 +10,7 @@
 //! (a rewrite drops the entry, a freed and reallocated page is decoded
 //! afresh).
 
-use hybridtree_repro::eval::{run_batch, BatchPolicy, Engine};
+use hybridtree_repro::eval::{run_batch, Engine};
 use hybridtree_repro::page::MemStorage;
 use hybridtree_repro::prelude::*;
 use proptest::prelude::*;
@@ -203,14 +203,13 @@ fn hybrid_tree_cache_survives_splits_and_deletes() {
 /// Strips the fields a decoded-node cache hit may legitimately change
 /// (physical reads / hit counters); everything else must be
 /// bit-identical.
-fn observable(a: &hybridtree_repro::eval::GovernedAnswer) -> impl PartialEq + std::fmt::Debug {
+fn observable((outcome, io): &(QueryOutcome<Answer>, IoStats)) -> impl PartialEq + std::fmt::Debug {
     (
-        a.answer.oids.clone(),
-        a.answer.distances.clone(),
-        a.io.logical_reads,
-        a.io.seq_reads,
-        a.status.clone(),
-        a.retries,
+        outcome.results().oids.clone(),
+        outcome.results().distances.clone(),
+        io.logical_reads,
+        io.seq_reads,
+        outcome.degrade_reason(),
     )
 }
 
@@ -247,20 +246,20 @@ fn mixed_queries(data: &[Point], seed: u64) -> Vec<Query> {
 /// whether any query degraded (so callers that picked a budget to force
 /// partials can verify it actually bit).
 fn assert_cache_transparent(data: &[Point], seed: u64, max_reads: Option<u64>) -> bool {
-    let policy = BatchPolicy {
-        max_reads,
-        ..BatchPolicy::default()
+    let ctx = QueryContext {
+        max_logical_reads: max_reads,
+        ..QueryContext::default()
     };
     let mut any_degraded = false;
     for engine in ENGINES {
         let queries = mixed_queries(data, seed);
         let off = build(engine, data, 0);
         let on = build(engine, data, 512);
-        let base = run_batch(&off, &L2, &queries, 1, &policy, None).unwrap();
+        let base = run_batch(&off, &L2, &queries, 1, &ctx, None).unwrap();
         // Two passes over the cached build: the second runs against a
         // warm cache, where hits actually happen.
         for pass in 0..2 {
-            let got = run_batch(&on, &L2, &queries, 1, &policy, None).unwrap();
+            let got = run_batch(&on, &L2, &queries, 1, &ctx, None).unwrap();
             assert_eq!(base.len(), got.len());
             for (i, (b, g)) in base.iter().zip(&got).enumerate() {
                 assert_eq!(
@@ -271,7 +270,7 @@ fn assert_cache_transparent(data: &[Point], seed: u64, max_reads: Option<u64>) -
                 );
             }
         }
-        any_degraded |= base.iter().any(|a| !a.status.is_complete());
+        any_degraded |= base.iter().any(|(o, _)| !o.is_complete());
     }
     any_degraded
 }
