@@ -17,8 +17,32 @@ use hybrid_tree::{HybridTree, HybridTreeConfig, SplitPolicy};
 use hyt_data::{clustered, colhist, fourier, BoxWorkload, DistanceWorkload};
 use hyt_geom::Point;
 use hyt_index::{IndexResult, MultidimIndex};
-use hyt_kdbtree::{KdbTree, KdbTreeConfig};
+use hyt_kdbtree::KdbTree;
+use hyt_page::DEFAULT_PAGE_SIZE;
 use std::time::Instant;
+
+/// A figure driver: runs one experiment at a [`Scale`] and returns its
+/// table.
+pub type Driver = fn(&Scale) -> IndexResult<FigureReport>;
+
+/// Every table, figure, ablation and extra, under the name its report is
+/// archived as (`<name>.txt`); `hyt figures` runs them.
+pub const FIGURES: &[(&str, Driver)] = &[
+    ("table1", table1),
+    ("table2", table2),
+    ("fig5ab", fig5ab),
+    ("fig5c", fig5c),
+    ("fig6ab", fig6ab),
+    ("fig6cd", fig6cd),
+    ("fig7ab", fig7ab),
+    ("fig7cd", fig7cd),
+    ("ablate_split_dim", ablate_split_dim),
+    ("ablate_split_pos", ablate_split_pos),
+    ("ablate_dim_elim", ablate_dim_elim),
+    ("ablate_overlap", ablate_overlap),
+    ("knn_comparison", knn_comparison),
+    ("build_costs", build_costs),
+];
 
 /// COLHIST dimensionalities used throughout the paper.
 const COLHIST_DIMS: [usize; 3] = [16, 32, 64];
@@ -523,7 +547,7 @@ pub fn ablate_overlap(scale: &Scale) -> IndexResult<FigureReport> {
         "0".into(),
     ]);
 
-    let mut kdb = KdbTree::new(8, KdbTreeConfig::default())?;
+    let mut kdb = KdbTree::new(8, DEFAULT_PAGE_SIZE)?;
     for (i, p) in data.iter().enumerate() {
         kdb.insert(p.clone(), i as u64)?;
     }
@@ -545,6 +569,8 @@ pub fn ablate_overlap(scale: &Scale) -> IndexResult<FigureReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+    use std::sync::OnceLock;
 
     /// A tiny scale so figure drivers run in CI-test time.
     fn tiny() -> Scale {
@@ -557,44 +583,73 @@ mod tests {
         }
     }
 
+    /// Every registered driver's report at [`tiny`], run once and shared
+    /// by the tests below.
+    fn report(name: &str) -> &'static FigureReport {
+        static REPORTS: OnceLock<HashMap<&str, FigureReport>> = OnceLock::new();
+        let reports = REPORTS.get_or_init(|| {
+            FIGURES
+                .iter()
+                .map(|(name, driver)| {
+                    let rep = driver(&tiny()).unwrap_or_else(|e| panic!("{name}: {e}"));
+                    (*name, rep)
+                })
+                .collect()
+        });
+        &reports[name]
+    }
+
+    #[test]
+    fn the_registry_holds_every_public_driver_once_and_each_yields_rows() {
+        // A driver is any `pub fn NAME(scale: &Scale)` in this file.
+        let mut drivers: Vec<&str> = include_str!("figures.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("pub fn "))
+            .filter_map(|l| l.strip_suffix("(scale: &Scale) -> IndexResult<FigureReport> {"))
+            .collect();
+        let mut names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
+        drivers.sort_unstable();
+        names.sort_unstable();
+        assert_eq!(names, drivers);
+        for name in names {
+            assert!(!report(name).rows.is_empty(), "{name} produced no rows");
+        }
+    }
+
     #[test]
     fn fig5ab_produces_rows() {
-        let rep = fig5ab(&tiny()).unwrap();
+        let rep = report("fig5ab");
         assert_eq!(rep.rows.len(), 6); // 3 dims x 2 policies
         assert!(rep.to_string().contains("eda-optimal"));
     }
 
     #[test]
     fn fig5c_produces_sweep() {
-        let rep = fig5c(&tiny()).unwrap();
+        let rep = report("fig5c");
         assert_eq!(rep.rows.len(), 21); // 3 dims x 7 precisions
     }
 
     #[test]
     fn fig6_and_fig7_produce_all_engines() {
-        let rep = fig6cd(&tiny()).unwrap();
-        let s = rep.to_string();
+        let s = report("fig6cd").to_string();
         for e in ["hybrid", "hb-tree", "sr-tree", "seq-scan"] {
             assert!(s.contains(e), "{e} missing from fig6cd");
         }
-        let rep = fig7cd(&tiny()).unwrap();
-        let s = rep.to_string();
+        let s = report("fig7cd").to_string();
         assert!(s.contains("hybrid") && s.contains("sr-tree"));
         assert!(!s.contains("hb-tree"), "hB-tree must be absent from 7(c,d)");
     }
 
     #[test]
     fn tables_render() {
-        let t1 = table1(&tiny()).unwrap();
-        assert_eq!(t1.rows.len(), 4);
-        let t2 = table2(&tiny()).unwrap();
-        assert!(t2.rows.len() >= 5);
+        assert_eq!(report("table1").rows.len(), 4);
+        assert!(report("table2").rows.len() >= 5);
     }
 
     #[test]
     fn ablations_run() {
-        assert!(ablate_split_pos(&tiny()).unwrap().rows.len() == 4);
-        assert!(ablate_dim_elim(&tiny()).unwrap().rows.len() == 2);
-        assert!(ablate_overlap(&tiny()).unwrap().rows.len() == 2);
+        assert!(report("ablate_split_pos").rows.len() == 4);
+        assert!(report("ablate_dim_elim").rows.len() == 2);
+        assert!(report("ablate_overlap").rows.len() == 2);
     }
 }

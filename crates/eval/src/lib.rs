@@ -4,7 +4,7 @@
 //!
 //! * **Datasets**: FOURIER (8/12/16-d) and COLHIST (16/32/64-d), supplied
 //!   by [`hyt_data`]'s synthetic stand-ins; sizes configurable through
-//!   [`Scale`] (`HYT_SCALE=paper` for paper-size runs).
+//!   [`Scale`] ([`Scale::quick`] or [`Scale::paper`]).
 //! * **Workloads**: bounding-box queries at constant selectivity (0.07%
 //!   FOURIER, 0.2% COLHIST) plus L1 distance-range queries for Fig 7(c,d).
 //! * **Cost model**: the *normalized I/O cost* of an index is its average
@@ -14,9 +14,9 @@
 //!   scan. The *normalized CPU cost* is the index's average per-query CPU
 //!   time divided by the scan's (scan = 1.0).
 //!
-//! [`figures`] contains one driver per table/figure; the `hyt-bench`
-//! crate exposes each as a `cargo bench` target that prints the
-//! regenerated table.
+//! [`figures`] contains one driver per table/figure, registered by name
+//! in [`figures::FIGURES`]; `hyt figures` runs them and prints (and with
+//! `--out`, archives) each regenerated table.
 
 mod admission;
 pub mod figures;

@@ -3,16 +3,16 @@
 use crate::admission::AdmissionGate;
 use hybrid_tree::{HybridTree, HybridTreeConfig, SplitPolicy};
 use hyt_geom::{Metric, Point, Rect};
-use hyt_hbtree::{HbTree, HbTreeConfig};
+use hyt_hbtree::HbTree;
 use hyt_index::{
     Answer, DegradeReason, IndexError, IndexResult, MultidimIndex, Query, QueryContext,
     QueryOutcome,
 };
 
-use hyt_kdbtree::{KdbTree, KdbTreeConfig};
-use hyt_page::{IoStats, PageError};
+use hyt_kdbtree::KdbTree;
+use hyt_page::{IoStats, PageError, DEFAULT_PAGE_SIZE};
 use hyt_scan::SeqScan;
-use hyt_srtree::{SrTree, SrTreeConfig};
+use hyt_srtree::SrTree;
 use std::time::{Duration, Instant};
 
 /// The engines the paper compares (§4), plus the kDB-tree for Table 1.
@@ -96,10 +96,10 @@ pub fn build_engine(
                 ..HybridTreeConfig::default()
             },
         )?),
-        Engine::Hb => Box::new(HbTree::new(dim, HbTreeConfig::default())?),
-        Engine::Sr => Box::new(SrTree::new(dim, SrTreeConfig::default())?),
-        Engine::Kdb => Box::new(KdbTree::new(dim, KdbTreeConfig::default())?),
-        Engine::Scan => Box::new(SeqScan::new(dim)?),
+        Engine::Hb => Box::new(HbTree::new(dim, DEFAULT_PAGE_SIZE)?),
+        Engine::Sr => Box::new(SrTree::new(dim, DEFAULT_PAGE_SIZE)?),
+        Engine::Kdb => Box::new(KdbTree::new(dim, DEFAULT_PAGE_SIZE)?),
+        Engine::Scan => Box::new(SeqScan::new(dim, DEFAULT_PAGE_SIZE)?),
         Engine::HybridBulk => unreachable!("handled above"),
     };
     for (i, p) in data.iter().enumerate() {

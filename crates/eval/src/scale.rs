@@ -1,11 +1,11 @@
-//! Experiment sizing, configurable via environment variables.
+//! Experiment sizing: the two presets the figure drivers run at.
 
 /// Sizes for one experimental run.
 ///
-/// `HYT_SCALE=quick` (default) keeps every figure regenerable on a laptop
-/// in minutes; `HYT_SCALE=paper` uses the paper's dataset sizes (FOURIER
-/// 400K for Fig 6(a,b), COLHIST 70K). `HYT_QUERIES` overrides the query
-/// count per configuration.
+/// [`Scale::quick`] keeps every figure regenerable on a laptop in
+/// minutes; [`Scale::paper`] uses the paper's dataset sizes (FOURIER 400K
+/// for Fig 6(a,b), COLHIST 70K). `hyt figures --scale quick|paper` picks
+/// one.
 #[derive(Clone, Copy, Debug)]
 pub struct Scale {
     /// FOURIER cardinality (paper: 400K in Fig 6(a,b)).
@@ -21,34 +21,6 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Reads `HYT_SCALE` / `HYT_QUERIES` / `HYT_SEED` from the
-    /// environment. Unknown scales and a zero query count are reported on
-    /// stderr and ignored.
-    pub fn from_env() -> Self {
-        Self::from_vars(|key| std::env::var(key).ok())
-    }
-
-    /// [`from_env`](Self::from_env) over an arbitrary variable lookup.
-    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
-        let mut s = match var("HYT_SCALE").as_deref() {
-            Some("paper") => Self::paper(),
-            Some("quick") | None => Self::quick(),
-            Some(other) => {
-                eprintln!("unknown HYT_SCALE={other}, using quick");
-                Self::quick()
-            }
-        };
-        match var("HYT_QUERIES").map(|q| q.parse::<usize>()) {
-            Some(Ok(0)) => eprintln!("HYT_QUERIES=0 leaves no queries, using {}", s.queries),
-            Some(Ok(q)) => s.queries = q,
-            _ => {}
-        }
-        if let Some(Ok(seed)) = var("HYT_SEED").map(|v| v.parse()) {
-            s.seed = seed;
-        }
-        s
-    }
-
     /// Laptop-friendly sizes preserving every trend.
     pub fn quick() -> Self {
         Self {
@@ -88,14 +60,6 @@ mod tests {
         assert!(q.fourier_n < p.fourier_n);
         assert!(q.colhist_n <= p.colhist_n);
         assert!(q.queries <= p.queries);
-    }
-
-    #[test]
-    fn zero_queries_is_ignored() {
-        let s = Scale::from_vars(|key| (key == "HYT_QUERIES").then(|| "0".to_string()));
-        assert_eq!(s.queries, Scale::quick().queries);
-        let s = Scale::from_vars(|key| (key == "HYT_QUERIES").then(|| "7".to_string()));
-        assert_eq!(s.queries, 7);
     }
 
     #[test]

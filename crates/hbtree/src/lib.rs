@@ -41,8 +41,7 @@ use hyt_index::{
     QueryOutcome, StatsTally, StructureStats,
 };
 use hyt_page::{
-    BufferPool, ByteReader, ByteWriter, IoStats, MemStorage, PageError, PageId, PageResult,
-    Storage, DEFAULT_PAGE_SIZE,
+    BufferPool, ByteReader, ByteWriter, IoStats, MemStorage, PageError, PageId, PageResult, Storage,
 };
 use std::collections::HashSet;
 
@@ -402,21 +401,6 @@ impl HbNode {
     }
 }
 
-/// Construction parameters of an [`HbTree`].
-#[derive(Clone, Debug)]
-pub struct HbTreeConfig {
-    /// Page size in bytes.
-    pub page_size: usize,
-}
-
-impl Default for HbTreeConfig {
-    fn default() -> Self {
-        Self {
-            page_size: DEFAULT_PAGE_SIZE,
-        }
-    }
-}
-
 /// `(constraint path, inside entries, outside entries)` of a data-corner
 /// extraction.
 type CornerSplit = (Vec<Constraint>, Vec<(Point, u64)>, Vec<(Point, u64)>);
@@ -441,7 +425,6 @@ pub struct HbTree<S: Storage = MemStorage> {
     height: usize,
     dim: usize,
     len: usize,
-    cfg: HbTreeConfig,
     data_cap: usize,
     /// Posts that could not be grafted because the child's Child-leaf
     /// migrated to another parent during an index split (reachability is
@@ -450,26 +433,21 @@ pub struct HbTree<S: Storage = MemStorage> {
 }
 
 impl HbTree<MemStorage> {
-    /// Creates an empty hB-tree over in-memory pages.
-    pub fn new(dim: usize, cfg: HbTreeConfig) -> IndexResult<Self> {
-        let storage = MemStorage::with_page_size(cfg.page_size);
-        Self::with_storage(dim, cfg, storage)
+    /// Creates an empty hB-tree over in-memory pages of `page_size` bytes
+    /// (the paper's is [`hyt_page::DEFAULT_PAGE_SIZE`]).
+    pub fn new(dim: usize, page_size: usize) -> IndexResult<Self> {
+        Self::with_storage(dim, MemStorage::with_page_size(page_size))
     }
 }
 
 impl<S: Storage> HbTree<S> {
     /// Creates an empty hB-tree over the given page store.
-    pub fn with_storage(dim: usize, cfg: HbTreeConfig, storage: S) -> IndexResult<Self> {
-        if storage.page_size() != cfg.page_size {
-            return Err(IndexError::Internal(
-                "storage/config page size mismatch".into(),
-            ));
-        }
-        let data_cap = cfg.page_size.saturating_sub(data_overhead(&[])) / leaf::entry_bytes(dim);
+    pub fn with_storage(dim: usize, storage: S) -> IndexResult<Self> {
+        let page_size = storage.page_size();
+        let data_cap = page_size.saturating_sub(data_overhead(&[])) / leaf::entry_bytes(dim);
         if data_cap < 3 {
             return Err(IndexError::Internal(format!(
-                "page size {} too small for dimension {dim} (need 3 entries for 1/3 splits)",
-                cfg.page_size
+                "page size {page_size} too small for dimension {dim} (need 3 entries for 1/3 splits)"
             )));
         }
         let pool = BufferPool::new(storage);
@@ -488,7 +466,6 @@ impl<S: Storage> HbTree<S> {
             height: 1,
             dim,
             len: 0,
-            cfg,
             data_cap,
             posts_dropped: 0,
         })
@@ -523,7 +500,7 @@ impl<S: Storage> HbTree<S> {
 
     fn write_node(&mut self, pid: PageId, node: &HbNode) -> IndexResult<()> {
         let buf = node.encode(self.dim);
-        if buf.len() > self.cfg.page_size {
+        if buf.len() > self.pool.page_size() {
             return Err(IndexError::Internal(format!(
                 "hB node for {pid} overflows page ({} bytes)",
                 buf.len()
@@ -705,7 +682,7 @@ impl<S: Storage> HbTree<S> {
                 loop {
                     let size =
                         data_overhead(&redirects) + entries.len() * leaf::entry_bytes(self.dim);
-                    if entries.len() <= self.data_cap && size <= self.cfg.page_size {
+                    if entries.len() <= self.data_cap && size <= self.pool.page_size() {
                         break;
                     }
                     if entries.len() < 3 {
@@ -764,9 +741,9 @@ impl<S: Storage> HbTree<S> {
                 }
                 // Shed corners until this node fits again.
                 let mut posts = Vec::new();
-                while 3 + kd.encoded_size() > self.cfg.page_size {
+                while 3 + kd.encoded_size() > self.pool.page_size() {
                     let (path, extracted) =
-                        Self::extract_index_corner(&mut kd, self.cfg.page_size - 3);
+                        Self::extract_index_corner(&mut kd, self.pool.page_size() - 3);
                     if path.is_empty() {
                         return Err(IndexError::Internal(
                             "index corner extraction produced no constraints".into(),
@@ -933,8 +910,9 @@ impl<S: Storage> MultidimIndex for HbTree<S> {
             self.posts_dropped += dropped;
             let level = self.height as u16;
             let mut next_posts = Vec::new();
-            while 3 + kd.encoded_size() > self.cfg.page_size {
-                let (path, extracted) = Self::extract_index_corner(&mut kd, self.cfg.page_size - 3);
+            while 3 + kd.encoded_size() > self.pool.page_size() {
+                let (path, extracted) =
+                    Self::extract_index_corner(&mut kd, self.pool.page_size() - 3);
                 if path.is_empty() {
                     return Err(IndexError::Internal(
                         "root corner extraction produced no constraints".into(),
@@ -1046,7 +1024,7 @@ impl<S: Storage> MultidimIndex for HbTree<S> {
     }
 
     fn structure_stats(&self) -> IndexResult<StructureStats> {
-        let mut tally = StatsTally::new(self.height, self.cfg.page_size, self.dim);
+        let mut tally = StatsTally::new(self.height, self.pool.page_size(), self.dim);
         if self.len == 0 {
             return Ok(tally.finish());
         }
@@ -1093,9 +1071,7 @@ mod tests {
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
-    fn cfg() -> HbTreeConfig {
-        HbTreeConfig { page_size: 256 }
-    }
+    const PAGE: usize = 256;
 
     fn points(n: usize, dim: usize, seed: u64) -> Vec<Point> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1105,7 +1081,7 @@ mod tests {
     }
 
     fn build(pts: &[Point]) -> HbTree {
-        let mut t = HbTree::new(pts[0].dim(), cfg()).unwrap();
+        let mut t = HbTree::new(pts[0].dim(), PAGE).unwrap();
         for (i, p) in pts.iter().enumerate() {
             t.insert(p.clone(), i as u64).unwrap();
         }
@@ -1240,7 +1216,7 @@ mod tests {
 
     #[test]
     fn duplicate_points_handled() {
-        let mut t = HbTree::new(2, cfg()).unwrap();
+        let mut t = HbTree::new(2, PAGE).unwrap();
         let p = Point::new(vec![0.5, 0.5]);
         for i in 0..60 {
             t.insert(p.clone(), i).unwrap();
@@ -1253,7 +1229,7 @@ mod tests {
     #[test]
     fn interleaved_insert_delete_query() {
         let pts = points(900, 3, 8);
-        let mut t = HbTree::new(3, cfg()).unwrap();
+        let mut t = HbTree::new(3, PAGE).unwrap();
         let mut live = vec![false; pts.len()];
         let mut rng = StdRng::seed_from_u64(9);
         for i in 0..600 {

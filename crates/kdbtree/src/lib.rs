@@ -33,8 +33,7 @@ use hyt_index::{
     QueryContext, QueryOutcome, StatsTally, StructureStats,
 };
 use hyt_page::{
-    BufferPool, ByteReader, ByteWriter, IoStats, MemStorage, PageError, PageId, PageResult,
-    Storage, DEFAULT_PAGE_SIZE,
+    BufferPool, ByteReader, ByteWriter, IoStats, MemStorage, PageError, PageId, PageResult, Storage,
 };
 use std::cmp::Ordering;
 
@@ -250,21 +249,6 @@ impl KdbNode {
     }
 }
 
-/// Construction parameters of a [`KdbTree`].
-#[derive(Clone, Debug)]
-pub struct KdbTreeConfig {
-    /// Page size in bytes.
-    pub page_size: usize,
-}
-
-impl Default for KdbTreeConfig {
-    fn default() -> Self {
-        Self {
-            page_size: DEFAULT_PAGE_SIZE,
-        }
-    }
-}
-
 /// Split statistics — the kDB-tree's pathology, measured.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct KdbSplitStats {
@@ -283,33 +267,27 @@ pub struct KdbTree<S: Storage = MemStorage> {
     height: usize,
     dim: usize,
     len: usize,
-    cfg: KdbTreeConfig,
     data_cap: usize,
     global_br: Option<Rect>,
     split_stats: KdbSplitStats,
 }
 
 impl KdbTree<MemStorage> {
-    /// Creates an empty kDB-tree over in-memory pages.
-    pub fn new(dim: usize, cfg: KdbTreeConfig) -> IndexResult<Self> {
-        let storage = MemStorage::with_page_size(cfg.page_size);
-        Self::with_storage(dim, cfg, storage)
+    /// Creates an empty kDB-tree over in-memory pages of `page_size`
+    /// bytes (the paper's is [`hyt_page::DEFAULT_PAGE_SIZE`]).
+    pub fn new(dim: usize, page_size: usize) -> IndexResult<Self> {
+        Self::with_storage(dim, MemStorage::with_page_size(page_size))
     }
 }
 
 impl<S: Storage> KdbTree<S> {
     /// Creates an empty kDB-tree over the given page store.
-    pub fn with_storage(dim: usize, cfg: KdbTreeConfig, storage: S) -> IndexResult<Self> {
-        if storage.page_size() != cfg.page_size {
-            return Err(IndexError::Internal(
-                "storage/config page size mismatch".into(),
-            ));
-        }
-        let data_cap = (cfg.page_size - DATA_HEADER_BYTES) / leaf::entry_bytes(dim);
+    pub fn with_storage(dim: usize, storage: S) -> IndexResult<Self> {
+        let page_size = storage.page_size();
+        let data_cap = (page_size - DATA_HEADER_BYTES) / leaf::entry_bytes(dim);
         if data_cap < 2 {
             return Err(IndexError::Internal(format!(
-                "page size {} too small for dimension {dim}",
-                cfg.page_size
+                "page size {page_size} too small for dimension {dim}"
             )));
         }
         let pool = BufferPool::new(storage);
@@ -321,7 +299,6 @@ impl<S: Storage> KdbTree<S> {
             height: 1,
             dim,
             len: 0,
-            cfg,
             data_cap,
             global_br: None,
             split_stats: KdbSplitStats::default(),
@@ -357,7 +334,7 @@ impl<S: Storage> KdbTree<S> {
 
     fn write_node(&mut self, pid: PageId, node: &KdbNode) -> IndexResult<()> {
         let buf = node.encode(self.dim);
-        if buf.len() > self.cfg.page_size {
+        if buf.len() > self.pool.page_size() {
             return Err(IndexError::Internal(format!(
                 "kdb node for {pid} overflows page"
             )));
@@ -646,7 +623,7 @@ impl<S: Storage> KdbTree<S> {
                     );
                     debug_assert!(replaced);
                     let node = KdbNode::Index { level, kd };
-                    if node.encoded_size(self.dim) > self.cfg.page_size {
+                    if node.encoded_size(self.dim) > self.pool.page_size() {
                         let KdbNode::Index { level, kd } = node else {
                             unreachable!()
                         };
@@ -872,7 +849,7 @@ impl<S: Storage> MultidimIndex for KdbTree<S> {
     }
 
     fn structure_stats(&self) -> IndexResult<StructureStats> {
-        let mut tally = StatsTally::new(self.height, self.cfg.page_size, self.dim);
+        let mut tally = StatsTally::new(self.height, self.pool.page_size(), self.dim);
         if self.len == 0 {
             return Ok(tally.finish());
         }
@@ -907,9 +884,7 @@ mod tests {
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
-    fn cfg() -> KdbTreeConfig {
-        KdbTreeConfig { page_size: 256 }
-    }
+    const PAGE: usize = 256;
 
     fn points(n: usize, dim: usize, seed: u64) -> Vec<Point> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -919,7 +894,7 @@ mod tests {
     }
 
     fn build(pts: &[Point]) -> KdbTree {
-        let mut t = KdbTree::new(pts[0].dim(), cfg()).unwrap();
+        let mut t = KdbTree::new(pts[0].dim(), PAGE).unwrap();
         for (i, p) in pts.iter().enumerate() {
             t.insert(p.clone(), i as u64).unwrap();
         }
@@ -987,7 +962,7 @@ mod tests {
         // Correlated, clustered data triggers unbalanced kd trees and
         // forces median hyperplanes with cascades.
         let mut rng = StdRng::seed_from_u64(5);
-        let mut t = KdbTree::new(4, cfg()).unwrap();
+        let mut t = KdbTree::new(4, PAGE).unwrap();
         let mut pts = Vec::new();
         for i in 0..2000u64 {
             let c = (i % 5) as f32 / 5.0;
@@ -1028,7 +1003,7 @@ mod tests {
         // some pages may be nearly empty. We only assert the structure
         // reports utilization (possibly low) without failing.
         let mut rng = StdRng::seed_from_u64(7);
-        let mut t = KdbTree::new(2, cfg()).unwrap();
+        let mut t = KdbTree::new(2, PAGE).unwrap();
         for i in 0..1500u64 {
             // Two tight clusters plus a sprinkle of outliers.
             let p = if i % 10 == 0 {

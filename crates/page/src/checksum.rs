@@ -333,6 +333,8 @@ mod tests {
         for result in [
             DurableStorage::open(&path, usize::MAX),
             DurableStorage::create(dir.join("never.pages"), usize::MAX),
+            DurableStorage::open(&path, usize::MAX - 615),
+            DurableStorage::create(dir.join("never.pages"), usize::MAX - 615),
         ] {
             match result {
                 Err(PageError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),

@@ -106,14 +106,19 @@ pub trait Storage: Send + Sync {
 /// Smallest page any store accepts: no node header fits in fewer bytes.
 const MIN_PAGE_SIZE: usize = 64;
 
-/// Rejects a page size below [`MIN_PAGE_SIZE`] with a typed error
-/// (`ErrorKind::InvalidInput`) instead of a panic, so a caller's bad
-/// setting surfaces before any file is touched.
+/// Largest page a file store accepts (1 MiB). The largest page any engine
+/// addresses is the hybrid tree's 65,536 bytes plus the 32-byte frame, so
+/// this leaves room while keeping the per-store scratch page allocatable.
+const MAX_PAGE_SIZE: usize = 1 << 20;
+
+/// Rejects a page size outside [`MIN_PAGE_SIZE`]..=[`MAX_PAGE_SIZE`] with a
+/// typed error (`ErrorKind::InvalidInput`) instead of a panic, so a
+/// caller's bad setting surfaces before any file is touched.
 fn check_page_size(page_size: usize) -> PageResult<()> {
-    if page_size < MIN_PAGE_SIZE {
+    if !(MIN_PAGE_SIZE..=MAX_PAGE_SIZE).contains(&page_size) {
         return Err(PageError::Io(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
-            format!("page size {page_size} is below the {MIN_PAGE_SIZE}-byte minimum"),
+            format!("page size {page_size} is outside {MIN_PAGE_SIZE}..={MAX_PAGE_SIZE} bytes"),
         )));
     }
     Ok(())
@@ -247,8 +252,9 @@ pub struct FileStorage {
 }
 
 impl FileStorage {
-    /// Creates (truncating) a page file at `path`. A `page_size` below 64
-    /// bytes is an `InvalidInput` I/O error and leaves `path` untouched.
+    /// Creates (truncating) a page file at `path`. A `page_size` outside
+    /// 64 bytes to 1 MiB is an `InvalidInput` I/O error and leaves `path`
+    /// untouched.
     pub fn create<P: AsRef<Path>>(path: P, page_size: usize) -> PageResult<Self> {
         check_page_size(page_size)?;
         let file = OpenOptions::new()
@@ -492,11 +498,11 @@ mod tests {
     }
 
     #[test]
-    fn file_storage_rejects_a_page_size_below_the_minimum() {
+    fn file_storage_rejects_a_page_size_out_of_bounds() {
         let dir = std::env::temp_dir().join(format!("hyt_page_small_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("small.pages");
-        for page_size in [0, 1, MIN_PAGE_SIZE - 1] {
+        for page_size in [0, 1, MIN_PAGE_SIZE - 1, MAX_PAGE_SIZE + 1, usize::MAX] {
             for result in [
                 FileStorage::create(&path, page_size),
                 FileStorage::open(&path, page_size),

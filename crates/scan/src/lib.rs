@@ -37,16 +37,10 @@ pub struct SeqScan<S: Storage = MemStorage> {
 }
 
 impl SeqScan<MemStorage> {
-    /// Creates an empty scan file over in-memory pages with the paper's
-    /// default page size.
-    pub fn new(dim: usize) -> IndexResult<Self> {
-        Self::with_page_size(dim, hyt_page::DEFAULT_PAGE_SIZE)
-    }
-
-    /// Creates an empty scan file with a custom page size.
-    pub fn with_page_size(dim: usize, page_size: usize) -> IndexResult<Self> {
-        let storage = MemStorage::with_page_size(page_size);
-        Self::with_storage(dim, storage)
+    /// Creates an empty scan file over in-memory pages of `page_size`
+    /// bytes (the paper's is [`hyt_page::DEFAULT_PAGE_SIZE`]).
+    pub fn new(dim: usize, page_size: usize) -> IndexResult<Self> {
+        Self::with_storage(dim, MemStorage::with_page_size(page_size))
     }
 }
 
@@ -298,7 +292,7 @@ mod tests {
     #[test]
     fn insert_and_scan() {
         let pts = points(300, 4, 1);
-        let mut s = SeqScan::with_page_size(4, 256).unwrap();
+        let mut s = SeqScan::new(4, 256).unwrap();
         for (i, p) in pts.iter().enumerate() {
             s.insert(p.clone(), i as u64).unwrap();
         }
@@ -319,7 +313,7 @@ mod tests {
     #[test]
     fn all_reads_are_sequential() {
         let pts = points(100, 2, 2);
-        let mut s = SeqScan::with_page_size(2, 256).unwrap();
+        let mut s = SeqScan::new(2, 256).unwrap();
         for (i, p) in pts.iter().enumerate() {
             s.insert(p.clone(), i as u64).unwrap();
         }
@@ -335,7 +329,7 @@ mod tests {
     #[test]
     fn knn_and_distance_range_match_brute_force() {
         let pts = points(200, 3, 3);
-        let mut s = SeqScan::with_page_size(3, 512).unwrap();
+        let mut s = SeqScan::new(3, 512).unwrap();
         for (i, p) in pts.iter().enumerate() {
             s.insert(p.clone(), i as u64).unwrap();
         }
@@ -355,7 +349,7 @@ mod tests {
     #[test]
     fn delete_removes_entry() {
         let pts = points(50, 2, 4);
-        let mut s = SeqScan::with_page_size(2, 256).unwrap();
+        let mut s = SeqScan::new(2, 256).unwrap();
         for (i, p) in pts.iter().enumerate() {
             s.insert(p.clone(), i as u64).unwrap();
         }
@@ -370,7 +364,7 @@ mod tests {
     #[test]
     fn structure_stats_reports_pages() {
         let pts = points(100, 2, 5);
-        let mut s = SeqScan::with_page_size(2, 256).unwrap();
+        let mut s = SeqScan::new(2, 256).unwrap();
         for (i, p) in pts.iter().enumerate() {
             s.insert(p.clone(), i as u64).unwrap();
         }

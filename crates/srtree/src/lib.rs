@@ -28,4 +28,4 @@ mod node;
 mod tree;
 
 pub use node::{ChildEntry, SrNode};
-pub use tree::{SrTree, SrTreeConfig};
+pub use tree::SrTree;

@@ -7,25 +7,10 @@ use hyt_index::{
     check_dim, Answer, IndexError, IndexResult, KnnStream, MultidimIndex, Query, QueryContext,
     QueryOutcome, StatsTally, StructureStats,
 };
-use hyt_page::{BufferPool, IoStats, MemStorage, PageError, PageId, Storage, DEFAULT_PAGE_SIZE};
+use hyt_page::{BufferPool, IoStats, MemStorage, PageError, PageId, Storage};
 
 /// Minimum fill fraction of a node's capacity guaranteed by splits.
 const MIN_FILL: f64 = 0.4;
-
-/// Construction parameters of an [`SrTree`].
-#[derive(Clone, Debug)]
-pub struct SrTreeConfig {
-    /// Page size in bytes (paper: 4096).
-    pub page_size: usize,
-}
-
-impl Default for SrTreeConfig {
-    fn default() -> Self {
-        Self {
-            page_size: DEFAULT_PAGE_SIZE,
-        }
-    }
-}
 
 enum InsertResult {
     /// Child absorbed the point; its (recomputed) entry follows.
@@ -47,7 +32,6 @@ pub struct SrTree<S: Storage = MemStorage> {
     height: usize,
     dim: usize,
     len: usize,
-    cfg: SrTreeConfig,
     data_cap: usize,
     data_min: usize,
     index_cap: usize,
@@ -55,28 +39,24 @@ pub struct SrTree<S: Storage = MemStorage> {
 }
 
 impl SrTree<MemStorage> {
-    /// Creates an empty SR-tree over in-memory pages.
-    pub fn new(dim: usize, cfg: SrTreeConfig) -> IndexResult<Self> {
-        let storage = MemStorage::with_page_size(cfg.page_size);
-        Self::with_storage(dim, cfg, storage)
+    /// Creates an empty SR-tree over in-memory pages of `page_size` bytes
+    /// (the paper's is [`hyt_page::DEFAULT_PAGE_SIZE`]).
+    pub fn new(dim: usize, page_size: usize) -> IndexResult<Self> {
+        Self::with_storage(dim, MemStorage::with_page_size(page_size))
     }
 }
 
 impl<S: Storage> SrTree<S> {
     /// Creates an empty SR-tree over the given page store.
-    pub fn with_storage(dim: usize, cfg: SrTreeConfig, storage: S) -> IndexResult<Self> {
-        if storage.page_size() != cfg.page_size {
-            return Err(IndexError::Internal(
-                "storage/config page size mismatch".into(),
-            ));
-        }
-        let data_cap = data_capacity(cfg.page_size, dim);
-        let index_cap = index_capacity(cfg.page_size, dim);
+    pub fn with_storage(dim: usize, storage: S) -> IndexResult<Self> {
+        let page_size = storage.page_size();
+        let data_cap = data_capacity(page_size, dim);
+        let index_cap = index_capacity(page_size, dim);
         if data_cap < 2 || index_cap < 2 {
             return Err(IndexError::Internal(format!(
                 "page size {} cannot hold an SR-tree of dimension {dim} \
                  (data cap {data_cap}, index cap {index_cap})",
-                cfg.page_size
+                page_size
             )));
         }
         let data_min = ((MIN_FILL * data_cap as f64).floor() as usize).max(1);
@@ -90,7 +70,6 @@ impl<S: Storage> SrTree<S> {
             height: 1,
             dim,
             len: 0,
-            cfg,
             data_cap,
             data_min,
             index_cap,
@@ -127,7 +106,7 @@ impl<S: Storage> SrTree<S> {
 
     fn write_node(&mut self, pid: PageId, node: &SrNode) -> IndexResult<()> {
         let buf = node.encode(self.dim);
-        if buf.len() > self.cfg.page_size {
+        if buf.len() > self.pool.page_size() {
             return Err(IndexError::Internal(format!(
                 "SR node for {pid} overflows page ({} bytes)",
                 buf.len()
@@ -662,7 +641,7 @@ impl<S: Storage> MultidimIndex for SrTree<S> {
     }
 
     fn structure_stats(&self) -> IndexResult<StructureStats> {
-        let mut tally = StatsTally::new(self.height, self.cfg.page_size, self.dim);
+        let mut tally = StatsTally::new(self.height, self.pool.page_size(), self.dim);
         if self.len == 0 {
             return Ok(tally.finish());
         }
@@ -692,9 +671,7 @@ mod tests {
     use rand::prelude::*;
     use rand::rngs::StdRng;
 
-    fn cfg() -> SrTreeConfig {
-        SrTreeConfig { page_size: 512 }
-    }
+    const PAGE: usize = 512;
 
     fn points(n: usize, dim: usize, seed: u64) -> Vec<Point> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -704,7 +681,7 @@ mod tests {
     }
 
     fn build(pts: &[Point]) -> SrTree {
-        let mut t = SrTree::new(pts[0].dim(), cfg()).unwrap();
+        let mut t = SrTree::new(pts[0].dim(), PAGE).unwrap();
         for (i, p) in pts.iter().enumerate() {
             t.insert(p.clone(), i as u64).unwrap();
         }
@@ -830,13 +807,13 @@ mod tests {
     #[test]
     fn rejects_impossible_geometry() {
         // 64-d entries cannot fit two to a 512-byte page.
-        assert!(SrTree::new(64, cfg()).is_err());
+        assert!(SrTree::new(64, PAGE).is_err());
     }
 
     #[test]
     fn structure_stats_reflect_low_fanout_in_high_dim() {
         let pts = points(2000, 16, 10);
-        let mut t = SrTree::new(16, SrTreeConfig::default()).unwrap();
+        let mut t = SrTree::new(16, hyt_page::DEFAULT_PAGE_SIZE).unwrap();
         for (i, p) in pts.iter().enumerate() {
             t.insert(p.clone(), i as u64).unwrap();
         }

@@ -7,6 +7,7 @@
 //! ```
 
 use hybridtree_repro::data::fourier;
+use hybridtree_repro::page::DEFAULT_PAGE_SIZE;
 use hybridtree_repro::prelude::*;
 use hybridtree_repro::scan::SeqScan;
 
@@ -17,7 +18,7 @@ fn main() -> Result<(), IndexError> {
     let shapes = fourier(100_000, DIM, 3);
 
     let mut tree = HybridTree::new(DIM, HybridTreeConfig::default())?;
-    let mut scan = SeqScan::new(DIM)?;
+    let mut scan = SeqScan::new(DIM, DEFAULT_PAGE_SIZE)?;
     for (oid, s) in shapes.iter().enumerate() {
         tree.insert(s.clone(), oid as u64)?;
         scan.insert(s.clone(), oid as u64)?;

@@ -23,6 +23,9 @@ cargo clippy -p hyt-geom -p hyt-exec --lib -- -D warnings -D clippy::unwrap_used
 echo "== cargo clippy hyt-eval (the batch runner and its admission gate run every governed batch: unwrap/expect denied)"
 cargo clippy -p hyt-eval --lib -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
+echo "== cargo clippy hyt binary (it parses outside input and writes files: unwrap/expect denied)"
+cargo clippy --bin hyt -- -D warnings -D clippy::unwrap_used -D clippy::expect_used
+
 echo "== cargo test"
 cargo test --workspace -q
 

@@ -8,6 +8,7 @@
 //! hyt range    --index db.pages --meta db.meta --query 0.1,0.2,... --radius 0.4
 //! hyt box      --index db.pages --meta db.meta --lo 0.1,0.1 --hi 0.4,0.4
 //! hyt batch    --index db.pages --meta db.meta --queries batch.txt --threads 4
+//! hyt figures  --only fig5c,table1 --scale quick --out results
 //! ```
 //!
 //! Vectors are CSV lines of `f32`; the object id is the 0-based line
@@ -17,13 +18,15 @@
 
 use hybridtree_repro::core::{scrub_index, scrub_pages, HybridTree, HybridTreeConfig};
 use hybridtree_repro::data::{colhist, fourier, uniform};
-use hybridtree_repro::eval::{run_batch, total_io, AdmissionGate};
+use hybridtree_repro::eval::figures::FIGURES;
+use hybridtree_repro::eval::{run_batch, total_io, AdmissionGate, Scale};
 use hybridtree_repro::geom::{Chebyshev, Lp, Metric, Point, Rect, L1, L2};
 use hybridtree_repro::index::{DegradeReason, MultidimIndex, Query, QueryContext, QueryOutcome};
 use hybridtree_repro::page::DurableStorage;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Write};
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -55,6 +58,7 @@ const USAGE: &str = "usage:
                [--timeout-ms T] [--max-reads N] [--max-inflight N]
                [--node-cache-entries N]
   hyt scrub    --index PAGES [--meta META] [--page-size 4096]
+  hyt figures  [--only NAME[,NAME…]] [--scale quick|paper] [--out DIR]
 metrics: l1, l2, linf, lp:<p>     V: comma-separated f32 coordinates
 batch file: one query per line — `box LO HI` | `range CENTER R` | `knn CENTER K`
 --timeout-ms caps wall time (whole batch for `batch`), --max-reads caps page
@@ -66,7 +70,10 @@ browsing) instead of after the search completes; same answers, same I/O.
 (0 disables; decode-per-visit); query results and page-read counts are
 unaffected, only decode work.
 scrub verifies every page checksum (and, with --meta, every tree invariant)
-without loading the index; exits 1 if any corruption is found";
+without loading the index; exits 1 if any corruption is found
+figures regenerates the paper's tables and figures (all, or --only the named
+ones, in that order) at quick or paper scale, prints each report, and with
+--out also writes it to DIR/NAME.txt";
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let Some((cmd, rest)) = args.split_first() else {
@@ -83,6 +90,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "box" => box_query(&opts, out).map(|()| ExitCode::SUCCESS),
         "batch" => batch(&opts, out).map(|()| ExitCode::SUCCESS),
         "scrub" => scrub(&opts, out),
+        "figures" => figures(&opts, out).map(|()| ExitCode::SUCCESS),
         other => Err(format!("unknown command `{other}`")),
     }
 }
@@ -137,6 +145,48 @@ fn scrub(opts: &HashMap<String, String>, out: &mut Out) -> Result<ExitCode, Stri
         writeln!(out, "scrub found {} problem(s)", report.problem_count())?;
         Ok(ExitCode::FAILURE)
     }
+}
+
+/// Runs the chosen figure drivers in order, printing each report as it
+/// completes and, with `--out DIR`, writing the same bytes to
+/// `DIR/<name>.txt`.
+fn figures(opts: &HashMap<String, String>, out: &mut Out) -> Result<(), String> {
+    let scale = match opts.get("scale").map(String::as_str) {
+        None | Some("quick") => Scale::quick(),
+        Some("paper") => Scale::paper(),
+        Some(other) => return Err(format!("unknown scale `{other}` (quick, paper)")),
+    };
+    let chosen = match opts.get("only") {
+        None => FIGURES.to_vec(),
+        Some(list) => list
+            .split(',')
+            .map(|name| {
+                FIGURES
+                    .iter()
+                    .find(|(known, _)| *known == name)
+                    .copied()
+                    .ok_or_else(|| {
+                        let known: Vec<&str> = FIGURES.iter().map(|(n, _)| *n).collect();
+                        format!("unknown figure `{name}` (known: {})", known.join(", "))
+                    })
+            })
+            .collect::<Result<Vec<_>, String>>()?,
+    };
+    let dir = opts.get("out").map(Path::new);
+    if let Some(dir) = dir {
+        std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+    }
+    for (name, driver) in chosen {
+        let started = Instant::now();
+        let text = format!("{}\n", driver(&scale).map_err(|e| format!("{name}: {e}"))?);
+        write!(out, "{text}")?;
+        if let Some(dir) = dir {
+            let path = dir.join(format!("{name}.txt"));
+            std::fs::write(&path, &text).map_err(|e| format!("writing {}: {e}", path.display()))?;
+        }
+        eprintln!("[{name} done in {:.1}s]", started.elapsed().as_secs_f64());
+    }
+    Ok(())
 }
 
 fn parse_opts(args: &[String]) -> Result<HashMap<String, String>, String> {

@@ -389,3 +389,35 @@ fn a_reader_that_closes_the_pipe_early_ends_hyt_quietly() {
     assert!(!err.contains("panicked"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn figures_refuses_unknown_names_scales_and_unwritable_dirs() {
+    let dir = std::env::temp_dir().join(format!("hyt_cli_figures_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("plain.txt");
+    std::fs::write(&file, "not a directory").unwrap();
+    let under_file = file.join("results");
+    let cases: [(&[&str], &str); 3] = [
+        (&["--only", "nosuch"], "known: table1, table2"),
+        (&["--scale", "huge"], "unknown scale `huge`"),
+        (
+            &["--only", "table2", "--out", under_file.to_str().unwrap()],
+            "plain.txt",
+        ),
+    ];
+    for (args, expect) in cases {
+        let out = hyt().arg("figures").args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.contains("error:") && err.contains(expect),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?} ran a figure before refusing"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

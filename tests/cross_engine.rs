@@ -4,10 +4,10 @@
 
 use hybridtree_repro::data::{clustered, colhist, fourier, uniform};
 use hybridtree_repro::eval::{build_engine, Engine};
-use hybridtree_repro::kdbtree::{KdbTree, KdbTreeConfig};
+use hybridtree_repro::kdbtree::KdbTree;
 use hybridtree_repro::prelude::*;
 use hybridtree_repro::scan::SeqScan;
-use hybridtree_repro::srtree::{SrTree, SrTreeConfig};
+use hybridtree_repro::srtree::SrTree;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -215,24 +215,15 @@ fn distance_engines(points: &[Point]) -> Vec<(&'static str, Box<dyn MultidimInde
         els_bits,
         ..HybridTreeConfig::default()
     };
-    let sr = SrTreeConfig {
-        page_size: EPS_PAGE,
-    };
-    let kdb = KdbTreeConfig {
-        page_size: EPS_PAGE,
-    };
     let mut engines: Vec<(&'static str, Box<dyn MultidimIndex>)> = vec![
         ("hybrid", Box::new(HybridTree::new(dim, hybrid(4)).unwrap())),
         (
             "hybrid-els0",
             Box::new(HybridTree::new(dim, hybrid(0)).unwrap()),
         ),
-        ("sr-tree", Box::new(SrTree::new(dim, sr).unwrap())),
-        ("kdb-tree", Box::new(KdbTree::new(dim, kdb).unwrap())),
-        (
-            "seq-scan",
-            Box::new(SeqScan::with_page_size(dim, EPS_PAGE).unwrap()),
-        ),
+        ("sr-tree", Box::new(SrTree::new(dim, EPS_PAGE).unwrap())),
+        ("kdb-tree", Box::new(KdbTree::new(dim, EPS_PAGE).unwrap())),
+        ("seq-scan", Box::new(SeqScan::new(dim, EPS_PAGE).unwrap())),
     ];
     for (_, idx) in &mut engines {
         for (i, p) in points.iter().enumerate() {

@@ -6,15 +6,15 @@
 
 use hybridtree_repro::core::{scrub_index, ElsTable, HybridTree, HybridTreeConfig, KdTree, Node};
 use hybridtree_repro::geom::{Point, Rect, L2};
-use hybridtree_repro::hbtree::{HbTree, HbTreeConfig};
+use hybridtree_repro::hbtree::HbTree;
 use hybridtree_repro::index::{leaf, IndexError, MultidimIndex};
-use hybridtree_repro::kdbtree::{KdbTree, KdbTreeConfig};
+use hybridtree_repro::kdbtree::KdbTree;
 use hybridtree_repro::page::{
     inspect_frame, inspect_header, ByteReader, ByteWriter, DurableStorage, FaultScript,
     FaultStorage, FrameStatus, MemStorage, PageError, PageId, FRAME_HEADER_BYTES,
 };
 use hybridtree_repro::scan::SeqScan;
-use hybridtree_repro::srtree::{ChildEntry, SrNode, SrTree, SrTreeConfig};
+use hybridtree_repro::srtree::{ChildEntry, SrNode, SrTree};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -109,17 +109,11 @@ fn height(t: &impl MultidimIndex) -> usize {
 }
 
 fn hb_over(s: FaultStorage<MemStorage>) -> HbTree<FaultStorage<MemStorage>> {
-    let cfg = HbTreeConfig {
-        page_size: FLIP_PAGE,
-    };
-    HbTree::with_storage(3, cfg, s).unwrap()
+    HbTree::with_storage(3, s).unwrap()
 }
 
 fn kdb_over(s: FaultStorage<MemStorage>) -> KdbTree<FaultStorage<MemStorage>> {
-    let cfg = KdbTreeConfig {
-        page_size: FLIP_PAGE,
-    };
-    KdbTree::with_storage(3, cfg, s).unwrap()
+    KdbTree::with_storage(3, s).unwrap()
 }
 
 fn hb_tree() -> &'static Flippable<HbTree<FaultStorage<MemStorage>>> {
@@ -532,12 +526,7 @@ fn queries_survive_bit_flips() {
         assert_eq!(t.height(), 2);
         sweep(&format!("hybrid, ELS {els_bits}"), &t, &script, true);
     }
-    let sr = |s| {
-        let cfg = SrTreeConfig {
-            page_size: FLIP_PAGE,
-        };
-        SrTree::with_storage(3, cfg, s).unwrap()
-    };
+    let sr = |s| SrTree::with_storage(3, s).unwrap();
     let (t, script) = flippable(points, sr);
     assert_eq!(height(&t), 2);
     sweep("SR", &t, &script, true);
@@ -556,10 +545,7 @@ fn queries_survive_bit_flips() {
 #[test]
 fn sr_root_with_no_entries_fails_inserts_cleanly() {
     let (storage, script) = FaultStorage::new(MemStorage::with_page_size(FLIP_PAGE));
-    let cfg = SrTreeConfig {
-        page_size: FLIP_PAGE,
-    };
-    let mut t = SrTree::with_storage(3, cfg, storage).unwrap();
+    let mut t = SrTree::with_storage(3, storage).unwrap();
     for (i, p) in flip_points().into_iter().take(120).enumerate() {
         t.insert(p, i as u64).unwrap();
     }

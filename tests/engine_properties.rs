@@ -3,11 +3,11 @@
 //! inserts, deletes, and queries — the same harness the hybrid tree gets
 //! in `hybrid_properties.rs`, applied to the baselines.
 
-use hybridtree_repro::hbtree::{HbTree, HbTreeConfig};
-use hybridtree_repro::kdbtree::{KdbTree, KdbTreeConfig};
+use hybridtree_repro::hbtree::HbTree;
+use hybridtree_repro::kdbtree::KdbTree;
 use hybridtree_repro::prelude::*;
 use hybridtree_repro::scan::SeqScan;
-use hybridtree_repro::srtree::{SrTree, SrTreeConfig};
+use hybridtree_repro::srtree::SrTree;
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -70,25 +70,22 @@ proptest! {
 
     #[test]
     fn srtree_matches_oracle(ops in proptest::collection::vec(op_strategy(3), 1..200)) {
-        let cfg = SrTreeConfig { page_size: 512 };
-        run_ops(Box::new(SrTree::new(3, cfg).unwrap()), ops);
+        run_ops(Box::new(SrTree::new(3, 512).unwrap()), ops);
     }
 
     #[test]
     fn hbtree_matches_oracle(ops in proptest::collection::vec(op_strategy(3), 1..200)) {
-        let cfg = HbTreeConfig { page_size: 256 };
-        run_ops(Box::new(HbTree::new(3, cfg).unwrap()), ops);
+        run_ops(Box::new(HbTree::new(3, 256).unwrap()), ops);
     }
 
     #[test]
     fn kdbtree_matches_oracle(ops in proptest::collection::vec(op_strategy(3), 1..200)) {
-        let cfg = KdbTreeConfig { page_size: 256 };
-        run_ops(Box::new(KdbTree::new(3, cfg).unwrap()), ops);
+        run_ops(Box::new(KdbTree::new(3, 256).unwrap()), ops);
     }
 
     #[test]
     fn seqscan_matches_oracle(ops in proptest::collection::vec(op_strategy(3), 1..150)) {
-        run_ops(Box::new(SeqScan::with_page_size(3, 256).unwrap()), ops);
+        run_ops(Box::new(SeqScan::new(3, 256).unwrap()), ops);
     }
 
     /// Duplicate-heavy: coordinates snapped to a coarse grid stress the
@@ -104,9 +101,7 @@ proptest! {
                 other => other,
             })
             .collect();
-        let kdb_cfg = KdbTreeConfig { page_size: 256 };
-        run_ops(Box::new(KdbTree::new(2, kdb_cfg).unwrap()), ops.clone());
-        let hb_cfg = HbTreeConfig { page_size: 256 };
-        run_ops(Box::new(HbTree::new(2, hb_cfg).unwrap()), ops);
+        run_ops(Box::new(KdbTree::new(2, 256).unwrap()), ops.clone());
+        run_ops(Box::new(HbTree::new(2, 256).unwrap()), ops);
     }
 }

@@ -1,7 +1,7 @@
 //! Failure injection: storage faults must surface as errors, never as
 //! panics, silent corruption, or wrong query results.
 
-use hybridtree_repro::page::{PageError, PageId, PageResult, Storage};
+use hybridtree_repro::page::{PageError, PageId, PageResult, Storage, DEFAULT_PAGE_SIZE};
 use hybridtree_repro::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -153,8 +153,8 @@ fn corrupt_pages_decode_to_errors() {
 
 #[test]
 fn unsupported_operations_are_clean_errors() {
-    use hybridtree_repro::hbtree::{HbTree, HbTreeConfig};
-    let mut t = HbTree::new(3, HbTreeConfig::default()).unwrap();
+    use hybridtree_repro::hbtree::HbTree;
+    let mut t = HbTree::new(3, DEFAULT_PAGE_SIZE).unwrap();
     t.insert(Point::new(vec![0.1, 0.2, 0.3]), 1).unwrap();
     let q = Point::new(vec![0.1, 0.2, 0.3]);
     match t.knn(&q, 1, &L2) {
