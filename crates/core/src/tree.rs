@@ -8,7 +8,7 @@ use crate::node::{data_capacity, min_entries, DataEntry, Node, INDEX_HEADER_BYTE
 use crate::split::{build_kd, split_data, split_index};
 use crate::verify::{Els, Issue};
 use crate::view::{InsertPath, NodeView};
-use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
+use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand};
 use hyt_geom::{Coord, Metric, Point, Rect};
 use hyt_index::{
     check_dim, Answer, IndexError, IndexResult, KnnStream, MultidimIndex, NodeCacheStats, Query,
@@ -675,34 +675,25 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
         ctx: &QueryContext,
         out: &mut Vec<u64>,
         children: &mut Vec<HyRef>,
-    ) -> IndexResult<NodeKind> {
+    ) -> IndexResult<()> {
         let t = self.tree;
         let mut kids: Vec<PageId> = Vec::new();
         // Navigate the serialized node in place (paper §3.1: kd-based
         // intra-node search beats scanning an array of BRs) on the
-        // borrowed page bytes, without decoding it.
-        let is_leaf = t
-            .pool
-            .read_with(r.pid, false, io, ctx, |buf| -> PageResult<bool> {
+        // borrowed page bytes, without decoding it. A data page emits no
+        // children.
+        t.pool
+            .read_with(r.pid, false, io, ctx, |buf| -> PageResult<()> {
                 match NodeView::parse(buf, t.dim)? {
-                    NodeView::Data(view) => {
-                        view.filter_box(rect, out);
-                        Ok(true)
-                    }
-                    NodeView::Index(view) => {
-                        // Two-step overlap check (paper §3.4): the kd
-                        // split positions prune first; the quantized
-                        // live-space BR is consulted only for children
-                        // that survive.
-                        view.children_overlapping_box(rect, &mut kids)?;
-                        Ok(false)
-                    }
+                    NodeView::Data(view) => view.filter_box(rect, out),
+                    // Two-step overlap check (paper §3.4): the kd split
+                    // positions prune first; the quantized live-space BR
+                    // is consulted only for children that survive.
+                    NodeView::Index(view) => view.children_overlapping_box(rect, &mut kids)?,
                 }
+                Ok(())
             })
             .and_then(|r| r)?;
-        if is_leaf {
-            return Ok(NodeKind::Leaf);
-        }
         children.extend(
             kids.into_iter()
                 .filter(|c| t.els.may_intersect(*c, rect))
@@ -712,7 +703,7 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
                     region: None,
                 }),
         );
-        Ok(NodeKind::Index)
+        Ok(())
     }
 
     fn expand_near(
@@ -723,7 +714,7 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
         ctx: &QueryContext,
         sink: &mut dyn EntrySink,
         children: &mut Vec<Child<HyRef>>,
-    ) -> IndexResult<NodeKind> {
+    ) -> IndexResult<()> {
         let t = self.tree;
         if r.depth == t.height - 1 {
             // Data pages are decoded (shared, cacheable): the metric
@@ -732,7 +723,7 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
             for e in entries.iter() {
                 sink.offer(e.oid, &e.point);
             }
-            return Ok(NodeKind::Leaf);
+            return Ok(());
         }
         // Directory pages are walked in place, skipping kd subtrees beyond
         // the kernel's bound. Before a bound exists (kNN's first
@@ -774,7 +765,7 @@ impl<S: Storage> NodeExpand for HyExpand<'_, S> {
                 c.bound = self.settle_bound(&c.node, nq);
             }
         }
-        Ok(NodeKind::Index)
+        Ok(())
     }
 
     /// A child's bound: with ELS on by its quantized live box, with ELS

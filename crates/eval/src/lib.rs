@@ -18,13 +18,14 @@
 //! in [`figures::FIGURES`]; `hyt figures` runs them and prints (and with
 //! `--out`, archives) each regenerated table.
 
-mod admission;
+// The batch runner runs every governed batch.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod figures;
 mod report;
 mod runner;
 mod scale;
 
-pub use admission::{AdmissionGate, AdmissionPermit, Overloaded};
 pub use report::FigureReport;
 pub use runner::{
     build_engine, compare_box, compare_distance, run_batch, run_box_queries, run_distance_queries,

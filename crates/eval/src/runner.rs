@@ -1,6 +1,5 @@
 //! Build-and-measure machinery shared by all figure drivers.
 
-use crate::admission::AdmissionGate;
 use hybrid_tree::{HybridTree, HybridTreeConfig, SplitPolicy};
 use hyt_geom::{Metric, Point, Rect};
 use hyt_hbtree::HbTree;
@@ -275,17 +274,7 @@ fn run_one(
     metric: &dyn Metric,
     q: &Query,
     ctx: &QueryContext,
-    gate: Option<&AdmissionGate>,
 ) -> IndexResult<(QueryOutcome<Answer>, IoStats)> {
-    let empty = |reason| {
-        Ok((
-            QueryOutcome::degraded(Answer::default(), reason),
-            IoStats::default(),
-        ))
-    };
-    let Ok(_permit) = gate.map(AdmissionGate::admit).transpose() else {
-        return empty(DegradeReason::Shed);
-    };
     match idx.execute(q, metric, ctx) {
         Ok((outcome, io)) if matches!(q, Query::Knn { .. }) => Ok((outcome, io)),
         Ok((outcome, io)) => Ok((
@@ -295,23 +284,24 @@ fn run_one(
             }),
             io,
         )),
-        Err(IndexError::Storage(PageError::Io(_))) => empty(DegradeReason::RetriesExhausted),
+        Err(IndexError::Storage(PageError::Io(_))) => Ok((
+            QueryOutcome::degraded(Answer::default(), DegradeReason::RetriesExhausted),
+            IoStats::default(),
+        )),
         Err(err) => Err(err),
     }
 }
 
 /// Runs a batch of queries across `threads` workers over one shared
 /// index. Every query runs under `ctx`, so a deadline set once bounds the
-/// whole batch, and (optionally) behind an [`AdmissionGate`].
+/// whole batch. At most `threads` queries are in flight at once.
 ///
 /// Each answer is what [`MultidimIndex::execute`] returns, with box and
 /// range oids sorted ascending (the engines leave their order
 /// unspecified, and a canonical order makes serial and parallel runs
 /// bit-comparable); kNN answers keep their ascending-distance order. A
-/// query the gate refuses is [`DegradeReason::Shed`], and one whose
-/// transient storage fault outlasted the pool's retries is
-/// [`DegradeReason::RetriesExhausted`]; both carry an empty answer and
-/// no I/O.
+/// query whose transient storage fault outlasted the pool's retries is
+/// [`DegradeReason::RetriesExhausted`], with an empty answer and no I/O.
 ///
 /// The batch is split into contiguous chunks, one per worker, and the
 /// answers are stitched back in submission order, so the output —
@@ -325,9 +315,8 @@ pub fn run_batch(
     queries: &[Query],
     threads: usize,
     ctx: &QueryContext,
-    gate: Option<&AdmissionGate>,
 ) -> IndexResult<Vec<(QueryOutcome<Answer>, IoStats)>> {
-    let run = |q: &Query| run_one(idx, metric, q, ctx, gate);
+    let run = |q: &Query| run_one(idx, metric, q, ctx);
     let threads = threads.max(1);
     if threads == 1 || queries.len() < 2 {
         return queries.iter().map(run).collect();
@@ -449,13 +438,13 @@ mod tests {
             .collect()
     }
 
-    /// Runs `batch` with no limits and no gate on `threads` workers.
+    /// Runs `batch` with no limits on `threads` workers.
     fn unlimited(
         idx: &dyn MultidimIndex,
         batch: &[Query],
         threads: usize,
     ) -> IndexResult<Vec<(QueryOutcome<Answer>, IoStats)>> {
-        run_batch(idx, &L1, batch, threads, QueryContext::unlimited(), None)
+        run_batch(idx, &L1, batch, threads, QueryContext::unlimited())
     }
 
     #[test]
@@ -555,7 +544,7 @@ mod tests {
         let (idx, _) = build_engine(Engine::Hybrid, &data).unwrap();
         let batch = mixed_batch(&data, 12);
         let ctx = QueryContext::default().with_timeout(Duration::ZERO);
-        let answers = run_batch(idx.as_ref(), &L1, &batch, 4, &ctx, None).unwrap();
+        let answers = run_batch(idx.as_ref(), &L1, &batch, 4, &ctx).unwrap();
         assert_eq!(answers.len(), batch.len());
         for a in &answers {
             assert_eq!(
@@ -574,7 +563,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let ctx = QueryContext::default().with_cancel(token);
-        let answers = run_batch(idx.as_ref(), &L1, &batch, 3, &ctx, None).unwrap();
+        let answers = run_batch(idx.as_ref(), &L1, &batch, 3, &ctx).unwrap();
         for (o, _) in &answers {
             assert_eq!(o.degrade_reason(), Some(DegradeReason::Cancelled));
         }
@@ -588,7 +577,7 @@ mod tests {
         let batch: Vec<Query> = wl.queries.iter().cloned().map(Query::Box).collect();
         let full = unlimited(idx.as_ref(), &batch, 1).unwrap();
         let ctx = QueryContext::default().with_max_reads(2);
-        let governed = run_batch(idx.as_ref(), &L1, &batch, 2, &ctx, None).unwrap();
+        let governed = run_batch(idx.as_ref(), &L1, &batch, 2, &ctx).unwrap();
         let mut saw_degraded = false;
         for ((f, _), (g, g_io)) in full.iter().zip(&governed) {
             assert!(f.is_complete());
@@ -602,55 +591,6 @@ mod tests {
             }
         }
         assert!(saw_degraded, "a 2-read budget should degrade some query");
-    }
-
-    #[test]
-    fn governed_batch_result_cap_truncates() {
-        let data = uniform(2500, 3, 43);
-        let (idx, _) = build_engine(Engine::Kdb, &data).unwrap();
-        let wl = BoxWorkload::calibrated(&data, 4, 0.3, 47);
-        let batch: Vec<Query> = wl.queries.iter().cloned().map(Query::Box).collect();
-        let ctx = QueryContext::default().with_max_results(3);
-        let governed = run_batch(idx.as_ref(), &L1, &batch, 1, &ctx, None).unwrap();
-        for (g, _) in &governed {
-            let oids = &g.results().oids;
-            assert!(oids.len() <= 3, "{oids:?}");
-        }
-    }
-
-    #[test]
-    fn admission_gate_sheds_queries_with_typed_overloaded() {
-        let data = uniform(2000, 4, 53);
-        let (idx, _) = build_engine(Engine::Hybrid, &data).unwrap();
-        let batch = mixed_batch(&data, 24);
-        // One slot, zero queue patience, many workers: with the slot
-        // contended, some queries must be shed rather than queued forever.
-        let gate = AdmissionGate::new(1, Duration::ZERO);
-        let answers = run_batch(
-            idx.as_ref(),
-            &L1,
-            &batch,
-            6,
-            QueryContext::unlimited(),
-            Some(&gate),
-        )
-        .unwrap();
-        assert_eq!(answers.len(), batch.len());
-        let shed = answers
-            .iter()
-            .filter(|(o, _)| o.degrade_reason() == Some(DegradeReason::Shed))
-            .count();
-        let complete = answers.iter().filter(|(o, _)| o.is_complete()).count();
-        assert!(complete >= 1, "at least the first admitted query completes");
-        for (o, _) in answers.iter().filter(|(o, _)| !o.is_complete()) {
-            match o.degrade_reason() {
-                Some(DegradeReason::Shed) => assert!(o.results().oids.is_empty()),
-                other => panic!("unexpected outcome {other:?}"),
-            }
-        }
-        // Not asserted > 0: on a fast machine every query may still be
-        // admitted. The dedicated gate unit test pins the shed path.
-        let _ = shed;
     }
 
     #[test]

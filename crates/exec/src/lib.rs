@@ -21,8 +21,7 @@
 //!   reads (unchanged from PR 3); this kernel owns the *settlement*: an
 //!   interrupted read degrades the query via
 //!   [`settle_interrupt`] with the partial
-//!   answer accumulated so far, and the result-cardinality cap is applied
-//!   after every leaf via [`apply_result_cap`].
+//!   answer accumulated so far.
 //! * **Comparator space** — all bounds and candidate distances are squared
 //!   (root-free) values; each reported neighbor pays exactly one
 //!   [`Metric::distance_from_sq`] on the way out.
@@ -47,27 +46,18 @@
 //! ascending `(comparator distance, oid)`, which equals `(distance, oid)`
 //! order unless two distinct comparator values root to the same `f64`.
 
+// The query kernel runs inside every query.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use hyt_geom::{range_bound_sq, Metric, Point, Rect};
 use hyt_index::{
-    apply_result_cap, settle_interrupt, Answer, DegradeReason, IndexError, IndexResult, KnnStream,
-    Query, QueryContext, QueryOutcome,
+    settle_interrupt, Answer, DegradeReason, IndexError, IndexResult, KnnStream, Query,
+    QueryContext, QueryOutcome,
 };
 use hyt_page::IoStats;
 use std::borrow::Cow;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
-
-/// What kind of node a [`NodeExpand::expand_box`] or
-/// [`NodeExpand::expand_near`] call visited. `Leaf` triggers the
-/// result-cardinality cap check; a leaf may still emit children (the
-/// hB-tree's data-page redirects).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NodeKind {
-    /// A data page: entries were offered to the sink / output.
-    Leaf,
-    /// A directory page: only children were emitted.
-    Index,
-}
 
 /// A child reference emitted during distance-bounded expansion, tagged
 /// with a comparator-space (squared) lower bound on the distance from the
@@ -123,7 +113,7 @@ pub trait EntrySink {
 /// expand a single node reference. Implementations perform their own
 /// buffer-pool reads (preserving each engine's exact I/O path — decoded
 /// cache, zero-copy view, or sequential scan — and its per-query I/O
-/// attribution and governed admission), then report what the node held.
+/// attribution and governed admission), then emit what the node held.
 ///
 /// # Contract
 ///
@@ -160,17 +150,10 @@ pub trait NodeExpand {
         false
     }
 
-    /// Whether the engine cannot tell how much work remains after a leaf
-    /// (hB-tree: the redirect graph hides it). Landing exactly on the
-    /// result cap then conservatively degrades. Box search only, like
-    /// [`dedup_visits`](Self::dedup_visits).
-    fn opaque_remaining_work(&self) -> bool {
-        false
-    }
-
     /// Box-query expansion: push matching oids of a data page into `out`,
-    /// or children overlapping `rect` (engine-side geometric filtering)
-    /// into `children`.
+    /// and children overlapping `rect` (engine-side geometric filtering)
+    /// into `children`. A directory page emits only children; a data
+    /// page may emit both (the hB-tree's data-page redirects).
     fn expand_box(
         &self,
         r: Self::Ref,
@@ -179,7 +162,7 @@ pub trait NodeExpand {
         ctx: &QueryContext,
         out: &mut Vec<u64>,
         children: &mut Vec<Self::Ref>,
-    ) -> IndexResult<NodeKind>;
+    ) -> IndexResult<()>;
 
     /// Distance-bounded expansion, shared by the distance-range driver
     /// and the best-first kNN cursor (batch or streaming): offer every
@@ -194,7 +177,7 @@ pub trait NodeExpand {
         ctx: &QueryContext,
         sink: &mut dyn EntrySink,
         children: &mut Vec<Child<Self::Ref>>,
-    ) -> IndexResult<NodeKind>;
+    ) -> IndexResult<()>;
 
     /// The real lower bound of a child that [`expand_near`](Self::expand_near)
     /// emitted with a [`Child::provisional`] key, computed from what the
@@ -260,9 +243,8 @@ pub fn execute<E: NodeExpand>(
 ///
 /// Depth-first over the engine's frontier: children are visited in the
 /// order emitted (last emitted sibling first, exactly like the former
-/// per-engine stacks; the root list is visited front to back). After
-/// every leaf the result cap is checked; a denied read settles into a
-/// degraded outcome carrying the oids found so far.
+/// per-engine stacks; the root list is visited front to back). A denied
+/// read settles into a degraded outcome carrying the oids found so far.
 fn run_box_query<E: NodeExpand>(
     ex: &E,
     rect: &Rect,
@@ -280,23 +262,10 @@ fn run_box_query<E: NodeExpand>(
             continue;
         }
         children.clear();
-        match ex.expand_box(r, rect, &mut io, ctx, &mut out, &mut children) {
-            Err(e) => return settle_interrupt(e, out, io),
-            Ok(NodeKind::Leaf) => {
-                if apply_result_cap(
-                    ctx,
-                    &mut out,
-                    ex.opaque_remaining_work() || !stack.is_empty(),
-                ) {
-                    return Ok((
-                        QueryOutcome::degraded(out, DegradeReason::BudgetExhausted),
-                        io,
-                    ));
-                }
-                stack.append(&mut children);
-            }
-            Ok(NodeKind::Index) => stack.append(&mut children),
+        if let Err(e) = ex.expand_box(r, rect, &mut io, ctx, &mut out, &mut children) {
+            return settle_interrupt(e, out, io);
         }
+        stack.append(&mut children);
     }
     Ok((QueryOutcome::Complete(out), io))
 }
@@ -351,35 +320,20 @@ fn run_distance_range<E: NodeExpand>(
     let mut children: Vec<Child<E::Ref>> = Vec::new();
     while let Some(r) = stack.pop() {
         children.clear();
-        match ex.expand_near(
-            r,
-            NearQuery {
-                q,
-                metric,
-                bound: bound_sq,
-            },
-            &mut io,
-            ctx,
-            &mut sink,
-            &mut children,
-        ) {
-            Err(e) => return settle_interrupt(e, sink.out, io),
-            Ok(kind) => {
-                if kind == NodeKind::Leaf && apply_result_cap(ctx, &mut sink.out, !stack.is_empty())
-                {
-                    return Ok((
-                        QueryOutcome::degraded(sink.out, DegradeReason::BudgetExhausted),
-                        io,
-                    ));
-                }
-                stack.extend(
-                    children
-                        .drain(..)
-                        .filter(|c| c.bound <= bound_sq)
-                        .map(|c| c.node),
-                );
-            }
+        let nq = NearQuery {
+            q,
+            metric,
+            bound: bound_sq,
+        };
+        if let Err(e) = ex.expand_near(r, nq, &mut io, ctx, &mut sink, &mut children) {
+            return settle_interrupt(e, sink.out, io);
         }
+        stack.extend(
+            children
+                .drain(..)
+                .filter(|c| c.bound <= bound_sq)
+                .map(|c| c.node),
+        );
     }
     Ok((QueryOutcome::Complete(sink.out), io))
 }
@@ -546,8 +500,8 @@ impl EntrySink for StageSink<'_> {
 /// prefix (see `tests/executor.rs`). Batch kNN is this cursor bounded by
 /// k.
 /// Governance carries over: every page read is admitted by the
-/// [`QueryContext`]; a denied read or an exhausted `max_results` cap
-/// ends the stream with [`KnnStream::degrade_reason`] set. Hard storage
+/// [`QueryContext`]; a denied read ends the stream with
+/// [`KnnStream::degrade_reason`] set. Hard storage
 /// failures also end the stream and are surfaced by
 /// [`KnnStream::take_error`].
 pub struct KnnCursor<'m, E: NodeExpand> {
@@ -561,7 +515,6 @@ pub struct KnnCursor<'m, E: NodeExpand> {
     best: Option<BestK>,
     children: Vec<Child<E::Ref>>,
     io: IoStats,
-    yielded: usize,
     stopped: Option<DegradeReason>,
     error: Option<IndexError>,
 }
@@ -599,7 +552,6 @@ impl<'m, E: NodeExpand> KnnCursor<'m, E> {
             best,
             children: Vec::new(),
             io: IoStats::default(),
-            yielded: 0,
             stopped: None,
             error: None,
         }
@@ -693,15 +645,8 @@ impl<E: NodeExpand> KnnStream for KnnCursor<'_, E> {
         if self.stopped.is_some() || self.error.is_some() {
             return None;
         }
-        if self.ctx.max_results.is_some_and(|cap| self.yielded >= cap) {
-            self.stopped = Some(DegradeReason::BudgetExhausted);
-            return None;
-        }
         match self.advance() {
-            Ok(hit) => {
-                self.yielded += usize::from(hit.is_some());
-                hit
-            }
+            Ok(hit) => hit,
             Err(e) => {
                 match e.interrupt() {
                     Some(i) => self.stopped = Some(i.into()),
@@ -732,9 +677,7 @@ const KNN_RESERVE: usize = 256;
 /// engine: a [`KnnCursor`] bounded by k, pulled k times. The traversal
 /// is best-first over `(bound, node id)` and ends once k neighbors are
 /// proven; a node farther than the k-th best candidate is never read. A
-/// `max_results` cap below `k` clamps `k` — the traversal then finds the
-/// true cap-nearest neighbors, reported as budget-degraded. A complete
-/// answer is in ascending `(comparator distance, oid)` order; a denied
+/// complete answer is in ascending `(comparator distance, oid)` order; a denied
 /// read settles into the best candidates found so far, sorted by
 /// `(distance, oid)`.
 ///
@@ -752,8 +695,6 @@ fn run_knn<E: NodeExpand>(
     metric: &dyn Metric,
     ctx: &QueryContext,
 ) -> IndexResult<(QueryOutcome<Vec<(u64, f64)>>, IoStats)> {
-    let clamped = ctx.max_results.is_some_and(|m| m < k);
-    let k = ctx.max_results.map_or(k, |m| k.min(m));
     let best = BestK {
         k,
         epsilon,
@@ -775,12 +716,7 @@ fn run_knn<E: NodeExpand>(
             }
         }
     }
-    let outcome = if clamped {
-        QueryOutcome::degraded(hits, DegradeReason::BudgetExhausted)
-    } else {
-        QueryOutcome::Complete(hits)
-    };
-    Ok((outcome, cur.io))
+    Ok((QueryOutcome::Complete(hits), cur.io))
 }
 
 #[cfg(test)]
@@ -852,18 +788,18 @@ mod tests {
             _ctx: &QueryContext,
             out: &mut Vec<u64>,
             children: &mut Vec<usize>,
-        ) -> IndexResult<NodeKind> {
+        ) -> IndexResult<()> {
             self.admit(io)?;
             if r == 0 {
                 children.extend(1..=self.leaves.len());
-                return Ok(NodeKind::Index);
+                return Ok(());
             }
             for (oid, p) in self.points(r - 1) {
                 if rect.contains_point(&p) {
                     out.push(oid);
                 }
             }
-            Ok(NodeKind::Leaf)
+            Ok(())
         }
 
         fn expand_near(
@@ -874,7 +810,7 @@ mod tests {
             _ctx: &QueryContext,
             sink: &mut dyn EntrySink,
             children: &mut Vec<Child<usize>>,
-        ) -> IndexResult<NodeKind> {
+        ) -> IndexResult<()> {
             self.admit(io)?;
             if r == 0 {
                 let defer = nq.bound == f64::INFINITY;
@@ -886,12 +822,12 @@ mod tests {
                         node: i + 1,
                     }
                 }));
-                return Ok(NodeKind::Index);
+                return Ok(());
             }
             for (oid, p) in self.points(r - 1) {
                 sink.offer(oid, &p);
             }
-            Ok(NodeKind::Leaf)
+            Ok(())
         }
 
         fn settle_bound(&self, r: &usize, _nq: NearQuery<'_>) -> f64 {
@@ -955,21 +891,6 @@ mod tests {
     }
 
     #[test]
-    fn box_query_caps_and_degrades() {
-        let m = mock();
-        let rect = Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]);
-        let ctx = QueryContext::default().with_max_results(1);
-        let (outcome, _) = run_box_query(&m, &rect, &ctx).unwrap();
-        assert_eq!(
-            outcome.degrade_reason(),
-            Some(DegradeReason::BudgetExhausted)
-        );
-        // Depth-first pops the last-emitted child first: leaf 3 (empty in
-        // the box), then leaf 2, whose two hits overflow the cap of 1.
-        assert_eq!(outcome.into_results(), vec![3]);
-    }
-
-    #[test]
     fn range_prunes_by_bound() {
         let m = mock();
         let q = Point::new(vec![0.0, 0.0]);
@@ -995,17 +916,6 @@ mod tests {
         }
         assert_eq!(streamed, batch);
         assert_eq!(cur.degrade_reason(), None);
-    }
-
-    #[test]
-    fn cursor_reports_result_cap() {
-        let q = Point::new(vec![0.0, 0.0]);
-        let ctx = QueryContext::default().with_max_results(2);
-        let mut cur = KnnCursor::new(mock(), q, &L2, ctx);
-        assert!(cur.next().is_some());
-        assert!(cur.next().is_some());
-        assert!(cur.next().is_none());
-        assert_eq!(cur.degrade_reason(), Some(DegradeReason::BudgetExhausted));
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //! crate therefore keeps metrics strictly separate from the geometric
 //! containment/overlap predicates used while building trees.
 
+// Metric bounds run inside every query.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 mod metric;
 mod point;
 mod rect;

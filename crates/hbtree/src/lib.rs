@@ -34,7 +34,7 @@
 // every path, never as a panic.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use hyt_exec::{Child, EntrySink, NearQuery, NodeExpand, NodeKind};
+use hyt_exec::{Child, EntrySink, NearQuery, NodeExpand};
 use hyt_geom::{Coord, Metric, Point, Rect};
 use hyt_index::{
     check_dim, leaf, Answer, IndexError, IndexResult, MultidimIndex, Query, QueryContext,
@@ -784,11 +784,10 @@ fn patch_invalid_sibling(kd: &mut Kd, new_pid: PageId) -> bool {
     }
 }
 
-/// [`NodeExpand`] adapter for the hB-tree's box search. Two things set
-/// it apart from the other engines: the redirect graph means the same
-/// page is reachable along several paths (`dedup_visits`), and a data
-/// page's admitted redirects hide how much work remains, so a result
-/// cap must conservatively assume more (`opaque_remaining_work`).
+/// [`NodeExpand`] adapter for the hB-tree's box search. The redirect
+/// graph sets it apart from the other engines: the same page is
+/// reachable along several paths (`dedup_visits`), and a data page may
+/// emit children (its admitted redirects).
 struct HbExpand<'t, S: Storage> {
     tree: &'t HbTree<S>,
 }
@@ -811,10 +810,6 @@ impl<S: Storage> NodeExpand for HbExpand<'_, S> {
         true
     }
 
-    fn opaque_remaining_work(&self) -> bool {
-        true
-    }
-
     fn expand_box(
         &self,
         pid: PageId,
@@ -823,7 +818,7 @@ impl<S: Storage> NodeExpand for HbExpand<'_, S> {
         ctx: &QueryContext,
         out: &mut Vec<u64>,
         children: &mut Vec<PageId>,
-    ) -> IndexResult<NodeKind> {
+    ) -> IndexResult<()> {
         match &self.tree.read_node_ctx(pid, io, ctx)? {
             HbNode::Data { entries, redirects } => {
                 out.extend(
@@ -838,11 +833,11 @@ impl<S: Storage> NodeExpand for HbExpand<'_, S> {
                         .filter(|r| r.constraints.iter().all(|c| c.admits_box(rect)))
                         .map(|r| r.target),
                 );
-                Ok(NodeKind::Leaf)
+                Ok(())
             }
             HbNode::Index { kd, .. } => {
                 kd.collect_box(rect, children);
-                Ok(NodeKind::Index)
+                Ok(())
             }
         }
     }
@@ -855,7 +850,7 @@ impl<S: Storage> NodeExpand for HbExpand<'_, S> {
         _ctx: &QueryContext,
         _sink: &mut dyn EntrySink,
         _children: &mut Vec<Child<PageId>>,
-    ) -> IndexResult<NodeKind> {
+    ) -> IndexResult<()> {
         Err(IndexError::Unsupported(
             "hB-tree does not support distance-based search (paper §4)",
         ))

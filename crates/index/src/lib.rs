@@ -8,6 +8,9 @@
 //! [`StatsTally`]; [`leaf`] is the data-page entry layout all five
 //! engines share.
 
+// The shared leaf decoder parses untrusted page bytes for every engine.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use hyt_geom::{Metric, Point, Rect, L2};
 use hyt_page::{IoStats, PageError};
 use std::fmt;
@@ -104,8 +107,7 @@ impl IndexError {
 pub enum DegradeReason {
     /// The [`QueryContext`] deadline passed mid-traversal.
     DeadlineExceeded,
-    /// A budget ran out: the logical-read budget mid-traversal, or the
-    /// result-cardinality cap was reached.
+    /// The logical-read budget ran out mid-traversal.
     BudgetExhausted,
     /// The query's [`CancelToken`] was triggered.
     Cancelled,
@@ -113,9 +115,6 @@ pub enum DegradeReason {
     /// (set by the `hyt-eval` batch runner; an engine returns the I/O
     /// error). The answer is empty.
     RetriesExhausted,
-    /// The batch runner's admission gate refused the query. The answer is
-    /// empty.
-    Shed,
 }
 
 impl fmt::Display for DegradeReason {
@@ -125,7 +124,6 @@ impl fmt::Display for DegradeReason {
             DegradeReason::BudgetExhausted => write!(f, "budget exhausted"),
             DegradeReason::Cancelled => write!(f, "cancelled"),
             DegradeReason::RetriesExhausted => write!(f, "retries exhausted"),
-            DegradeReason::Shed => write!(f, "shed (overloaded)"),
         }
     }
 }
@@ -264,22 +262,6 @@ impl Answer {
     /// A kNN answer as `(oid, distance)` pairs.
     pub fn into_hits(self) -> Vec<(u64, f64)> {
         self.oids.into_iter().zip(self.distances).collect()
-    }
-}
-
-/// Engine-side helper for the result-cardinality cap: truncates `out`
-/// to the cap and reports whether the traversal must stop and degrade.
-/// Landing *exactly* on the cap with no work left is still a complete
-/// answer; exceeding it, or reaching it with nodes still unvisited,
-/// degrades.
-pub fn apply_result_cap<T>(ctx: &QueryContext, out: &mut Vec<T>, more_work: bool) -> bool {
-    match ctx.max_results {
-        Some(cap) if out.len() > cap => {
-            out.truncate(cap);
-            true
-        }
-        Some(cap) => out.len() == cap && more_work,
-        None => false,
     }
 }
 
@@ -464,15 +446,14 @@ pub trait MultidimIndex: Send + Sync {
 
     /// Runs one governed query, the one query method every engine
     /// implements. The traversal consults `ctx` before every page fetch
-    /// (cancel, deadline, logical-read budget) and after every result
-    /// batch (result-cardinality cap), so any limit is observed within one
-    /// pool read. A triggered limit yields [`QueryOutcome::Degraded`]
-    /// carrying what was found so far: a subset of the true answer for
-    /// box and range queries, and for kNN the best candidates found
-    /// before the interrupt, sorted by distance, which are *not*
-    /// guaranteed to be the true nearest. A `max_results` cap below a kNN
-    /// query's `k` clamps `k`. Storage failures and out-of-domain queries
-    /// surface as [`IndexError`]. `metric` is ignored by box queries.
+    /// (cancel, deadline, logical-read budget), so any limit is observed
+    /// within one pool read. A triggered limit yields
+    /// [`QueryOutcome::Degraded`] carrying what was found so far: a
+    /// subset of the true answer for box and range queries, and for kNN
+    /// the best candidates found before the interrupt, sorted by
+    /// distance, which are *not* guaranteed to be the true nearest.
+    /// Storage failures and out-of-domain queries surface as
+    /// [`IndexError`]. `metric` is ignored by box queries.
     fn execute(
         &self,
         query: &Query,
@@ -539,10 +520,9 @@ pub trait MultidimIndex: Send + Sync {
 
     /// Opens an incremental kNN stream (see [`KnnStream`]): neighbors are
     /// pulled one at a time in ascending `(distance, oid)` order, under
-    /// the same governance as the batch path (`ctx.max_results` caps the
-    /// number of yields). Engines without distance-based search — and any
-    /// future engine that has not opted in — return
-    /// [`IndexError::Unsupported`].
+    /// the same governance as the batch path. Engines without
+    /// distance-based search — and any future engine that has not opted
+    /// in — return [`IndexError::Unsupported`].
     fn knn_stream<'a>(
         &'a self,
         q: &Point,
@@ -664,22 +644,6 @@ mod tests {
             DegradeReason::from(Interrupt::BudgetExhausted),
             DegradeReason::BudgetExhausted
         );
-    }
-
-    #[test]
-    fn result_cap_truncates_and_degrades() {
-        let ctx = QueryContext::default().with_max_results(2);
-        let mut over = vec![1u64, 2, 3];
-        assert!(apply_result_cap(&ctx, &mut over, false));
-        assert_eq!(over, vec![1, 2]);
-        // Exactly at the cap: complete if nothing is left to visit,
-        // degraded if the traversal would have continued.
-        let mut exact = vec![1u64, 2];
-        assert!(!apply_result_cap(&ctx, &mut exact, false));
-        assert!(apply_result_cap(&ctx, &mut exact, true));
-        // No cap: never degrades.
-        let mut any = vec![1u64; 10];
-        assert!(!apply_result_cap(QueryContext::unlimited(), &mut any, true));
     }
 
     #[test]

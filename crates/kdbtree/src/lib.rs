@@ -26,7 +26,7 @@
 // every path, never as a panic.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
+use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand};
 use hyt_geom::{Coord, Metric, Point, Rect};
 use hyt_index::{
     check_dim, leaf, Answer, IndexError, IndexResult, KnnStream, MultidimIndex, Query,
@@ -688,7 +688,7 @@ impl<S: Storage> NodeExpand for KdbExpand<'_, S> {
         ctx: &QueryContext,
         out: &mut Vec<u64>,
         children: &mut Vec<(PageId, Rect)>,
-    ) -> IndexResult<NodeKind> {
+    ) -> IndexResult<()> {
         match &self.tree.read_node_ctx(pid, io, ctx)? {
             KdbNode::Data(entries) => {
                 out.extend(
@@ -697,13 +697,13 @@ impl<S: Storage> NodeExpand for KdbExpand<'_, S> {
                         .filter(|(p, _)| rect.contains_point(p))
                         .map(|(_, oid)| *oid),
                 );
-                Ok(NodeKind::Leaf)
+                Ok(())
             }
             KdbNode::Index { kd, .. } => {
                 let mut kids = Vec::new();
                 kd.children_with_regions(&region, &mut kids);
                 children.extend(kids.into_iter().filter(|(_, creg)| creg.intersects(rect)));
-                Ok(NodeKind::Index)
+                Ok(())
             }
         }
     }
@@ -716,13 +716,13 @@ impl<S: Storage> NodeExpand for KdbExpand<'_, S> {
         ctx: &QueryContext,
         sink: &mut dyn EntrySink,
         children: &mut Vec<Child<(PageId, Rect)>>,
-    ) -> IndexResult<NodeKind> {
+    ) -> IndexResult<()> {
         match &self.tree.read_node_ctx(pid, io, ctx)? {
             KdbNode::Data(entries) => {
                 for (p, oid) in entries {
                     sink.offer(*oid, p);
                 }
-                Ok(NodeKind::Leaf)
+                Ok(())
             }
             KdbNode::Index { kd, .. } => {
                 let mut kids = Vec::new();
@@ -732,7 +732,7 @@ impl<S: Storage> NodeExpand for KdbExpand<'_, S> {
                     provisional: false,
                     node: (child, creg),
                 }));
-                Ok(NodeKind::Index)
+                Ok(())
             }
         }
     }

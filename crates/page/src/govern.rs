@@ -89,14 +89,13 @@ impl CancelToken {
     }
 }
 
-/// Resource limits for one query: deadline, cancel token, logical-read
-/// budget, and result-cardinality cap. All limits are optional; the
-/// default context is unlimited.
+/// Resource limits for one query: deadline, cancel token and
+/// logical-read budget. All limits are optional; the default context is
+/// unlimited.
 ///
 /// The context is *checked* at page-fetch granularity by the pool's
-/// governed read, `read_with` (cancel/deadline/budget), and at result-append
-/// granularity by the engines (result cap), so every limit is observed
-/// within one page read.
+/// governed read, `read_with`, so every limit is observed within one
+/// page read.
 #[derive(Clone, Debug, Default)]
 pub struct QueryContext {
     /// Absolute point in time after which fetches are denied.
@@ -106,9 +105,6 @@ pub struct QueryContext {
     /// Maximum logical page reads (random + sequential) this query may
     /// issue. The N+1st fetch is denied.
     pub max_logical_reads: Option<u64>,
-    /// Maximum result cardinality; engines stop traversal once reached
-    /// and report the truncated answer as budget-degraded.
-    pub max_results: Option<usize>,
 }
 
 impl QueryContext {
@@ -118,7 +114,6 @@ impl QueryContext {
             deadline: None,
             cancel: None,
             max_logical_reads: None,
-            max_results: None,
         };
         &UNLIMITED
     }
@@ -144,21 +139,6 @@ impl QueryContext {
     pub fn with_max_reads(mut self, max: u64) -> Self {
         self.max_logical_reads = Some(max);
         self
-    }
-
-    /// Sets the result-cardinality cap.
-    pub fn with_max_results(mut self, max: usize) -> Self {
-        self.max_results = Some(max);
-        self
-    }
-
-    /// Whether any limit is set at all (an unlimited context lets
-    /// callers skip governance bookkeeping entirely).
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.cancel.is_none()
-            && self.max_logical_reads.is_none()
-            && self.max_results.is_none()
     }
 
     /// Checks cancel and deadline (not the read budget).
@@ -188,11 +168,6 @@ impl QueryContext {
         }
         Ok(())
     }
-
-    /// Whether `n` results reach the result-cardinality cap.
-    pub fn result_cap_reached(&self, n: usize) -> bool {
-        self.max_results.is_some_and(|m| n >= m)
-    }
 }
 
 #[cfg(test)]
@@ -202,13 +177,11 @@ mod tests {
     #[test]
     fn unlimited_admits_everything() {
         let ctx = QueryContext::unlimited();
-        assert!(ctx.is_unlimited());
         let io = IoStats {
             logical_reads: u64::MAX / 2,
             ..IoStats::default()
         };
         assert!(ctx.admit_read(&io).is_ok());
-        assert!(!ctx.result_cap_reached(usize::MAX));
     }
 
     #[test]
@@ -253,14 +226,6 @@ mod tests {
             ctx.admit_read(&IoStats::default()),
             Err(Interrupt::Cancelled)
         );
-    }
-
-    #[test]
-    fn result_cap() {
-        let ctx = QueryContext::default().with_max_results(5);
-        assert!(!ctx.result_cap_reached(4));
-        assert!(ctx.result_cap_reached(5));
-        assert!(ctx.result_cap_reached(6));
     }
 
     #[test]

@@ -23,6 +23,10 @@
 //! checksum layer for crash-matrix testing.
 
 #![deny(unsafe_code)]
+// Read paths must be panic-free, and the one unsafe kernel (CRC-32)
+// documents every unsafe block.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod checksum;
 mod codec;

@@ -11,7 +11,7 @@
 // every path, never as a panic.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
+use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand};
 use hyt_geom::{Metric, Point, Rect};
 use hyt_index::{
     check_dim, leaf, Answer, IndexResult, KnnStream, MultidimIndex, Query, QueryContext,
@@ -122,7 +122,7 @@ impl<S: Storage> NodeExpand for ScanExpand<'_, S> {
         ctx: &QueryContext,
         out: &mut Vec<u64>,
         _children: &mut Vec<PageId>,
-    ) -> IndexResult<NodeKind> {
+    ) -> IndexResult<()> {
         let entries = self.tree.read_page(pid, true, io, ctx)?;
         out.extend(
             entries
@@ -130,7 +130,7 @@ impl<S: Storage> NodeExpand for ScanExpand<'_, S> {
                 .filter(|(p, _)| rect.contains_point(p))
                 .map(|(_, oid)| *oid),
         );
-        Ok(NodeKind::Leaf)
+        Ok(())
     }
 
     fn expand_near(
@@ -141,12 +141,12 @@ impl<S: Storage> NodeExpand for ScanExpand<'_, S> {
         ctx: &QueryContext,
         sink: &mut dyn EntrySink,
         _children: &mut Vec<Child<PageId>>,
-    ) -> IndexResult<NodeKind> {
+    ) -> IndexResult<()> {
         let entries = self.tree.read_page(pid, true, io, ctx)?;
         for (p, oid) in &entries {
             sink.offer(*oid, p);
         }
-        Ok(NodeKind::Leaf)
+        Ok(())
     }
 }
 

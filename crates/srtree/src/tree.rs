@@ -1,7 +1,7 @@
 //! SR-tree operations.
 
 use crate::node::{data_capacity, index_capacity, ChildEntry, SrNode, DATA_HEADER_BYTES};
-use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand, NodeKind};
+use hyt_exec::{Child, EntrySink, KnnCursor, NearQuery, NodeExpand};
 use hyt_geom::{Metric, Point, Rect, L2};
 use hyt_index::{
     check_dim, Answer, IndexError, IndexResult, KnnStream, MultidimIndex, Query, QueryContext,
@@ -507,7 +507,7 @@ impl<S: Storage> NodeExpand for SrExpand<'_, S> {
         ctx: &QueryContext,
         out: &mut Vec<u64>,
         children: &mut Vec<PageId>,
-    ) -> IndexResult<NodeKind> {
+    ) -> IndexResult<()> {
         match &self.tree.read_node_ctx(pid, io, ctx)? {
             SrNode::Data(entries) => {
                 out.extend(
@@ -516,7 +516,7 @@ impl<S: Storage> NodeExpand for SrExpand<'_, S> {
                         .filter(|(p, _)| rect.contains_point(p))
                         .map(|(_, oid)| *oid),
                 );
-                Ok(NodeKind::Leaf)
+                Ok(())
             }
             SrNode::Index { entries, .. } => {
                 children.extend(
@@ -525,7 +525,7 @@ impl<S: Storage> NodeExpand for SrExpand<'_, S> {
                         .filter(|e| e.rect.intersects(rect))
                         .map(|e| e.pid),
                 );
-                Ok(NodeKind::Index)
+                Ok(())
             }
         }
     }
@@ -538,13 +538,13 @@ impl<S: Storage> NodeExpand for SrExpand<'_, S> {
         ctx: &QueryContext,
         sink: &mut dyn EntrySink,
         children: &mut Vec<Child<PageId>>,
-    ) -> IndexResult<NodeKind> {
+    ) -> IndexResult<()> {
         match &self.tree.read_node_ctx(pid, io, ctx)? {
             SrNode::Data(entries) => {
                 for (p, oid) in entries {
                     sink.offer(*oid, p);
                 }
-                Ok(NodeKind::Leaf)
+                Ok(())
             }
             SrNode::Index { entries, .. } => {
                 children.extend(entries.iter().map(|e| Child {
@@ -552,7 +552,7 @@ impl<S: Storage> NodeExpand for SrExpand<'_, S> {
                     provisional: false,
                     node: e.pid,
                 }));
-                Ok(NodeKind::Index)
+                Ok(())
             }
         }
     }

@@ -16,12 +16,15 @@
 //! (root/height/config/ELS), so build and query can run in separate
 //! processes.
 
+// The CLI parses outside input and writes files.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use hybridtree_repro::core::{scrub_index, scrub_pages, HybridTree, HybridTreeConfig};
 use hybridtree_repro::data::{colhist, fourier, uniform};
 use hybridtree_repro::eval::figures::FIGURES;
-use hybridtree_repro::eval::{run_batch, total_io, AdmissionGate, Scale};
+use hybridtree_repro::eval::{run_batch, total_io, Scale};
 use hybridtree_repro::geom::{Chebyshev, Lp, Metric, Point, Rect, L1, L2};
-use hybridtree_repro::index::{DegradeReason, MultidimIndex, Query, QueryContext, QueryOutcome};
+use hybridtree_repro::index::{MultidimIndex, Query, QueryContext, QueryOutcome};
 use hybridtree_repro::page::DurableStorage;
 use std::collections::HashMap;
 use std::fmt;
@@ -47,28 +50,26 @@ const USAGE: &str = "usage:
   hyt generate --kind colhist|fourier|uniform --n N --dim D [--seed S] --out FILE
   hyt build    --input FILE --index PAGES --meta META [--page-size 4096]
                [--els-bits 4] [--bulk] [--node-cache-entries 0]
-  hyt stats    --index PAGES --meta META [--node-cache-entries N]
+  hyt stats    --index PAGES --meta META
   hyt knn      --index PAGES --meta META --query V [--k 10] [--metric l2]
-               [--stream] [--timeout-ms T] [--max-reads N] [--node-cache-entries N]
+               [--stream] [--timeout-ms T] [--max-reads N]
   hyt range    --index PAGES --meta META --query V --radius R [--metric l2]
-               [--timeout-ms T] [--max-reads N] [--node-cache-entries N]
-  hyt box      --index PAGES --meta META --lo V --hi V
-               [--timeout-ms T] [--max-reads N] [--node-cache-entries N]
+               [--timeout-ms T] [--max-reads N]
+  hyt box      --index PAGES --meta META --lo V --hi V [--timeout-ms T] [--max-reads N]
   hyt batch    --index PAGES --meta META --queries FILE [--threads N] [--metric l2]
-               [--timeout-ms T] [--max-reads N] [--max-inflight N]
-               [--node-cache-entries N]
+               [--timeout-ms T] [--max-reads N] [--node-cache-entries N]
   hyt scrub    --index PAGES [--meta META] [--page-size 4096]
   hyt figures  [--only NAME[,NAME…]] [--scale quick|paper] [--out DIR]
 metrics: l1, l2, linf, lp:<p>     V: comma-separated f32 coordinates
 batch file: one query per line — `box LO HI` | `range CENTER R` | `knn CENTER K`
 --timeout-ms caps wall time (whole batch for `batch`), --max-reads caps page
 reads per query; a query hitting a limit returns its partial answer, marked
-degraded. --max-inflight bounds concurrent queries; excess queries are shed.
+degraded. --threads bounds the queries in flight at once.
 --stream prints each neighbor as soon as it is proven (incremental distance
 browsing) instead of after the search completes; same answers, same I/O.
---node-cache-entries overrides the decoded-node cache size for this process
-(0 disables; decode-per-visit); query results and page-read counts are
-unaffected, only decode work.
+--node-cache-entries sets the decoded-node cache size (build persists it;
+batch overrides it for the run; 0 decodes per visit); query results and
+page-read counts are unaffected, only decode work.
 scrub verifies every page checksum (and, with --meta, every tree invariant)
 without loading the index; exits 1 if any corruption is found
 figures regenerates the paper's tables and figures (all, or --only the named
@@ -79,18 +80,35 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err("no command given".into());
     };
-    let opts = parse_opts(rest)?;
+    // Each command accepts exactly the options its USAGE line lists.
+    let opts = |accepted: &str| parse_opts(cmd, accepted, rest);
     let out = &mut Out(io::stdout().lock());
+    let done = |r: Result<(), String>| r.map(|()| ExitCode::SUCCESS);
     match cmd.as_str() {
-        "generate" => generate(&opts, out).map(|()| ExitCode::SUCCESS),
-        "build" => build(&opts, out).map(|()| ExitCode::SUCCESS),
-        "stats" => stats(&opts, out).map(|()| ExitCode::SUCCESS),
-        "knn" => knn(&opts, out).map(|()| ExitCode::SUCCESS),
-        "range" => range(&opts, out).map(|()| ExitCode::SUCCESS),
-        "box" => box_query(&opts, out).map(|()| ExitCode::SUCCESS),
-        "batch" => batch(&opts, out).map(|()| ExitCode::SUCCESS),
-        "scrub" => scrub(&opts, out),
-        "figures" => figures(&opts, out).map(|()| ExitCode::SUCCESS),
+        "generate" => done(generate(&opts("kind n dim seed out")?, out)),
+        "build" => done(build(
+            &opts("input index meta page-size els-bits bulk node-cache-entries")?,
+            out,
+        )),
+        "stats" => done(stats(&opts("index meta")?, out)),
+        "knn" => done(knn(
+            &opts("index meta query k metric stream timeout-ms max-reads")?,
+            out,
+        )),
+        "range" => done(range(
+            &opts("index meta query radius metric timeout-ms max-reads")?,
+            out,
+        )),
+        "box" => done(box_query(
+            &opts("index meta lo hi timeout-ms max-reads")?,
+            out,
+        )),
+        "batch" => done(batch(
+            &opts("index meta queries threads metric timeout-ms max-reads node-cache-entries")?,
+            out,
+        )),
+        "scrub" => scrub(&opts("index meta page-size")?, out),
+        "figures" => done(figures(&opts("only scale out")?, out)),
         other => Err(format!("unknown command `{other}`")),
     }
 }
@@ -189,13 +207,23 @@ fn figures(opts: &HashMap<String, String>, out: &mut Out) -> Result<(), String> 
     Ok(())
 }
 
-fn parse_opts(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parses `--name value` pairs and the value-less `--bulk` and
+/// `--stream`, refusing any option not in `cmd`'s space-separated
+/// `accepted` list.
+fn parse_opts(
+    cmd: &str,
+    accepted: &str,
+    args: &[String],
+) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected --option, found `{key}`"));
         };
+        if !accepted.split(' ').any(|a| a == name) {
+            return Err(format!("unknown option --{name} for `{cmd}`"));
+        }
         if name == "bulk" || name == "stream" {
             out.insert(name.to_string(), "true".to_string());
             continue;
@@ -398,13 +426,10 @@ fn stats(opts: &HashMap<String, String>, out: &mut Out) -> Result<(), String> {
         tree.els_overhead_bytes(),
         tree.config().els_bits
     )?;
-    let cs = tree.cache_stats();
     writeln!(
         out,
-        "decoded cache      {} entries capacity — {} hits, {} misses this session",
-        tree.config().node_cache_entries,
-        cs.hits,
-        cs.misses
+        "decoded cache      {} entries capacity",
+        tree.config().node_cache_entries
     )?;
     Ok(())
 }
@@ -603,41 +628,14 @@ fn batch(opts: &HashMap<String, String>, out: &mut Out) -> Result<(), String> {
         return Err(format!("{path} holds no queries"));
     }
     let ctx = parse_query_context(opts)?;
-    let gate = match opts.get("max-inflight") {
-        Some(n) => {
-            let slots: usize = n.parse().map_err(|_| "bad --max-inflight")?;
-            if slots == 0 {
-                return Err("--max-inflight must be >= 1".into());
-            }
-            // Queries queue for at most what remains of the batch timeout
-            // (default 1s) before being shed.
-            let patience = ctx.deadline.map_or(Duration::from_secs(1), |d| {
-                d.saturating_duration_since(Instant::now())
-            });
-            Some(AdmissionGate::new(slots, patience))
-        }
-        None => None,
-    };
     let start = Instant::now();
-    let answers = run_batch(
-        &tree,
-        metric.as_ref(),
-        &queries,
-        threads,
-        &ctx,
-        gate.as_ref(),
-    )
-    .map_err(|e| e.to_string())?;
+    let answers =
+        run_batch(&tree, metric.as_ref(), &queries, threads, &ctx).map_err(|e| e.to_string())?;
     let elapsed = start.elapsed();
     let mut degraded = 0usize;
-    let mut shed = 0usize;
     for (i, (outcome, io)) in answers.iter().enumerate() {
         let status = match outcome.degrade_reason() {
             None => "complete".to_string(),
-            Some(DegradeReason::Shed) => {
-                shed += 1;
-                DegradeReason::Shed.to_string()
-            }
             Some(reason) => {
                 degraded += 1;
                 format!("degraded ({reason})")
@@ -653,13 +651,13 @@ fn batch(opts: &HashMap<String, String>, out: &mut Out) -> Result<(), String> {
     let total = total_io(&answers);
     eprintln!(
         "[{} queries on {} thread(s) in {:.3}s — {} page reads, {:.1} weighted accesses, \
-         {} complete, {degraded} degraded, {shed} shed]",
+         {} complete, {degraded} degraded]",
         answers.len(),
         threads,
         elapsed.as_secs_f64(),
         total.logical_reads,
         total.weighted_accesses(),
-        answers.len() - degraded - shed,
+        answers.len() - degraded,
     );
     let cs = tree.cache_stats();
     eprintln!(

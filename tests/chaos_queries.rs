@@ -6,7 +6,7 @@
 //!
 //! * no panic and no hang (a watchdog bounds the whole run);
 //! * every query returns a typed outcome — `Complete`, or `Degraded` by
-//!   a limit, a shed or exhausted retries — never a corruption error
+//!   a limit or by exhausted retries — never a corruption error
 //!   from a *transient* fault;
 //! * every `Complete` outcome is bit-identical to the unfaulted serial
 //!   answer for that query;
@@ -14,7 +14,7 @@
 //!   unfaulted serial run reproduces the reference answers exactly.
 
 use hybridtree_repro::core::{HybridTree, HybridTreeConfig};
-use hybridtree_repro::eval::{run_batch, AdmissionGate};
+use hybridtree_repro::eval::run_batch;
 use hybridtree_repro::geom::{Point, Rect, L2};
 use hybridtree_repro::index::{
     Answer, CancelToken, DegradeReason, MultidimIndex, Query, QueryContext, QueryOutcome,
@@ -142,16 +142,16 @@ fn transient_faults_retry_in_the_pool_then_degrade_one_query() {
         Query::Box(Rect::new(vec![0.4; DIM], vec![0.9; DIM])),
     ];
     let ctx = QueryContext::unlimited();
-    let clean = run_batch(&tree, &L2, &batch, 1, ctx, None).unwrap();
+    let clean = run_batch(&tree, &L2, &batch, 1, ctx).unwrap();
 
     script.fail_next_reads(3);
-    let absorbed = run_batch(&tree, &L2, &batch, 1, ctx, None).unwrap();
+    let absorbed = run_batch(&tree, &L2, &batch, 1, ctx).unwrap();
     assert!(absorbed[0].0.is_complete());
     assert_eq!(absorbed[0].1.retried_reads, 3);
     assert_eq!(absorbed[0].0.results(), clean[0].0.results());
 
     script.fail_next_reads(4);
-    let exhausted = run_batch(&tree, &L2, &batch, 1, ctx, None).unwrap();
+    let exhausted = run_batch(&tree, &L2, &batch, 1, ctx).unwrap();
     assert_eq!(
         exhausted[0].0.degrade_reason(),
         Some(DegradeReason::RetriesExhausted)
@@ -162,10 +162,10 @@ fn transient_faults_retry_in_the_pool_then_degrade_one_query() {
     assert!(exhausted[1].0.is_complete());
 }
 
-/// Runs `batch` serially with no limits and no gate; every query must
+/// Runs `batch` serially with no limits; every query must
 /// complete.
 fn unlimited(tree: &HybridTree<ChaosStack>, batch: &[Query]) -> Vec<Batched> {
-    let answers = run_batch(tree, &L2, batch, 1, QueryContext::unlimited(), None).unwrap();
+    let answers = run_batch(tree, &L2, batch, 1, QueryContext::unlimited()).unwrap();
     for (i, (o, _)) in answers.iter().enumerate() {
         assert_eq!(o.degrade_reason(), None, "query {i}");
     }
@@ -173,8 +173,8 @@ fn unlimited(tree: &HybridTree<ChaosStack>, batch: &[Query]) -> Vec<Batched> {
 }
 
 /// One full chaos campaign: `ROUNDS` governed parallel batches, each
-/// under a different mix of fault load, cancellation, deadline pressure
-/// and admission control.
+/// under a different mix of fault load, cancellation and deadline
+/// pressure.
 fn chaos_rounds(
     tree: &HybridTree<ChaosStack>,
     script: &Arc<FaultScript>,
@@ -193,9 +193,7 @@ fn chaos_rounds(
                 .then(|| Instant::now() + Duration::from_millis(rng.gen_range(1..40))),
             cancel: Some(token.clone()),
             max_logical_reads: (round % 3 == 2).then(|| rng.gen_range(1..30)),
-            max_results: None,
         };
-        let gate = (round % 2 == 0).then(|| AdmissionGate::new(3, Duration::from_millis(50)));
 
         // Fault injector: bursts of transient read failures while the
         // batch runs, plus one random cancel in cancel-heavy rounds.
@@ -220,7 +218,7 @@ fn chaos_rounds(
             })
         };
 
-        let got = run_batch(tree, &L2, batch, 4, &ctx, gate.as_ref());
+        let got = run_batch(tree, &L2, batch, 4, &ctx);
         stop_chaos.cancel();
         injector
             .join()
@@ -253,13 +251,13 @@ fn chaos_rounds(
         }
     }
     // The campaign must exercise both sides: governance that bites
-    // (degraded/shed outcomes exist) and recovery that works (complete
+    // (degraded outcomes exist) and recovery that works (complete
     // outcomes exist despite the fault load).
     if complete == 0 {
         return Err("no query ever completed under chaos".into());
     }
     if non_complete == 0 {
-        return Err("chaos never degraded or shed a single query — injection inert".into());
+        return Err("chaos never degraded a single query — injection inert".into());
     }
     Ok(())
 }

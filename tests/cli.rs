@@ -421,3 +421,110 @@ fn figures_refuses_unknown_names_scales_and_unwritable_dirs() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn unknown_options_are_refused_per_command() {
+    let dir = std::env::temp_dir().join(format!("hyt_cli_opts_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    std::fs::write(at("pts.csv"), "0.1,0.2\n0.5,0.6\n0.9,0.1\n").unwrap();
+    std::fs::write(at("batch.txt"), "knn 0.5,0.5 2\n").unwrap();
+    let (pages, meta) = (at("db.pages"), at("db.meta"));
+    let db = ["--index", &pages, "--meta", &meta];
+    let out = hyt()
+        .args(["build", "--input", &at("pts.csv")])
+        .args(db)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let cases: [(&str, &[&str], &str); 4] = [
+        ("knn", &["--query", "0.5,0.5", "--kk", "2"], "--kk"),
+        (
+            "batch",
+            &["--queries", &at("batch.txt"), "--max-inflight", "2"],
+            "--max-inflight",
+        ),
+        // The decoded-node cache can act only where queries share it.
+        (
+            "stats",
+            &["--node-cache-entries", "8"],
+            "--node-cache-entries",
+        ),
+        (
+            "box",
+            &["--lo", "0,0", "--hi", "1,1", "--stream"],
+            "--stream",
+        ),
+    ];
+    for (cmd, args, name) in cases {
+        let out = hyt().arg(cmd).args(db).args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd} {args:?}: {err}");
+        assert!(
+            err.contains(&format!("error: unknown option {name} for `{cmd}`")),
+            "{cmd} {args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{cmd} {args:?} ran before refusing");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `run_batch`'s worker count is the batch's one concurrency bound, and
+/// the answers do not depend on it: a mixed batch prints the same bytes
+/// and reads the same pages on one thread as on four.
+#[test]
+fn batch_output_does_not_depend_on_threads() {
+    let dir = std::env::temp_dir().join(format!("hyt_cli_threads_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let at = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (csv, pages, meta) = (at("pts.csv"), at("db.pages"), at("db.meta"));
+    let out = hyt()
+        .args(["generate", "--kind", "colhist", "--n", "4000", "--dim", "8"])
+        .args(["--seed", "5", "--out", &csv])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = hyt()
+        .args(["build", "--input", &csv, "--index", &pages, "--meta", &meta])
+        .arg("--bulk")
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let body = std::fs::read_to_string(&csv).unwrap();
+    let mut lines = String::new();
+    for (i, p) in body.lines().step_by(97).take(24).enumerate() {
+        let coords: Vec<f32> = p.split(',').map(|t| t.parse().unwrap()).collect();
+        let lo: Vec<String> = coords.iter().map(|c| (c - 0.1).to_string()).collect();
+        let hi: Vec<String> = coords.iter().map(|c| (c + 0.1).to_string()).collect();
+        lines.push_str(&match i % 3 {
+            0 => format!("box {} {}\n", lo.join(","), hi.join(",")),
+            1 => format!("range {p} 0.15\n"),
+            _ => format!("knn {p} 7\n"),
+        });
+    }
+    std::fs::write(at("batch.txt"), lines).unwrap();
+    let run = |threads: &str| {
+        let out = hyt()
+            .args(["batch", "--index", &pages, "--meta", &meta])
+            .args(["--queries", &at("batch.txt"), "--threads", threads])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(out.status.success(), "{err}");
+        // "[24 queries on N thread(s) in Ts — R page reads, …"
+        let reads = err
+            .split(" — ")
+            .nth(1)
+            .and_then(|s| s.split(" page reads").next())
+            .unwrap_or_else(|| panic!("no page-read total in {err}"))
+            .to_string();
+        (out.stdout, reads)
+    };
+    let (serial, serial_reads) = run("1");
+    let (parallel, parallel_reads) = run("4");
+    assert_eq!(String::from_utf8_lossy(&serial).lines().count(), 24);
+    assert_eq!(serial, parallel);
+    assert_eq!(serial_reads, parallel_reads);
+    assert!(serial_reads.parse::<u64>().unwrap() > 0);
+    std::fs::remove_dir_all(&dir).ok();
+}

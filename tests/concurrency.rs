@@ -38,13 +38,13 @@ fn mixed_queries(data: &[Point], n: usize) -> Vec<Query> {
         .collect()
 }
 
-/// Runs `queries` with no limits and no gate on `threads` workers.
+/// Runs `queries` with no limits on `threads` workers.
 fn unlimited(
     idx: &dyn MultidimIndex,
     queries: &[Query],
     threads: usize,
 ) -> Vec<(QueryOutcome<Answer>, IoStats)> {
-    run_batch(idx, &L1, queries, threads, QueryContext::unlimited(), None).unwrap()
+    run_batch(idx, &L1, queries, threads, QueryContext::unlimited()).unwrap()
 }
 
 /// N worker threads × M queries each over one shared tree: every answer

@@ -255,11 +255,11 @@ fn assert_cache_transparent(data: &[Point], seed: u64, max_reads: Option<u64>) -
         let queries = mixed_queries(data, seed);
         let off = build(engine, data, 0);
         let on = build(engine, data, 512);
-        let base = run_batch(&off, &L2, &queries, 1, &ctx, None).unwrap();
+        let base = run_batch(&off, &L2, &queries, 1, &ctx).unwrap();
         // Two passes over the cached build: the second runs against a
         // warm cache, where hits actually happen.
         for pass in 0..2 {
-            let got = run_batch(&on, &L2, &queries, 1, &ctx, None).unwrap();
+            let got = run_batch(&on, &L2, &queries, 1, &ctx).unwrap();
             assert_eq!(base.len(), got.len());
             for (i, (b, g)) in base.iter().zip(&got).enumerate() {
                 assert_eq!(

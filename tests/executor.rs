@@ -173,30 +173,6 @@ fn hb_tree_reports_streaming_unsupported() {
     assert!(matches!(err, IndexError::Unsupported(_)), "got {err}");
 }
 
-#[test]
-fn cursor_result_cap_degrades_stream() {
-    let data = uniform(800, 4, 101);
-    for engine in STREAMING_ENGINES {
-        let (idx, _) = build_engine(engine, &data).unwrap();
-        let ctx = QueryContext {
-            max_results: Some(3),
-            ..QueryContext::default()
-        };
-        let q = data[5].clone();
-        let (hits, _, reason) = run_knn_stream(&*idx, &q, 10, &L2, &ctx).unwrap();
-        assert_eq!(hits.len(), 3, "{}", engine.name());
-        assert_eq!(
-            reason,
-            Some(DegradeReason::BudgetExhausted),
-            "{}",
-            engine.name()
-        );
-        // The capped stream agrees with the clamped batch answer.
-        let (outcome, _) = batch_knn(&*idx, &q, 10, &L2, &ctx);
-        assert_eq!(hits, outcome.into_results(), "{}", engine.name());
-    }
-}
-
 /// The cursor is lazy: pulling the 3 nearest reads fewer than half the
 /// pages (the scan must read its whole file before it can yield, so it
 /// is exempt), and an index emptied by deletes yields nothing.
